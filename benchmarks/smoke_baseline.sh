@@ -34,6 +34,12 @@
 # zero lost acked writes (recovered snapshot identical to an acked-only
 # replay), and clean starts keep the replay counters all zero.
 #
+# benchmarks/e2e/run.py --smoke runs one round of all five end-to-end
+# workloads at a tiny scale factor with the wall-clock tracer installed:
+# every answer is checked against the reference engine and every
+# per-layer metric must be present, so a refactor that loses one of the
+# benchmark's patch points (or an API it calls) fails here.
+#
 # Usage:  sh benchmarks/smoke_baseline.sh  (from the repo root)
 set -e
 
@@ -55,5 +61,6 @@ PYTHONPATH=src python benchmarks/bench_resilience.py --check --sf "$SF"
 PYTHONPATH=src python benchmarks/bench_sharding.py --check --sf 0.01
 PYTHONPATH=src python benchmarks/bench_writes.py --check --sf 0.01
 PYTHONPATH=src python benchmarks/bench_recovery.py --check --sf 0.01
+PYTHONPATH=src python benchmarks/e2e/run.py --smoke
 echo "smoke_baseline: OK (sf $SF, zone maps off+on, resilience," \
-     "sharding, writes, recovery checks)"
+     "sharding, writes, recovery checks, e2e smoke)"

@@ -20,7 +20,13 @@ import numpy as np
 
 from ..errors import PlanError
 from ..obs import Tracer, span_context
-from ..plan.logical import StarQuery
+from ..plan.aggregates import (
+    finalize as finalize_agg,
+    needs_expr_values,
+    reduce_groups,
+    reduce_scalar,
+)
+from ..plan.logical import StarQuery, expr_columns
 from ..result import ResultSet, Row
 from ..simio.buffer_pool import BufferPool
 from ..simio.stats import QueryStats
@@ -48,6 +54,7 @@ from .operators.materialize import (
     row_pipeline,
 )
 from .operators.scan import stored_bounds
+from .positions import ArrayPositions
 
 Decoder = Callable[[object], object]
 
@@ -147,6 +154,9 @@ class ColumnPlanner:
         #: read with pending deletes patches base-scan positions; None
         #: (every read-only run) leaves all plan paths untouched
         self.visibility = visibility
+        #: morsel engine of the execution in flight (see :meth:`run`);
+        #: None keeps every operator on its serial path
+        self.engine: Optional[MorselEngine] = None
 
     def _deleted_positions(self, query: StarQuery,
                            fact_proj: Projection) -> Optional[np.ndarray]:
@@ -180,7 +190,6 @@ class ColumnPlanner:
         # stays serial by design: its row pipeline is a deliberate
         # reproduction of tuple-at-a-time execution, and parallelizing it
         # would change nothing the paper measures.
-        self.engine: Optional[MorselEngine] = None
         if self.config.late_materialization:
             self.engine = make_engine(self.pool, self.config,
                                       tracer=self.tracer)
@@ -227,28 +236,36 @@ class ColumnPlanner:
         dictionary = catalog_column.dictionary
         return lambda raw: dictionary.value(int(raw))
 
-    def _finalize(
-        self,
-        query: StarQuery,
-        group_arrays: List[np.ndarray],
-        reduction: Tuple[np.ndarray, List],
-    ) -> ResultSet:
-        """Decode group codes, assemble rows, apply ORDER BY."""
-        from ..plan.aggregates import finalize as finalize_agg
+    def _result(self, query: StarQuery, cells: Optional[List],
+                reduction: Optional[Tuple[np.ndarray, List]],
+                lookups: List[Optional[np.ndarray]]) -> ResultSet:
+        """Assemble and order the output: one row of scalar ``cells``, or
+        the decoded groups of ``reduction`` (``lookups`` as returned by
+        :meth:`_group_codes`)."""
+        with self._span("sort"):
+            columns = [g.column for g in query.group_by] + [
+                a.alias for a in query.aggregates
+            ]
+            if reduction is None:
+                rows: List[Row] = [tuple(cells)]
+            else:
+                rows = self._decode_groups(query, reduction, lookups)
+            return ResultSet(columns, rows).order_by(query.order_by).limited(
+                query.limit)
 
+    def _decode_groups(self, query: StarQuery,
+                       reduction: Tuple[np.ndarray, List],
+                       lookups: List[Optional[np.ndarray]]) -> List[Row]:
+        """Decode group codes and finalize accumulators, row by row."""
         uniq, reduced = reduction
-        columns = [g.column for g in query.group_by] + [
-            a.alias for a in query.aggregates
-        ]
         decoders = [self._decoder_for(g.table, g.column)
                     for g in query.group_by]
-        lookups = getattr(self, "_group_lookups", None)
         rows: List[Row] = []
         for gi in range(uniq.shape[1]):
             cells: List[object] = []
             for k, decoder in enumerate(decoders):
                 raw = uniq[k, gi]
-                if lookups is not None and lookups[k] is not None:
+                if lookups[k] is not None:
                     raw = lookups[k][int(raw)]
                 if decoder is not None:
                     self.stats.dict_lookups += 1
@@ -260,16 +277,23 @@ class ColumnPlanner:
                     agg.func, int(primary[gi]),
                     None if secondary is None else int(secondary[gi])))
             rows.append(tuple(cells))
-        return ResultSet(columns, rows).order_by(query.order_by).limited(
-            query.limit)
+        return rows
 
-    def _normalize_group_array(self, arr: np.ndarray
-                               ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Byte-string group arrays become factor codes + a lookup."""
-        if arr.dtype.kind == "S":
-            lookup, codes = np.unique(arr, return_inverse=True)
-            return codes.astype(np.int64), lookup
-        return arr.astype(np.int64), None
+    @staticmethod
+    def _group_codes(raw_arrays: List[np.ndarray]
+                     ) -> Tuple[List[np.ndarray],
+                                List[Optional[np.ndarray]]]:
+        """Group columns as int64 codes; byte-string columns (compression
+        off) become factor codes plus a lookup back to the raw bytes."""
+        codes: List[np.ndarray] = []
+        lookups: List[Optional[np.ndarray]] = []
+        for arr in raw_arrays:
+            lookup = None
+            if arr.dtype.kind == "S":
+                lookup, arr = np.unique(arr, return_inverse=True)
+            codes.append(arr.astype(np.int64))
+            lookups.append(lookup)
+        return codes, lookups
 
     # ------------------------------------------------------------------ #
     # late materialization
@@ -297,8 +321,6 @@ class ColumnPlanner:
             arr = survivors.to_array()
             keep = ~np.isin(arr, deleted)
             if not keep.all():
-                from .positions import ArrayPositions
-
                 survivors = ArrayPositions(arr[keep])
                 dim_rows = {d: rows[keep] for d, rows in dim_rows.items()}
         # kept for EXPLAIN: the join's run-time decisions
@@ -309,13 +331,42 @@ class ColumnPlanner:
         self.last_positions = survivors
         self.last_projection = fact_proj.name
 
-        from ..plan.logical import expr_columns
+        out_of_order = not self.config.invisible_join
 
-        from ..plan.aggregates import needs_expr_values
+        def gather(table: str, column: str) -> np.ndarray:
+            attr_values = read_column(
+                dims[table].projection.column_file(column), self.pool,
+                self.config)
+            return gather_attribute(attr_values, dim_rows[table], self.stats,
+                                    self.config, out_of_order=out_of_order)
 
+        return self.aggregate_positions(
+            query, survivors.count,
+            lambda column: self._fetch(fact_proj.column_file(column),
+                                       survivors),
+            gather)
+
+    def aggregate_positions(
+        self,
+        query: StarQuery,
+        count: int,
+        fetch: Callable[[str], np.ndarray],
+        gather: Callable[[str, str], np.ndarray],
+    ) -> ResultSet:
+        """The late-materialization aggregation tail: aggregate inputs
+        and group keys materialize only at the ``count`` surviving fact
+        positions, then reduce vectorized.
+
+        ``fetch(column)`` returns a fact column's values at those
+        positions; ``gather(table, column)`` a dimension group-by
+        attribute aligned with them.  The planner passes its invisible
+        join's extraction; the service's cache re-filter passes a sorted
+        key-set gather over cached positions — both get identical rows.
+        """
         agg_funcs = [a.func for a in query.aggregates]
+        cells = reduction = None
+        lookups: List[Optional[np.ndarray]] = []
         with self._span("aggregate"):
-            # aggregate inputs at surviving positions only
             fact_arrays: Dict[str, np.ndarray] = {}
             for agg in query.aggregates:
                 if not needs_expr_values(agg.func):
@@ -323,42 +374,25 @@ class ColumnPlanner:
                 for ref in expr_columns(agg.expr):
                     if ref.table == query.fact_table and \
                             ref.column not in fact_arrays:
-                        colfile = fact_proj.column_file(ref.column)
-                        fact_arrays[ref.column] = self._fetch(colfile,
-                                                              survivors)
+                        fact_arrays[ref.column] = fetch(ref.column)
             agg_arrays = [
                 eval_fact_expr(a.expr, fact_arrays, self.stats, self.config)
                 if needs_expr_values(a.func)
-                else np.zeros(survivors.count, dtype=np.int64)
+                else np.zeros(count, dtype=np.int64)
                 for a in query.aggregates
             ]
-
             if not query.group_by:
                 if self.engine is not None:
                     cells = self.engine.scalar(agg_arrays, funcs=agg_funcs)
                 else:
                     cells = scalar_aggregate(agg_arrays, self.stats,
                                              self.config, funcs=agg_funcs)
-                reduction = None
             else:
-                group_arrays: List[np.ndarray] = []
-                self._group_lookups: List[Optional[np.ndarray]] = []
-                out_of_order = not self.config.invisible_join
-                for g in query.group_by:
-                    if g.table == query.fact_table:
-                        raw = self._fetch(fact_proj.column_file(g.column),
-                                          survivors)
-                    else:
-                        side = dims[g.table]
-                        attr_values = read_column(
-                            side.projection.column_file(g.column), self.pool,
-                            self.config)
-                        raw = gather_attribute(attr_values, dim_rows[g.table],
-                                               self.stats, self.config,
-                                               out_of_order=out_of_order)
-                    codes, lookup = self._normalize_group_array(raw)
-                    group_arrays.append(codes)
-                    self._group_lookups.append(lookup)
+                group_arrays, lookups = self._group_codes([
+                    fetch(g.column) if g.table == query.fact_table
+                    else gather(g.table, g.column)
+                    for g in query.group_by
+                ])
                 if self.engine is not None:
                     reduction = self.engine.grouped(group_arrays, agg_arrays,
                                                     funcs=agg_funcs)
@@ -366,15 +400,7 @@ class ColumnPlanner:
                     reduction = grouped_aggregate(group_arrays, agg_arrays,
                                                   self.stats, self.config,
                                                   funcs=agg_funcs)
-
-        with self._span("sort"):
-            if reduction is None:
-                columns = [a.alias for a in query.aggregates]
-                return ResultSet(columns, [tuple(cells)]).order_by(
-                    query.order_by).limited(query.limit)
-            result = self._finalize(query, group_arrays, reduction)
-        del self._group_lookups
-        return result
+        return self._result(query, cells, reduction, lookups)
 
     # ------------------------------------------------------------------ #
     # early materialization
@@ -434,10 +460,22 @@ class ColumnPlanner:
             self.stats.position_ops += fact_proj.num_rows
             fact_arrays = {c: arr[live] for c, arr in fact_arrays.items()}
             live_rows = int(np.count_nonzero(live))
+        return self.aggregate_rows(query, fact_arrays, live_rows, self.level)
+
+    def aggregate_rows(self, query: StarQuery,
+                       fact_arrays: Dict[str, np.ndarray], num_rows: int,
+                       fact_level: CompressionLevel) -> ResultSet:
+        """The early-materialization tail: construct tuples from whole
+        fact columns, then filter, join and aggregate row-style.
+
+        ``fact_arrays`` hold the needed fact columns (``num_rows`` rows)
+        in the stored domain of ``fact_level`` — the planner's own level
+        for a projection scan, ``NONE`` for the raw tuples of a row-MV
+        blob scan (``CStore.execute_row_mv``)."""
         pred_domains = [
             (p.column, stored_bounds(
                 p, self.ctx.catalog_column(query.fact_table, p.column),
-                self.level))
+                fact_level))
             for p in query.fact_predicates()
         ]
         with self._span("phase1:dimension-filter"):
@@ -446,32 +484,21 @@ class ColumnPlanner:
         with self._span("row-pipeline"):
             group_raw, agg_arrays, _group_dims = row_pipeline(
                 query, fact_arrays, pred_domains, dims, self.stats,
-                num_rows=live_rows)
-
-        from ..plan.aggregates import (
-            finalize as finalize_agg,
-            reduce_groups,
-            reduce_scalar,
-        )
+                num_rows=num_rows)
 
         agg_funcs = [a.func for a in query.aggregates]
+        cells = reduction = None
+        lookups: List[Optional[np.ndarray]] = []
         with self._span("aggregate"):
             if not query.group_by:
                 cells = [
                     finalize_agg(func, *reduce_scalar(func, values))
                     for func, values in zip(agg_funcs, agg_arrays)
                 ]
-                reduction = None
             else:
-                group_arrays: List[np.ndarray] = []
-                self._group_lookups = []
-                for raw in group_raw:
-                    codes, lookup = self._normalize_group_array(raw)
-                    group_arrays.append(codes)
-                    self._group_lookups.append(lookup)
+                group_arrays, lookups = self._group_codes(group_raw)
                 # consolidation (already paid per tuple in the pipeline)
-                matrix = np.stack(group_arrays) if group_arrays else \
-                    np.zeros((0, 0), dtype=np.int64)
+                matrix = np.stack(group_arrays)
                 if matrix.shape[1] == 0:
                     uniq = matrix
                     reduced = [(np.zeros(0, dtype=np.int64), None)
@@ -483,15 +510,7 @@ class ColumnPlanner:
                         for func, values in zip(agg_funcs, agg_arrays)
                     ]
                 reduction = (uniq, reduced)
-
-        with self._span("sort"):
-            if reduction is None:
-                columns = [a.alias for a in query.aggregates]
-                return ResultSet(columns, [tuple(cells)]).order_by(
-                    query.order_by).limited(query.limit)
-            result = self._finalize(query, group_arrays, reduction)
-        del self._group_lookups
-        return result
+        return self._result(query, cells, reduction, lookups)
 
 
 __all__ = ["ColumnPlanner", "StoreContext"]

@@ -13,49 +13,49 @@ measured counts to simulated seconds with the shared
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from ..errors import ChecksumError, CorruptPageError, PlanError, WriteError
-from ..obs import Span, Trace, Tracer, span_context
+from ..errors import ChecksumError, CorruptPageError, PlanError
+from ..obs import Tracer
 from ..plan.logical import StarQuery
 from ..result import ResultSet
-from ..simio.buffer_pool import BufferPool
-from ..simio.disk import SimulatedDisk
-from ..simio.stats import CostBreakdown, CostModel, QueryStats
-from ..simio.stats import PAPER_2008
+from ..simio.stats import CostModel, PAPER_2008, QueryStats
 from ..ssb.generator import SsbData
+from ..core.lifecycle import (
+    PAPER_BUFFER_POOL_BYTES,
+    EngineRun,
+    EngineShell,
+    budget_share,
+    scaled_budget,
+)
 from .designs import Artifacts, DesignBuilder, DesignKind
 from .operators import SpillAccountant
 from .planner import RowPlanner
 from .statistics import CatalogStatistics
 
 #: Paper configuration at SF 10 (Section 6.2), scaled by sf/10 at runtime.
-PAPER_BUFFER_POOL_BYTES = 500 * 1024 * 1024
 PAPER_JOIN_MEMORY_BYTES = 3 * 512 * 1024 * 1024  # "1.5 GB maximum memory"
-PAPER_SCALE_FACTOR = 10.0
-MIN_POOL_BYTES = 8 * 32 * 1024
+
+#: Outcome of one query execution (the run type both engines share).
+RowStoreRun = EngineRun
 
 
-@dataclass
-class RowStoreRun:
-    """Outcome of one query execution."""
-
-    result: ResultSet
-    stats: QueryStats
-    cost: CostBreakdown
-    #: per-phase span tree; verified to sum exactly to ``stats``
-    trace: Optional[Trace] = None
-    #: which shards ran / were eliminated (sharded executions only)
-    shard_report: Optional[object] = None
-
-    @property
-    def seconds(self) -> float:
-        """Simulated seconds on the paper's hardware."""
-        return self.cost.total_seconds
+@contextmanager
+def final_corruption() -> Iterator[None]:
+    """The row store keeps one copy of every artifact — there is no
+    redundant projection to re-plan against, so a persistent corrupt
+    page is final (but typed, never a wrong result)."""
+    try:
+        yield
+    except ChecksumError as error:
+        raise CorruptPageError(
+            error.file, error.page_no, error.disk_no,
+            detail="row-store artifacts have no redundant copy",
+        ) from error
 
 
-class SystemX:
+class SystemX(EngineShell):
     """A commercial-style row store over the simulated disk.
 
     Parameters
@@ -106,8 +106,7 @@ class SystemX:
             raise PlanError(
                 f"move_threshold_rows must be >= 1, got {move_threshold_rows}"
             )
-        self.data = data
-        self.cost_model = cost_model
+        super().__init__(data, cost_model, buffer_pool_bytes, fault_injector)
         self.zone_maps = zone_maps
         self.shards = shards
         self.writes = writes
@@ -116,30 +115,9 @@ class SystemX:
         #: Engine-level, like ``writes`` — System X has no per-query
         #: config object.
         self.move_threshold_rows = move_threshold_rows
-        #: [(FactShard, child SystemX)], built lazily on first sharded run
-        self._shard_children: Optional[List[Tuple[object, "SystemX"]]] = None
-        #: lazily created delta store (first accepted write); None means
-        #: this engine has never seen a write
-        self._writes = None
-        #: write epoch the current artifacts (and their zone-map
-        #: sidecars) reflect; bumped by the tuple mover
-        self._zm_epoch = 0
-        scale = data.scale_factor / PAPER_SCALE_FACTOR
-        if buffer_pool_bytes is None:
-            buffer_pool_bytes = max(MIN_POOL_BYTES,
-                                    int(PAPER_BUFFER_POOL_BYTES * scale))
         if join_memory_bytes is None:
-            join_memory_bytes = max(MIN_POOL_BYTES,
-                                    int(PAPER_JOIN_MEMORY_BYTES * scale))
-        self._pool_bytes = buffer_pool_bytes
-        #: the tables this engine was opened with — cold-start replay
-        #: always re-applies the journal against these, never against a
-        #: possibly-moved current base, so recovery is idempotent
-        self._genesis_tables = dict(data.tables)
-        self.disk = SimulatedDisk()
-        # installed before any build so shadow rebuilds are fault-injectable
-        self.disk.fault_injector = fault_injector
-        self.pool = BufferPool(self.disk, buffer_pool_bytes)
+            join_memory_bytes = scaled_budget(PAPER_JOIN_MEMORY_BYTES,
+                                              data.scale_factor)
         self.join_memory_bytes = join_memory_bytes
         # ANALYZE at load time: the planner orders joins from these
         self.statistics = CatalogStatistics(data.tables)
@@ -167,13 +145,19 @@ class SystemX:
         if design is DesignKind.INDEX_ONLY:
             builder.build_indexes(self.artifacts)
         self._built.add(design)
-        if self._shard_children is not None:
-            for _shard, child in self._shard_children:
-                child.add_design(design)
+        for child in self._shard_engines():
+            child.add_design(design)
 
     @property
     def designs(self) -> List[DesignKind]:
         return sorted(self._built, key=lambda d: d.value)
+
+    def _require_design(self, design: DesignKind) -> None:
+        if design not in self._built:
+            raise PlanError(
+                f"design {design.value} was not built; available: "
+                f"{[d.value for d in self.designs]}"
+            )
 
     def execute(
         self,
@@ -184,7 +168,6 @@ class SystemX:
         vp_super_tuples: bool = False,
         cold_pool: bool = True,
         cancellation=None,
-        _visibility=None,
     ) -> RowStoreRun:
         """Run ``query`` under ``design`` on a fresh ledger.
 
@@ -210,40 +193,46 @@ class SystemX:
         ``writes`` flag; a read-only engine with pending writes raises
         :class:`~repro.errors.WriteError` rather than answering wrong.
         """
-        if design not in self._built:
-            raise PlanError(
-                f"design {design.value} was not built; available: "
-                f"{[d.value for d in self.designs]}"
-            )
-        ws = self._writes
-        if (_visibility is None and ws is not None and self.writes
-                and self.move_threshold_rows is not None
-                and ws.pending_rows() > self.move_threshold_rows):
-            # automatic tuple-mover policy: drain on its own ledger so
-            # the query's ledger only ever carries query work
-            self.move()
-        if _visibility is None and ws is not None and ws.has_pending():
-            if not self.writes:
-                raise WriteError(
-                    "engine holds pending writes; enable SystemX(writes=) "
-                    "or run the tuple mover first"
-                )
-            vis = ws.visibility()
-            if vis.needs_merge:
-                return self._execute_merge(
-                    query, design, prune_partitions=prune_partitions,
-                    vp_join=vp_join, vp_super_tuples=vp_super_tuples,
-                    cold_pool=cold_pool, cancellation=cancellation, vis=vis)
-            _visibility = vis
-        if self.shards > 1:
-            return self._execute_sharded(
-                query, design, prune_partitions=prune_partitions,
-                vp_join=vp_join, vp_super_tuples=vp_super_tuples,
-                cold_pool=cold_pool, cancellation=cancellation,
-                visibility=_visibility)
+        self._require_design(design)
+        return self._execute_routed(
+            query, writes=self.writes,
+            move_threshold_rows=self.move_threshold_rows,
+            shards=self.shards, design=design,
+            prune_partitions=prune_partitions, vp_join=vp_join,
+            vp_super_tuples=vp_super_tuples, cold_pool=cold_pool,
+            cancellation=cancellation)
+
+    def _run_base(self, query: StarQuery, visibility, *,
+                  design: DesignKind, prune_partitions: bool, vp_join: str,
+                  vp_super_tuples: bool, cold_pool: bool,
+                  cancellation) -> RowStoreRun:
         if vp_super_tuples and not self.artifacts.vp_super_heaps:
             DesignBuilder(self.disk, self.data) \
                 .build_super_vertical_partitions(self.artifacts)
+        return self.run_plan(
+            lambda planner: planner.run(
+                query, design, prune_partitions=prune_partitions,
+                vp_join=vp_join, vp_super_tuples=vp_super_tuples),
+            cold_pool=cold_pool, cancellation=cancellation,
+            visibility=visibility)
+
+    def planner(self, tracer: Optional[Tracer] = None,
+                visibility=None) -> RowPlanner:
+        """A planner over this engine's pool, artifacts and statistics;
+        its work is charged to whatever ledger the disk points at."""
+        spill = SpillAccountant(self.disk, self.join_memory_bytes)
+        return RowPlanner(self.pool, self.artifacts, self.data, spill,
+                          statistics=self.statistics, tracer=tracer,
+                          zone_maps=self.zone_maps, visibility=visibility)
+
+    def run_plan(self, plan: Callable[[RowPlanner], ResultSet],
+                 cold_pool: bool = True, cancellation=None,
+                 visibility=None) -> RowStoreRun:
+        """Run ``plan(planner)`` inside the bracket every row-store
+        execution shares: a fresh ledger, a cold (or head-reset warm)
+        pool, a span tracer verified against the ledger, the
+        cancellation token installed for the duration, and persistent
+        corruption surfaced typed."""
         stats = QueryStats()
         self.disk.stats = stats
         # default: start from a cold pool so measurements are
@@ -253,311 +242,38 @@ class SystemX:
             self.pool.clear()
         else:
             self.disk.reset_head()
-        spill = SpillAccountant(self.disk, self.join_memory_bytes)
         tracer = Tracer(stats, self.cost_model)
-        planner = RowPlanner(self.pool, self.artifacts, self.data, spill,
-                             statistics=self.statistics, tracer=tracer,
-                             zone_maps=self.zone_maps,
-                             visibility=_visibility)
+        planner = self.planner(tracer, visibility)
         saved_cancellation = self.disk.cancellation
         if cancellation is not None:
             self.disk.cancellation = cancellation
         try:
-            result = planner.run(query, design,
-                                 prune_partitions=prune_partitions,
-                                 vp_join=vp_join,
-                                 vp_super_tuples=vp_super_tuples)
-        except ChecksumError as error:
-            # The row store keeps one copy of every artifact — there is
-            # no redundant projection to re-plan against, so a persistent
-            # corrupt page is final (but typed, never a wrong result).
-            raise CorruptPageError(
-                error.file, error.page_no, error.disk_no,
-                detail="row-store artifacts have no redundant copy",
-            ) from error
+            with final_corruption():
+                result = plan(planner)
         finally:
             self.disk.cancellation = saved_cancellation
         trace = tracer.finish(stats)
         return RowStoreRun(result, stats, self.cost_model.cost(stats),
                            trace=trace)
 
-    # ------------------------------------------------------------------ #
-    # sharded execution
-    # ------------------------------------------------------------------ #
     def shard_children(self) -> List[Tuple[object, "SystemX"]]:
-        """The shard set behind ``shards > 1``: each entry pairs a
-        :class:`~repro.shard.partition.FactShard` with a complete child
-        ``SystemX`` on its own simulated disk array.  Built once and
-        reused across queries."""
-        if self._shard_children is not None:
-            return self._shard_children
-        from ..shard.partition import ShardScheme, partition_data
+        """The shard set behind ``shards > 1``: (fact shard, complete
+        child ``SystemX``) pairs, built once and reused across queries."""
+        return self._shard_set(self.shards)
 
-        scheme = (ShardScheme.RANGE
-                  if self.data.lineorder.sort_order.sorted_prefix_of(
-                      "orderdate")
-                  else ShardScheme.HASH)
-        child_pool = max(MIN_POOL_BYTES, self._pool_bytes // self.shards)
-        child_join = max(MIN_POOL_BYTES,
-                         self.join_memory_bytes // self.shards)
-        self._shard_children = [
-            (shard, SystemX(shard.data, designs=self.designs,
-                            cost_model=self.cost_model,
-                            buffer_pool_bytes=child_pool,
-                            join_memory_bytes=child_join,
-                            zone_maps=self.zone_maps))
-            for shard in partition_data(self.data, self.shards, scheme)
-        ]
-        return self._shard_children
-
-    def _execute_sharded(
-        self,
-        query: StarQuery,
-        design: DesignKind,
-        *,
-        prune_partitions: bool,
-        vp_join: str,
-        vp_super_tuples: bool,
-        cold_pool: bool,
-        cancellation,
-        visibility=None,
-    ) -> RowStoreRun:
-        from ..shard.executor import scatter_gather
-
-        children = self.shard_children()
-
-        def execute_one(k: int, shard_query: StarQuery) -> RowStoreRun:
-            child_vis = None
-            if visibility is not None and visibility.needs_patching:
-                # slice the database-wide deleted mask down to this
-                # shard's fact rows (shard positions index the unsharded
-                # fact table)
-                from ..write.store import Visibility
-
-                shard = children[k][0]
-                mask = visibility.fact_deleted[shard.positions]
-                if bool(mask.any()):
-                    child_vis = Visibility(
-                        epoch=visibility.epoch, store=visibility.store,
-                        fact_deleted=mask)
-            return children[k][1].execute(
-                shard_query, design, prune_partitions=prune_partitions,
-                vp_join=vp_join, vp_super_tuples=vp_super_tuples,
-                cold_pool=cold_pool, cancellation=cancellation,
-                _visibility=child_vis)
-
-        result, stats, trace, report = scatter_gather(
-            query, [shard.synopsis for shard, _engine in children],
-            self.data.date, execute_one, self.cost_model)
-        return RowStoreRun(result, stats, self.cost_model.cost(stats),
-                           trace=trace, shard_report=report)
-
-    # ------------------------------------------------------------------ #
-    # snapshot reads over pending inserts (WOS merge)
-    # ------------------------------------------------------------------ #
-    def _execute_merge(
-        self,
-        query: StarQuery,
-        design: DesignKind,
-        *,
-        prune_partitions: bool,
-        vp_join: str,
-        vp_super_tuples: bool,
-        cold_pool: bool,
-        cancellation,
-        vis,
-    ) -> RowStoreRun:
-        """Base run plus a WOS delta partial, combined like one more
-        shard.  The scatter rewrite makes the partials mergeable (AVG as
-        SUM+COUNT, hidden row counts for scalar MIN/MAX), and the merged
-        trace carries the delta's compute under a ``wos-merge`` span."""
-        from ..shard.executor import gather, shard_plan
-        from ..write.delta import delta_partial
-
-        spec = shard_plan(query)
-        base_run = self.execute(
-            spec.shard_query, design, prune_partitions=prune_partitions,
-            vp_join=vp_join, vp_super_tuples=vp_super_tuples,
-            cold_pool=cold_pool, cancellation=cancellation, _visibility=vis)
-        delta_stats = QueryStats()
-        partial = delta_partial(spec.shard_query, vis.delta_tables(),
-                                delta_stats)
-        result = gather(query, spec, [base_run.result, partial])
-        merged = QueryStats(**base_run.stats.snapshot())
-        merged.merge(delta_stats)
-        spans = [
-            Span("base-store", QueryStats(**base_run.stats.snapshot()),
-                 base_run.cost, children=[base_run.trace.root]),
-            Span("wos-merge", QueryStats(**delta_stats.snapshot()),
-                 self.cost_model.cost(delta_stats)),
-        ]
-        root = Span("query", QueryStats(**merged.snapshot()),
-                    self.cost_model.cost(merged), children=spans)
-        trace = Trace(root).verify(merged)
-        return RowStoreRun(result, merged, self.cost_model.cost(merged),
-                           trace=trace, shard_report=base_run.shard_report)
-
-    # ------------------------------------------------------------------ #
-    # writes: WOS delegation and the tuple mover
-    # ------------------------------------------------------------------ #
-    def _write_store(self):
-        if self._writes is None:
-            from ..write.store import WriteStore
-
-            self._writes = WriteStore(dict(self.data.tables))
-            # journal faults come from the same injector as data faults
-            self._writes.journal.disk.fault_injector = \
-                self.disk.fault_injector
-        return self._writes
-
-    def insert(self, table: str, rows, stats: Optional[QueryStats] = None,
-               tracer: Optional[Tracer] = None) -> int:
-        """Validate, journal, and buffer ``rows`` into the WOS.
-        All-or-nothing; returns rows accepted."""
-        if stats is None:
-            stats = QueryStats()
-        return self._write_store().insert(table, rows, stats, tracer)
-
-    def delete(self, table: str, predicates,
-               stats: Optional[QueryStats] = None,
-               tracer: Optional[Tracer] = None) -> int:
-        """Mark matching rows deleted as of a fresh epoch (dimension
-        deletes are RESTRICTed while referenced).  Returns rows marked."""
-        if stats is None:
-            stats = QueryStats()
-        return self._write_store().delete(table, predicates, stats, tracer)
-
-    def pending_writes(self) -> int:
-        """Rows the tuple mover would merge right now (0 = clean)."""
-        return 0 if self._writes is None else self._writes.pending_rows()
-
-    @property
-    def write_epoch(self) -> int:
-        return 0 if self._writes is None else self._writes.epoch
-
-    def move(self, stats: Optional[QueryStats] = None,
-             tracer: Optional[Tracer] = None) -> int:
-        """The tuple mover: drain the WOS into fresh design artifacts.
-
-        Builds a complete shadow engine from the effective tables (the
-        cold-rebuild order, so post-move reads are byte-identical to a
-        rebuild), retrying transient write faults with the journal's
-        backoff schedule, then swaps it in atomically and advances the
-        merge horizon.  All shadow-build I/O is charged to ``stats``
-        under a ``tuple-move`` span.  On failure the serving store is
-        untouched.  Returns the number of rows merged.
-        """
-        ws = self._writes
-        if ws is None or not ws.has_pending():
-            return 0
-        if stats is None:
-            stats = QueryStats()
-        from ..simio.faults import (CRASH_AFTER_MOVE_SWAP,
-                                    CRASH_BEFORE_MOVE_SWAP, crash_point)
-
-        moved = ws.pending_rows()
-        effective = ws.effective_tables()
-        with span_context(tracer, "tuple-move"):
-            shadow = self._rebuild_from_effective(effective, ws.epoch, stats,
-                                                  crash_points=True)
-            stats.merge(shadow.disk.stats)
-            # the move record is the swap's commit point: a crash before
-            # it leaves orphan shadow pages recovery discards, a crash
-            # after it is a completed move recovery rolls forward
-            crash_point(self.disk.fault_injector, CRASH_BEFORE_MOVE_SWAP)
-            ws.journal.append({"op": "move", "epoch": ws.epoch,
-                               "rows": moved}, stats, tracer)
-            crash_point(self.disk.fault_injector, CRASH_AFTER_MOVE_SWAP)
-            self._adopt_shadow(shadow)
-            ws.complete_move(effective)
-            self._zm_epoch = ws.epoch
-            stats.moves += 1
-        return moved
-
-    def _rebuild_from_effective(self, effective, epoch: int,
-                                stats: QueryStats,
-                                crash_points: bool = False) -> "SystemX":
-        """Build (and epoch-stamp) a complete shadow engine from the
-        effective tables, retrying transient write faults with the
-        journal's backoff schedule.  Shared by the tuple mover and by
-        cold-start recovery; only the mover arms the mid-shadow kill
-        point (recovery re-running this path must not re-crash)."""
-        from ..errors import TransientIOError, WriteFaultError
-        from ..simio.buffer_pool import _backoff_us
-        from ..simio.faults import CRASH_MID_MOVE_SHADOW, crash_point
-        from ..synopsis import stamp_sidecars
-        from ..write.journal import MAX_WRITE_RETRIES
-
-        data = SsbData(
-            scale_factor=self.data.scale_factor,
-            seed=self.data.seed,
-            lineorder=effective["lineorder"],
-            customer=effective["customer"],
-            supplier=effective["supplier"],
-            part=effective["part"],
-            date=effective["date"],
-        )
-        for attempt in range(1, MAX_WRITE_RETRIES + 1):
-            try:
-                shadow = SystemX(
-                    data, designs=self.designs,
-                    cost_model=self.cost_model,
-                    buffer_pool_bytes=self._pool_bytes,
-                    join_memory_bytes=self.join_memory_bytes,
-                    zone_maps=self.zone_maps,
-                    writes=self.writes,
-                    fault_injector=self.disk.fault_injector)
-                if crash_points:
-                    # dies with shadow pages built but unstamped and no
-                    # move record: pure orphans, discarded on recovery
-                    crash_point(self.disk.fault_injector,
-                                CRASH_MID_MOVE_SHADOW)
-                # stamp the shadow's sidecars with the merged epoch
-                # so the scrubber can tell drift from pending delta
-                stamp_sidecars(shadow.disk, epoch)
-                return shadow
-            except TransientIOError as exc:
-                stats.io_retries += 1
-                stats.retry_backoff_us += _backoff_us(attempt)
-                if attempt == MAX_WRITE_RETRIES:
-                    raise WriteFaultError(
-                        f"tuple move failed after {MAX_WRITE_RETRIES} "
-                        f"shadow-build attempts: {exc}"
-                    ) from exc
+    def _spawn(self, data: SsbData, memory_share: int,
+               fault_injector=None) -> "SystemX":
+        return SystemX(
+            data, designs=self.designs, cost_model=self.cost_model,
+            buffer_pool_bytes=budget_share(self._pool_bytes, memory_share),
+            join_memory_bytes=budget_share(self.join_memory_bytes,
+                                           memory_share),
+            zone_maps=self.zone_maps, fault_injector=fault_injector)
 
     def _adopt_shadow(self, shadow: "SystemX") -> None:
-        """Atomically swap the shadow engine's storage in as our own."""
-        self.data = shadow.data
-        self.disk = shadow.disk
-        self.pool = shadow.pool
         self.statistics = shadow.statistics
         self.artifacts = shadow.artifacts
         self._built = shadow._built
-        self._shard_children = None
-        self.disk.stats = QueryStats()
-
-    def snapshot_tables(self):
-        """The tables a reference oracle should replay: the current base
-        merged with any pending delta (post-move, the adopted base)."""
-        if self._writes is None:
-            return self.data.tables
-        return self._writes.effective_tables()
-
-    def recover(self, journal=None, committed_lsn: Optional[int] = None,
-                stats: Optional[QueryStats] = None,
-                tracer: Optional[Tracer] = None):
-        """Cold-start crash recovery: replay the redo journal against the
-        genesis tables, roll a committed move forward, refresh stale
-        zone-map sidecars, and adopt the recovered write store.  Returns
-        a :class:`~repro.write.recovery.RecoveryReport`; see
-        ``docs/writes.md`` ("Crash recovery")."""
-        from ..write.recovery import recover_engine
-
-        return recover_engine(self, journal, committed_lsn, stats, tracer)
-
-    def storage_bytes(self) -> int:
-        """Total simulated disk occupied by all built artifacts."""
-        return self.disk.total_bytes
 
     def explain(self, query: StarQuery, design: DesignKind,
                 prune_partitions: bool = True, analyze: bool = False) -> str:
@@ -568,11 +284,7 @@ class SystemX:
         ledger and appends the observed per-phase span tree."""
         from .explain import explain as _explain, render_span_section
 
-        if design not in self._built:
-            raise PlanError(
-                f"design {design.value} was not built; available: "
-                f"{[d.value for d in self.designs]}"
-            )
+        self._require_design(design)
         text = _explain(self.data, self.artifacts, query, design,
                         prune_partitions=prune_partitions)
         if analyze:
@@ -586,5 +298,5 @@ class SystemX:
         return text
 
 
-__all__ = ["SystemX", "RowStoreRun", "PAPER_BUFFER_POOL_BYTES",
-           "PAPER_JOIN_MEMORY_BYTES"]
+__all__ = ["SystemX", "RowStoreRun", "final_corruption",
+           "PAPER_BUFFER_POOL_BYTES", "PAPER_JOIN_MEMORY_BYTES"]

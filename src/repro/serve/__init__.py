@@ -13,8 +13,6 @@ flights.  This package puts a service in front of both engines:
   serving exact hits verbatim and *subsumed* hits (a cached predicate
   implies the requested one) by re-filtering cached positions instead of
   rescanning;
-* :class:`~repro.serve.sharing.ScanSharing` — batches queries aimed at
-  the same projection into one scan per admission wave;
 * :mod:`~repro.serve.resilience` — per-scope circuit breakers on a
   deterministic simulated clock, cooperative cancellation tokens for
   deadline propagation, and the primitives behind priority-aware load

@@ -22,12 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..colstore.engine import ColumnStoreRun, CStore
-from ..colstore.operators.aggregate import (
-    eval_fact_expr,
-    grouped_aggregate,
-    scalar_aggregate,
-)
+from ..colstore.engine import CStore
 from ..colstore.operators.fetch import fetch_values
 from ..colstore.operators.scan import stored_bounds
 from ..colstore.planner import ColumnPlanner
@@ -36,20 +31,12 @@ from ..colstore.positions import (
     BitmapPositions,
     RangePositions,
 )
-from ..errors import ChecksumError, CorruptPageError, PlanError
-from ..obs import Tracer
-from ..plan.aggregates import needs_expr_values
-from ..plan.logical import StarQuery, expr_columns
+from ..errors import PlanError
+from ..plan.logical import StarQuery
 from ..result import ResultSet
 from ..rowstore.designs import DesignBuilder, DesignKind
-from ..rowstore.engine import RowStoreRun, SystemX
-from ..rowstore.operators import (
-    SpillAccountant,
-    hash_join,
-    heap_fetch,
-    qualified,
-    seq_scan,
-)
+from ..rowstore.engine import SystemX, final_corruption
+from ..rowstore.operators import hash_join, heap_fetch, qualified, seq_scan
 from ..rowstore.planner import RowPlanner
 from ..simio.stats import QueryStats
 from ..storage.colfile import CompressionLevel
@@ -141,12 +128,6 @@ class ColumnStoreAdapter:
     def shard_count(self, session: Session) -> int:
         return session.config.shards
 
-    def share_key(self, query: StarQuery, session: Session) -> Tuple:
-        level = self.level(session)
-        projection = self.engine._context().best_projection(
-            query.fact_table, level, query)
-        return ("cs", level.value, projection.name)
-
     def recordable(self, session: Session) -> bool:
         # early-materialization plans have no surviving-position set;
         # sharded runs have none either (positions would be shard-local
@@ -156,15 +137,13 @@ class ColumnStoreAdapter:
                 and session.config.shards == 1)
 
     def execute(self, query: StarQuery, session: Session,
-                warm: bool = False, cancellation=None):
+                cancellation=None):
         return self.engine.execute(query, session.config, session.level,
-                                   cold_pool=not warm,
                                    cancellation=cancellation)
 
     def execute_recording(self, query: StarQuery, session: Session,
-                          warm: bool = False, cancellation=None):
-        run = self.execute(query, session, warm=warm,
-                           cancellation=cancellation)
+                          cancellation=None):
+        run = self.execute(query, session, cancellation=cancellation)
         payload = None
         if run.survivors is not None and run.projection_name is not None:
             payload = CsPositions(run.projection_name, self.level(session),
@@ -207,9 +186,8 @@ class ColumnStoreAdapter:
 
         Only predicates that differ from the cached entry's are
         re-applied (columns fetched at the still-alive positions only);
-        the aggregation tail then mirrors the planner's
-        late-materialization path exactly, so rows come out identical to
-        a cold run."""
+        the aggregation tail is the planner's own late-materialization
+        tail, so rows come out identical to a cold run."""
         engine = self.engine
         payload: CsPositions = entry.payload
         level = self.level(session)
@@ -272,58 +250,26 @@ class ColumnStoreAdapter:
 
         survivors = ArrayPositions(pos_arr[mask])
 
-        # aggregation tail, mirroring ColumnPlanner._run_late
-        agg_funcs = [a.func for a in query.aggregates]
-        fact_arrays: Dict[str, np.ndarray] = {}
-        for agg in query.aggregates:
-            if not needs_expr_values(agg.func):
-                continue
-            for ref in expr_columns(agg.expr):
-                if ref.table == fact and ref.column not in fact_arrays:
-                    fact_arrays[ref.column] = fetch_values(
-                        proj.column_file(ref.column), engine.pool,
-                        survivors, config)
-        agg_arrays = [
-            eval_fact_expr(a.expr, fact_arrays, stats, config)
-            if needs_expr_values(a.func)
-            else np.zeros(survivors.count, dtype=np.int64)
-            for a in query.aggregates
-        ]
-        if not query.group_by:
-            cells = scalar_aggregate(agg_arrays, stats, config,
-                                     funcs=agg_funcs)
-            columns = [a.alias for a in query.aggregates]
-            return ResultSet(columns, [tuple(cells)]).order_by(
-                query.order_by).limited(query.limit)
-
-        group_arrays: List[np.ndarray] = []
-        planner._group_lookups = []
         fk_arrays: Dict[str, np.ndarray] = {}
-        for g in query.group_by:
-            if g.table == fact:
-                raw = fetch_values(proj.column_file(g.column), engine.pool,
-                                   survivors, config)
-            else:
-                rows = self._dim_rows(planner, query, g.table, dim_cache)
-                fk = fk_arrays.get(g.table)
-                if fk is None:
-                    fk = fetch_values(
-                        proj.column_file(query.fk_of(g.table)), engine.pool,
-                        survivors, config).astype(np.int64)
-                    fk_arrays[g.table] = fk
-                # every surviving FK is in the dimension's key set by
-                # construction, so the sorted-key gather is exact
-                idx = np.searchsorted(rows.keys, fk)
-                stats.values_scanned_vector += len(fk)
-                raw = rows.attrs[g.column][idx]
-            codes, lookup = planner._normalize_group_array(raw)
-            group_arrays.append(codes)
-            planner._group_lookups.append(lookup)
-        reduction = grouped_aggregate(group_arrays, agg_arrays, stats,
-                                      config, funcs=agg_funcs)
-        result = planner._finalize(query, group_arrays, reduction)
-        del planner._group_lookups
-        return result
+
+        def fetch(column: str) -> np.ndarray:
+            return fetch_values(proj.column_file(column), engine.pool,
+                                survivors, config)
+
+        def gather(table: str, column: str) -> np.ndarray:
+            rows = self._dim_rows(planner, query, table, dim_cache)
+            fk = fk_arrays.get(table)
+            if fk is None:
+                fk = fetch(query.fk_of(table)).astype(np.int64)
+                fk_arrays[table] = fk
+            # every surviving FK is in the dimension's key set by
+            # construction, so the sorted-key gather is exact
+            idx = np.searchsorted(rows.keys, fk)
+            stats.values_scanned_vector += len(fk)
+            return rows.attrs[column][idx]
+
+        return planner.aggregate_positions(query, survivors.count, fetch,
+                                           gather)
 
 
 # ---------------------------------------------------------------------- #
@@ -353,13 +299,9 @@ class RowStoreAdapter:
         return (session.design is DesignKind.TRADITIONAL
                 and self.engine.shards == 1)
 
-    def share_key(self, query: StarQuery, session: Session) -> Tuple:
-        return ("rs", session.design.value)
-
     def execute(self, query: StarQuery, session: Session,
-                warm: bool = False, cancellation=None):
+                cancellation=None):
         return self.engine.execute(query, session.design,
-                                   cold_pool=not warm,
                                    cancellation=cancellation)
 
     # -------------------------------------------------------------- #
@@ -377,7 +319,7 @@ class RowStoreAdapter:
             engine.disk.stats = saved
 
     def execute_recording(self, query: StarQuery, session: Session,
-                          warm: bool = False, cancellation=None):
+                          cancellation=None):
         """A traditional-plan run that also records surviving rids.
 
         Recording scans the unpartitioned fact heap (rids must address
@@ -385,30 +327,17 @@ class RowStoreAdapter:
         with partition pruning off; results are identical."""
         engine = self.engine
         self._ensure_unpartitioned_heap()
-        stats = QueryStats()
-        engine.disk.stats = stats
-        saved_cancellation = engine.disk.cancellation
-        if cancellation is not None:
-            engine.disk.cancellation = cancellation
-        if warm:
-            engine.disk.reset_head()
-        else:
-            engine.pool.clear()
-        spill = SpillAccountant(engine.disk, engine.join_memory_bytes)
-        tracer = Tracer(stats, engine.cost_model)
-        planner = RowPlanner(engine.pool, engine.artifacts, engine.data,
-                             spill, statistics=engine.statistics,
-                             tracer=tracer, zone_maps=engine.zone_maps)
         heap = engine.artifacts.heaps["lineorder"]
         rid_parts: List[np.ndarray] = []
+        dim_tables: List = []
 
         def tee(stream):
             for batch in stream:
                 rid_parts.append(np.asarray(batch.column("_rid")))
                 yield batch
 
-        try:
-            dim_tables = planner._dim_hash_tables(query)
+        def plan(planner: RowPlanner) -> ResultSet:
+            dim_tables.extend(planner._dim_hash_tables(query))
             stream = seq_scan(
                 heap, engine.pool, query.fact_table,
                 out_columns=planner._fact_out_columns(query),
@@ -422,20 +351,13 @@ class RowStoreAdapter:
                              for a in query.group_by_of(dim)}
                 stream = hash_join(
                     stream, qualified(query.fact_table, fk), table,
-                    prefixing, stats, spill=spill, probe_row_bytes=32,
+                    prefixing, planner.stats, spill=planner.spill,
+                    probe_row_bytes=32,
                     probe_rows_estimate=engine.data.lineorder.num_rows,
                 )
-            result = planner._aggregate(query, tee(stream))
-        except ChecksumError as error:
-            raise CorruptPageError(
-                error.file, error.page_no, error.disk_no,
-                detail="row-store artifacts have no redundant copy",
-            ) from error
-        finally:
-            engine.disk.cancellation = saved_cancellation
-        trace = tracer.finish(stats)
-        run = RowStoreRun(result, stats, engine.cost_model.cost(stats),
-                          trace=trace)
+            return planner._aggregate(query, tee(stream))
+
+        run = engine.run_plan(plan, cancellation=cancellation)
         rids = (np.concatenate(rid_parts).astype(np.int64)
                 if rid_parts else np.zeros(0, dtype=np.int64))
         key_sets = {
@@ -483,10 +405,7 @@ class RowStoreAdapter:
         engine = self.engine
         payload: RsRids = entry.payload
         heap = engine.artifacts.heaps["lineorder"]
-        spill = SpillAccountant(engine.disk, engine.join_memory_bytes)
-        planner = RowPlanner(engine.pool, engine.artifacts, engine.data,
-                             spill, statistics=engine.statistics,
-                             zone_maps=engine.zone_maps)
+        planner = engine.planner()
         stats = planner.stats
         fact = query.fact_table
         rids = payload.rids
@@ -503,18 +422,13 @@ class RowStoreAdapter:
         for pred in leftover:
             if pred.column not in fetch_cols:
                 fetch_cols.append(pred.column)
-        try:
+        with final_corruption():
             dim_tables = planner._dim_hash_tables(query)
             stream = heap_fetch(heap, engine.pool, rids, fact, fetch_cols)
             if leftover:
                 stream = planner._post_filter(stream, query, leftover, heap)
             return planner._join_and_aggregate(query, stream, dim_tables,
                                                max(len(rids), 1))
-        except ChecksumError as error:
-            raise CorruptPageError(
-                error.file, error.page_no, error.disk_no,
-                detail="row-store artifacts have no redundant copy",
-            ) from error
 
 
 __all__ = ["ColumnStoreAdapter", "RowStoreAdapter", "CsPositions",

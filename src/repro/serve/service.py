@@ -21,13 +21,12 @@ and/or one :class:`~repro.rowstore.engine.SystemX`.  Clients hold
    optional brownout policy sheds low-priority queued work
    (:class:`~repro.errors.ShedError`) when estimated wait exceeds a
    threshold;
-4. **executes** — on a miss, under the target engine's lock, optionally
-   batching same-projection queries into one shared-scan wave;
+4. **executes** — on a miss, under the target engine's lock;
 5. **accounts** — every step runs under the requesting query's own
    :class:`~repro.simio.stats.QueryStats` ledger and span tracer
    (``admission-wait``, ``breaker-check``, ``cache-lookup``,
-   ``cache-refilter``, ``cache-admit``, ``shared-scan``, plus ``shed``
-   and ``degraded-hit`` markers), and the finished trace is verified
+   ``cache-refilter``, ``cache-admit``, plus ``shed`` and
+   ``degraded-hit`` markers), and the finished trace is verified
    to sum exactly to the flat ledger — on error paths too, where the
    partial trace rides on the raised exception as ``error.trace``.
    With the cache disabled and no faults, a service run's ledger is
@@ -50,8 +49,8 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import (
@@ -82,7 +81,6 @@ from .resilience import (
 )
 from .semcache import SemanticCache, normalize_query
 from .session import Session
-from .sharing import ScanSharing
 
 #: engine failures that count toward a scope's circuit breaker: the
 #: storage stack's persistent verdicts plus cooperative timeouts
@@ -100,8 +98,6 @@ class ServiceConfig:
     cache: bool = True              #: semantic cache on/off
     cache_budget_bytes: int = 64 << 20
     cache_admit_seconds: float = 1e-3  #: cost-aware admission threshold
-    shared_scans: bool = False      #: batch same-projection queries per wave
-    wave_limit: int = 8             #: max queries served per shared wave
     breakers: bool = True           #: per-scope circuit breakers on/off
     breaker_threshold: int = 3      #: consecutive faults before opening
     breaker_cooldown: float = 0.05  #: simulated seconds open before half-open
@@ -129,7 +125,6 @@ class ServiceRun:
     cost: CostBreakdown
     trace: Trace
     wall_seconds: float
-    shared: bool = False            #: served as part of a shared-scan wave
     degraded: bool = False          #: answered from cache under an open breaker
 
     @property
@@ -329,8 +324,6 @@ class ServiceStats:
     engine_runs: int = 0
     exact_hits: int = 0
     subsumption_hits: int = 0
-    shared_waves: int = 0
-    shared_followers: int = 0
     shed: int = 0                   #: brownout / displacement sheds
     cancelled: int = 0              #: cooperative mid-execution cancels
     writes: int = 0                 #: INSERT/DELETE statements applied
@@ -353,30 +346,8 @@ class ServiceStats:
 
     def snapshot(self) -> Dict[str, float]:
         with self._lock:
-            return {
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "failed": self.failed,
-                "rejected": self.rejected,
-                "deadline_misses": self.deadline_misses,
-                "engine_runs": self.engine_runs,
-                "exact_hits": self.exact_hits,
-                "subsumption_hits": self.subsumption_hits,
-                "shared_waves": self.shared_waves,
-                "shared_followers": self.shared_followers,
-                "shed": self.shed,
-                "cancelled": self.cancelled,
-                "writes": self.writes,
-                "moves": self.moves,
-                "recoveries": self.recoveries,
-                "degraded_hits": self.degraded_hits,
-                "breaker_opens": self.breaker_opens,
-                "breaker_half_opens": self.breaker_half_opens,
-                "breaker_closes": self.breaker_closes,
-                "breaker_rejections": self.breaker_rejections,
-                "simulated_seconds": self.simulated_seconds,
-                "wall_seconds": self.wall_seconds,
-            }
+            return {f.name: getattr(self, f.name) for f in fields(self)
+                    if not f.name.startswith("_")}
 
 
 class _Request:
@@ -393,10 +364,7 @@ class _Request:
         self.tracer = tracer
         self.deadline_at = deadline_at
         self.token = token
-        self.done = False
         self.run: Optional[ServiceRun] = None
-        self.error: Optional[BaseException] = None
-        self.shared = False
         self.started = time.perf_counter()
 
 
@@ -429,7 +397,6 @@ class QueryService:
             self.config.max_in_flight, self.config.queue_limit,
             self.config.queue_timeout,
             shed_threshold=self.config.shed_threshold)
-        self.sharing = ScanSharing()
         self.stats = ServiceStats()
         #: deterministic resilience clock: accumulated simulated seconds
         self.clock = ServiceClock()
@@ -706,26 +673,13 @@ class QueryService:
             self._attach_trace(error, request)
             raise
 
-        share_key = None
         try:
-            if self.config.shared_scans:
-                share_key = adapter.share_key(query, session)
-                self.sharing.enqueue(share_key, request)
-            with self._engine_locks[session.engine]:
-                if not request.done:
-                    if share_key is not None:
-                        wave = self.sharing.take(share_key, request,
-                                                 self.config.wave_limit)
-                    else:
-                        wave = [request]
-                    self._serve_wave(adapter, wave)
-        finally:
-            if share_key is not None:
-                self.sharing.discard(request)
-            self.admission.release()
-
-        if request.error is not None:
-            error = request.error
+            try:
+                with self._engine_locks[session.engine]:
+                    self._serve_one(adapter, request)
+            finally:
+                self.admission.release()
+        except BaseException as error:
             # even a failed query moves the resilience clock: the work
             # it burned, plus a fixed charge so all-failing workloads
             # still make progress toward breaker cooldowns
@@ -738,7 +692,7 @@ class QueryService:
                 breaker_rejections=int(isinstance(error, BreakerOpenError)))
             session.note_error()
             self._attach_trace(error, request)
-            raise error
+            raise
         run = request.run
         self.clock.advance(run.seconds)
         self.admission.note_latency(run.seconds)
@@ -767,32 +721,16 @@ class QueryService:
     # -------------------------------------------------------------- #
     # the serving path (engine lock held)
     # -------------------------------------------------------------- #
-    def _serve_wave(self, adapter, wave: List[_Request]) -> None:
-        shared = len(wave) > 1
-        if shared:
-            self.stats.note(shared_waves=1, shared_followers=len(wave) - 1)
-        for i, request in enumerate(wave):
-            try:
-                now = time.monotonic()
-                if request.deadline_at is not None \
-                        and now >= request.deadline_at:
-                    raise DeadlineError(
-                        "deadline expired before execution started")
-                self._serve_one(adapter, request, shared=shared,
-                                warm=shared and i > 0)
-            except BaseException as error:  # noqa: BLE001 — relayed to waiter
-                request.error = error
-            finally:
-                request.done = True
-
-    def _serve_one(self, adapter, request: _Request, shared: bool,
-                   warm: bool) -> None:
+    def _serve_one(self, adapter, request: _Request) -> None:
         """Gate one query through its scope's breaker, then serve it.
 
         The breaker records at most one verdict per serve: a qualifying
         fault (``BREAKER_FAULTS``) counts as a failure, any completed
         engine touch (full run or re-filter) as a success, and a pure
         result-cache hit as neither."""
+        if request.deadline_at is not None \
+                and time.monotonic() >= request.deadline_at:
+            raise DeadlineError("deadline expired before execution started")
         session, engine = request.session, adapter.engine
         tracer = request.tracer
         # per shard set: a fault in one shard configuration must not trip
@@ -806,8 +744,9 @@ class QueryService:
                                               self.clock.now())
             if verdict == OPEN:
                 if self.config.degraded_serving and request.use_cache \
-                        and self._serve_degraded(adapter, request, shared,
-                                                 breaker_scope):
+                        and self._serve_cached(
+                            adapter, request, {},
+                            degraded_scope=breaker_scope) is not None:
                     return
                 raise BreakerOpenError(
                     breaker_scope,
@@ -818,8 +757,7 @@ class QueryService:
         if request.token is not None:
             engine.disk.cancellation = request.token
         try:
-            engine_touched = self._serve_body(adapter, request, shared,
-                                              warm)
+            engine_touched = self._serve_body(adapter, request)
         except BREAKER_FAULTS:
             if self.breakers is not None:
                 self.breakers.record_failure(breaker_scope,
@@ -838,126 +776,34 @@ class QueryService:
             elif trial:
                 self.breakers.abandon_trial(breaker_scope)
 
-    def _serve_body(self, adapter, request: _Request, shared: bool,
-                    warm: bool) -> bool:
-        """Serve via cache/engine; returns True if the engine was
-        touched (re-filter or full run), False on a pure exact hit."""
+    def _serve_cached(self, adapter, request: _Request, dim_cache: Dict,
+                      degraded_scope: Optional[Tuple] = None
+                      ) -> Optional[bool]:
+        """The cache half of serving: an exact result hit, else a
+        subsuming position entry re-filtered into a fresh result.
+
+        Returns None on a miss (nothing served), else whether the engine
+        was touched — False for a pure exact hit, True for a re-filter.
+
+        ``degraded_scope`` names the open breaker this answer is served
+        under, and switches on the honesty rules of degraded serving: a
+        position entry serves only when subsumption is *symbolically
+        proven* (no key-set probes, which would touch the fenced-off
+        engine's dimension columns and could themselves fault); results
+        are stamped ``degraded=True``; and a re-filter that cannot
+        complete raises :class:`BreakerOpenError` without discarding the
+        entry — the engine is fenced off, not the entry, and it may
+        still serve other variants.  On the healthy path such a
+        re-filter (e.g. the cached projection went bad) discards the
+        entry and reports a miss, so the caller falls back to a full
+        run."""
         query, session = request.query, request.session
         stats, tracer = request.stats, request.tracer
         engine = adapter.engine
-        dim_cache: Dict = {}
-        entry = None
-        scope = None
-        if request.use_cache:
-            scope = adapter.scope(session)
-            with tracer.span("cache-lookup"):
-                stats.cache_lookups += 1
-                result = self.cache.lookup_result(scope, query)
-                if result is not None:
-                    stats.cache_exact_hits += 1
-                else:
-                    # key-set probes read dimension columns: charge them
-                    # to this query's ledger
-                    saved = engine.disk.stats
-                    engine.disk.stats = stats
-                    try:
-                        entry = self.cache.find_subsuming(
-                            scope, normalize_query(query),
-                            lambda dim: adapter.dim_key_set(
-                                query, session, dim, dim_cache),
-                            dimensions=frozenset(query.joins.values()))
-                    finally:
-                        engine.disk.stats = saved
-                    if entry is None:
-                        stats.cache_misses += 1
-            if result is not None:
-                request.run = self._finish(request, result, "cache-exact",
-                                           shared)
-                return False
-            if entry is not None:
-                saved = engine.disk.stats
-                engine.disk.stats = stats
-                try:
-                    with tracer.span("cache-refilter"):
-                        result = adapter.refilter(query, session, entry,
-                                                  dim_cache)
-                    stats.cache_subsumption_hits += 1
-                    request.run = self._finish(request, result,
-                                               "cache-refilter", shared)
-                    return True
-                except ReproError:
-                    # a re-filter that cannot complete (e.g. the cached
-                    # projection went bad) falls back to a full run
-                    self.cache.discard(entry.key)
-                    stats.cache_misses += 1
-                finally:
-                    engine.disk.stats = saved
-
-        # miss (or cache off): run the engine, under a shared-scan span
-        # when this execution is part of a wave
-        span = tracer.span("shared-scan") if shared else nullcontext()
-        with span:
-            before = engine.disk.stats
-            try:
-                if request.use_cache and adapter.recordable(session):
-                    run, payload, key_sets = adapter.execute_recording(
-                        query, session, warm=warm)
-                else:
-                    run, payload, key_sets = \
-                        adapter.execute(query, session, warm=warm), \
-                        None, None
-            except BaseException:
-                # an aborted run still burned simulated work: the engine
-                # installed a fresh ledger for this query (identity
-                # changed), so fold its partial counts into the request
-                # ledger before the exception carries the trace out —
-                # failure-path clock advances and ``error.stats`` then
-                # account for the pages actually touched
-                partial = engine.disk.stats
-                if partial is not before and partial is not stats:
-                    stats.merge(partial)
-                raise
-            stats.merge(run.stats)
-            tracer.attach_span(run.trace.root)
-
-        if request.use_cache and self.cache.worth_admitting(run.seconds):
-            with tracer.span("cache-admit"):
-                self.cache.admit_result(scope, query, run.result,
-                                        run.seconds, _tables_of(query))
-                if payload is not None:
-                    if key_sets is None:
-                        saved = engine.disk.stats
-                        engine.disk.stats = stats
-                        try:
-                            key_sets = adapter.key_sets(query, session,
-                                                        dim_cache)
-                        finally:
-                            engine.disk.stats = saved
-                    self.cache.admit_positions(
-                        scope, normalize_query(query), payload, key_sets,
-                        run.seconds, payload.nbytes)
-        request.run = self._finish(request, run.result, "engine", shared)
-        return True
-
-    def _serve_degraded(self, adapter, request: _Request, shared: bool,
-                        breaker_scope: Tuple) -> bool:
-        """Answer from the cache while ``breaker_scope`` is open.
-
-        Honesty rules: an exact result hit always serves; a position
-        entry serves only when subsumption is *symbolically proven*
-        (``keyset_fn=None`` — no key-set probes, which would touch the
-        fenced-off engine's dimension columns and could themselves
-        fault).  Results are stamped ``degraded=True``; anything else
-        raises :class:`BreakerOpenError`.  The cache entry is never
-        discarded on a degraded re-filter fault — the engine is fenced
-        off, not the entry, and it may still serve other variants.
-
-        Returns True when served; False means "no cache answer" and the
-        caller raises."""
-        query, session = request.query, request.session
-        stats, tracer = request.stats, request.tracer
-        engine = adapter.engine
+        degraded = degraded_scope is not None
         scope = adapter.scope(session)
+        keyset_fn = None if degraded else (
+            lambda dim: adapter.dim_key_set(query, session, dim, dim_cache))
         entry = None
         with tracer.span("cache-lookup"):
             stats.cache_lookups += 1
@@ -965,37 +811,91 @@ class QueryService:
             if result is not None:
                 stats.cache_exact_hits += 1
             else:
-                entry = self.cache.find_subsuming(
-                    scope, normalize_query(query), None,
-                    dimensions=frozenset(query.joins.values()))
+                # key-set probes read dimension columns: charge them to
+                # this query's ledger
+                with _charged_to(engine, stats):
+                    entry = self.cache.find_subsuming(
+                        scope, normalize_query(query), keyset_fn,
+                        dimensions=frozenset(query.joins.values()))
                 if entry is None:
                     stats.cache_misses += 1
         if result is not None:
-            tracer.leaf("degraded-hit", QueryStats())
             request.run = self._finish(request, result, "cache-exact",
-                                       shared, degraded=True)
-            return True
-        if entry is None:
+                                       degraded)
             return False
-        saved = engine.disk.stats
-        engine.disk.stats = stats
+        if entry is None:
+            return None
         try:
-            with tracer.span("cache-refilter"):
-                result = adapter.refilter(query, session, entry, {})
+            with _charged_to(engine, stats), tracer.span("cache-refilter"):
+                result = adapter.refilter(query, session, entry, dim_cache)
         except ReproError as error:
-            raise BreakerOpenError(
-                breaker_scope,
-                detail=f"degraded re-filter failed: {error}") from error
-        finally:
-            engine.disk.stats = saved
+            if degraded:
+                raise BreakerOpenError(
+                    degraded_scope,
+                    detail=f"degraded re-filter failed: {error}") from error
+            self.cache.discard(entry.key)
+            stats.cache_misses += 1
+            return None
         stats.cache_subsumption_hits += 1
-        tracer.leaf("degraded-hit", QueryStats())
         request.run = self._finish(request, result, "cache-refilter",
-                                   shared, degraded=True)
+                                   degraded)
+        return True
+
+    def _serve_body(self, adapter, request: _Request) -> bool:
+        """Serve via cache/engine; returns True if the engine was
+        touched (re-filter or full run), False on a pure exact hit."""
+        query, session = request.query, request.session
+        stats, tracer = request.stats, request.tracer
+        engine = adapter.engine
+        dim_cache: Dict = {}
+        if request.use_cache:
+            touched = self._serve_cached(adapter, request, dim_cache)
+            if touched is not None:
+                return touched
+
+        # miss (or cache off): run the engine
+        before = engine.disk.stats
+        try:
+            if request.use_cache and adapter.recordable(session):
+                run, payload, key_sets = adapter.execute_recording(
+                    query, session)
+            else:
+                run, payload, key_sets = \
+                    adapter.execute(query, session), None, None
+        except BaseException:
+            # an aborted run still burned simulated work: the engine
+            # installed a fresh ledger for this query (identity
+            # changed), so fold its partial counts into the request
+            # ledger before the exception carries the trace out —
+            # failure-path clock advances and ``error.stats`` then
+            # account for the pages actually touched
+            partial = engine.disk.stats
+            if partial is not before and partial is not stats:
+                stats.merge(partial)
+            raise
+        stats.merge(run.stats)
+        tracer.attach_span(run.trace.root)
+
+        if request.use_cache and self.cache.worth_admitting(run.seconds):
+            scope = adapter.scope(session)
+            with tracer.span("cache-admit"):
+                self.cache.admit_result(scope, query, run.result,
+                                        run.seconds, _tables_of(query))
+                if payload is not None:
+                    if key_sets is None:
+                        with _charged_to(engine, stats):
+                            key_sets = adapter.key_sets(query, session,
+                                                        dim_cache)
+                    self.cache.admit_positions(
+                        scope, normalize_query(query), payload, key_sets,
+                        run.seconds, payload.nbytes)
+        request.run = self._finish(request, run.result, "engine")
         return True
 
     def _finish(self, request: _Request, result: ResultSet, source: str,
-                shared: bool, degraded: bool = False) -> ServiceRun:
+                degraded: bool = False) -> ServiceRun:
+        if degraded:
+            request.tracer.leaf("degraded-hit", QueryStats())
         trace = request.tracer.finish(request.stats)
         return ServiceRun(
             query_name=request.query.name,
@@ -1007,9 +907,21 @@ class QueryService:
             cost=self.cost_model.cost(request.stats),
             trace=trace,
             wall_seconds=time.perf_counter() - request.started,
-            shared=shared,
             degraded=degraded,
         )
+
+
+@contextmanager
+def _charged_to(engine, stats: QueryStats):
+    """Aim ``engine``'s simulated disk at ``stats`` for the duration, so
+    cache-side reads (key-set probes, re-filters) are priced on the
+    requesting query's ledger."""
+    saved = engine.disk.stats
+    engine.disk.stats = stats
+    try:
+        yield
+    finally:
+        engine.disk.stats = saved
 
 
 def _tables_of(query: StarQuery) -> frozenset:

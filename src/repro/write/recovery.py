@@ -245,11 +245,9 @@ def recover_engine(engine, journal: Optional[RedoJournal] = None,
         # forward by rebuilding from the recovered effective tables
         effective = {n: ws.base_table(n) for n in ws.table_names()}
         with span_context(tracer, "recovery-rebuild"):
-            shadow = engine._rebuild_from_effective(effective, ws.horizon,
-                                                    stats)
-            stats.merge(shadow.disk.stats)
-            engine._adopt_shadow(shadow)
-        engine._zm_epoch = ws.horizon
+            engine._swap_in(
+                engine._rebuild_from_effective(effective, ws.horizon, stats),
+                ws.horizon)
     if hasattr(engine, "_projections"):
         # column store: the scrubber's stale-synopsis pass re-derives
         # any sidecar whose stamp trails the recovered epoch (heap

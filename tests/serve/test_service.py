@@ -1,4 +1,4 @@
-"""Query service behavior: admission, honesty, traces, faults, sharing."""
+"""Query service behavior: admission, honesty, traces, faults."""
 
 import threading
 import time
@@ -257,49 +257,3 @@ def test_transient_faults_retry_and_heal_through_service(
         assert healed.stats.io_retries > 0  # the schedule actually fired
         healed.trace.verify(healed.stats)
 
-
-# -------------------------------------------------------------------- #
-# shared scans
-# -------------------------------------------------------------------- #
-def test_shared_scan_wave_serves_identical_rows(cstore, system_x):
-    config = ServiceConfig(max_in_flight=8, shared_scans=True,
-                           cache=False)
-    with QueryService(cstore=cstore, system_x=system_x,
-                      config=config) as service:
-        # hold the engine lock so every client queues into one band,
-        # then release: the first waiter becomes the wave leader
-        lock = service._engine_locks["cs"]
-        results = []
-        errors = []
-
-        def client():
-            session = service.session(engine="cs")
-            try:
-                results.append(session.execute(Q2_1))
-            except BaseException as error:  # pragma: no cover
-                errors.append(error)
-
-        probe = service.session(engine="cs")
-        key = service._adapters["cs"].share_key(Q2_1, probe)
-        with lock:
-            threads = [threading.Thread(target=client) for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            deadline = time.monotonic() + 5.0
-            while service.sharing.pending(key) < 4 \
-                    and time.monotonic() < deadline:
-                time.sleep(0.01)
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert len(results) == 4
-        reference = cstore.execute(Q2_1).result
-        for run in results:
-            assert run.result.same_rows(reference)
-        stats = service.serve_stats()
-        assert stats["service"]["shared_waves"] >= 1
-        assert stats["service"]["shared_followers"] >= 1
-        # a follower rode the leader's warm pool: strictly fewer
-        # physical page reads than the cold leader
-        followers = [r for r in results if r.shared]
-        assert followers

@@ -45,11 +45,12 @@ Span trees surface in three places:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from .errors import TraceInvariantError
-from .simio.stats import CostBreakdown, CostModel, PAPER_2008, QueryStats
+from .simio.stats import (COUNTER_NAMES, CostBreakdown, CostModel, PAPER_2008,
+                          QueryStats)
 
 #: Schema tag written into every ``--trace-json`` record.
 TRACE_SCHEMA = "repro-trace-v1"
@@ -77,9 +78,9 @@ class Span:
         """This span's counters minus all children's (exclusive ledger)."""
         out = QueryStats(**self.stats.snapshot())
         for child in self.children:
-            for f in dataclass_fields(out):
-                setattr(out, f.name,
-                        getattr(out, f.name) - getattr(child.stats, f.name))
+            for name in COUNTER_NAMES:
+                setattr(out, name,
+                        getattr(out, name) - getattr(child.stats, name))
         return out
 
     def walk(self) -> Iterator["Span"]:

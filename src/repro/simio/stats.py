@@ -130,21 +130,20 @@ class QueryStats:
                            seek: bool) -> None:
         """Attribute one page transfer (and optionally a repositioning)
         to one drive of the stripe."""
-        setattr(self, f"stripe{disk_no}_bytes",
-                getattr(self, f"stripe{disk_no}_bytes") + nbytes)
+        bytes_field, seeks_field = _STRIPE_FIELDS[disk_no]
+        setattr(self, bytes_field, getattr(self, bytes_field) + nbytes)
         if seek:
-            setattr(self, f"stripe{disk_no}_seeks",
-                    getattr(self, f"stripe{disk_no}_seeks") + 1)
+            setattr(self, seeks_field, getattr(self, seeks_field) + 1)
 
     def merge(self, other: "QueryStats") -> "QueryStats":
         """Add ``other``'s counters into this ledger and return self."""
-        for f in dataclass_fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in COUNTER_NAMES:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
 
     def snapshot(self) -> Dict[str, int]:
         """Return a dict copy of all counters."""
-        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
+        return {name: getattr(self, name) for name in COUNTER_NAMES}
 
     def nonzero(self) -> Dict[str, int]:
         """Nonzero counters only, sorted by name (for compact artifacts
@@ -154,18 +153,26 @@ class QueryStats:
 
     def reset(self) -> None:
         """Zero every counter in place."""
-        for f in dataclass_fields(self):
-            setattr(self, f.name, 0)
+        for name in COUNTER_NAMES:
+            setattr(self, name, 0)
 
     def diff(self, earlier: Dict[str, int]) -> "QueryStats":
         """Return a new ledger holding this ledger minus a prior snapshot."""
         out = QueryStats()
-        for f in dataclass_fields(self):
-            setattr(out, f.name, getattr(self, f.name) - earlier.get(f.name, 0))
+        for name in COUNTER_NAMES:
+            setattr(out, name, getattr(self, name) - earlier.get(name, 0))
         return out
 
     def __iter__(self) -> Iterator[str]:  # pragma: no cover - convenience
         return iter(self.snapshot())
+
+
+#: every counter of the ledger, in declaration order — resolved once,
+#: because ``dataclasses.fields`` on every snapshot/diff/merge is a
+#: measurable share of a query
+COUNTER_NAMES = tuple(f.name for f in dataclass_fields(QueryStats))
+_STRIPE_FIELDS = tuple((f"stripe{disk_no}_bytes", f"stripe{disk_no}_seeks")
+                       for disk_no in range(NUM_STRIPE_DISKS))
 
 
 @dataclass(frozen=True)
@@ -341,5 +348,5 @@ class CostModel:
 #: The cost model used throughout the benchmarks, mirroring the paper's rig.
 PAPER_2008 = CostModel()
 
-__all__ = ["QueryStats", "CostModel", "CostBreakdown", "PAPER_2008",
-           "NUM_STRIPE_DISKS"]
+__all__ = ["QueryStats", "COUNTER_NAMES", "CostModel", "CostBreakdown",
+           "PAPER_2008", "NUM_STRIPE_DISKS"]

@@ -32,14 +32,21 @@ from ..simio.disk import PAGE_SIZE, SimulatedDisk
 from ..synopsis import ColumnSynopsisBuilder
 from .blocks import ArrayBlock, Block, RleBlock
 from .column import Column, StringDictionary
-from .encodings import choose_codec, decode_payload, decode_payload_runs
-from .encodings.codec import Codec, CodecId
+from .encodings import decode_payload, decode_payload_runs
+from .encodings.codec import (Codec, CodecId, decode_payload_at, encoded_size,
+                              smallest_encoding)
 from .encodings.plain import PLAIN
 
 #: Per-page overhead this module writes before the framed codec payload.
 _PAGE_HEADER_BYTES = 8
 #: Maximum framed payload per page.
 _PAGE_CAPACITY = PAGE_SIZE - _PAGE_HEADER_BYTES
+_PLAIN_ID = bytes([CodecId.PLAIN])
+_RLE_ID = bytes([CodecId.RLE])
+#: A fetch decodes positions one by one while they are fewer than one in
+#: this many of their block: extracting one costs about what decoding
+#: this many in bulk does (an 8-byte window each, against a shared pass).
+_SPARSE_FACTOR = 8
 
 
 class CompressionLevel(enum.Enum):
@@ -133,21 +140,27 @@ class ColumnFile:
         if level is not CompressionLevel.MAX:
             return chunk, framed
         # grow greedily while the encoding keeps fitting (RLE/dictionary
-        # blocks can cover far more positions than the plain worst case)
+        # blocks can cover far more positions than the plain worst case);
+        # sizes are computed, and only the chunk that is kept is encoded
         while pos + len(chunk) < n:
             grown = values[pos:pos + len(chunk) * 2]
-            grown_codec = ColumnFile._codec_for(grown, level)
-            grown_framed = grown_codec.frame(grown)
-            if len(grown_framed) > _PAGE_CAPACITY:
+            grown_codec, grown_size = ColumnFile._sized_codec_for(grown, level)
+            if grown_size > _PAGE_CAPACITY:
                 break
-            chunk, framed = grown, grown_framed
-        return chunk, framed
+            chunk, codec = grown, grown_codec
+        return chunk, framed if len(chunk) == size else codec.frame(chunk)
+
+    @staticmethod
+    def _sized_codec_for(chunk: np.ndarray, level: CompressionLevel
+                         ) -> Tuple[Codec, int]:
+        """The codec ``level`` stores ``chunk`` with, and the framed size."""
+        if level is CompressionLevel.MAX and chunk.dtype.kind == "i":
+            return smallest_encoding(chunk)
+        return PLAIN, encoded_size(PLAIN, chunk)
 
     @staticmethod
     def _codec_for(chunk: np.ndarray, level: CompressionLevel) -> Codec:
-        if level is CompressionLevel.MAX and chunk.dtype.kind == "i":
-            return choose_codec(chunk)
-        return PLAIN
+        return ColumnFile._sized_codec_for(chunk, level)[0]
 
     @staticmethod
     def _physical_values(
@@ -198,21 +211,30 @@ class ColumnFile:
     # ------------------------------------------------------------------ #
     def _parse_page(self, payload: bytes, block_no: int, direct: bool,
                     pool: BufferPool) -> Block:
-        count = int.from_bytes(payload[:_PAGE_HEADER_BYTES], "little")
-        framed = payload[_PAGE_HEADER_BYTES:]
         start = int(self.block_starts[block_no])
-        if direct and framed and framed[0] == int(CodecId.RLE):
-            run_values, run_lengths = decode_payload_runs(framed)
+        codec_id = payload[_PAGE_HEADER_BYTES:_PAGE_HEADER_BYTES + 1]
+        if direct and codec_id == _RLE_ID:
+            run_values, run_lengths = decode_payload_runs(
+                payload, _PAGE_HEADER_BYTES)
             return RleBlock(start, run_values, run_lengths)
-        data = decode_payload(framed)
-        if framed and framed[0] != int(CodecId.PLAIN):
-            pool.stats.values_decompressed += len(data)
-        if len(data) != count:
+        data = decode_payload(payload, _PAGE_HEADER_BYTES)
+        self._account(payload, block_no, len(data), pool)
+        return ArrayBlock(start, data)
+
+    def _account(self, payload: bytes, block_no: int, decoded: int,
+                 pool: BufferPool) -> None:
+        """Charge the ledger for a block whose codec held ``decoded``
+        values — all of them, however few the caller kept, because the
+        simulated engine decompresses whole blocks — and check that
+        count against the page header."""
+        if payload[_PAGE_HEADER_BYTES:_PAGE_HEADER_BYTES + 1] != _PLAIN_ID:
+            pool.stats.values_decompressed += decoded
+        count = int.from_bytes(payload[:_PAGE_HEADER_BYTES], "little")
+        if decoded != count:
             raise StorageError(
-                f"block {block_no} of {self.name!r} decoded {len(data)} values,"
+                f"block {block_no} of {self.name!r} decoded {decoded} values,"
                 f" expected {count}"
             )
-        return ArrayBlock(start, data)
 
     def iter_blocks(
         self,
@@ -250,18 +272,32 @@ class ColumnFile:
 
         Position-ordered block skipping is what makes selective plans
         cheap: a query that survives 0.01% of positions touches a handful
-        of pages instead of the whole column.
+        of pages instead of the whole column.  Within a block, a sparse
+        request decodes only the positions asked for; the ledger is
+        charged for the whole block either way.
         """
+        out = np.empty(len(positions), dtype=self.dtype)
         if len(positions) == 0:
-            return np.zeros(0, dtype=self.dtype)
-        blocks = self.blocks_for_positions(positions)
-        out: List[np.ndarray] = []
-        for block_no in np.unique(blocks):
-            block = self.read_block(pool, int(block_no))
-            data = block.data
-            local = positions[blocks == block_no] - block.start
-            out.append(data[local])
-        return np.concatenate(out)
+            return out
+        block_nos, firsts = np.unique(self.blocks_for_positions(positions),
+                                      return_index=True)
+        bounds = firsts.tolist() + [len(positions)]
+        for i, block_no in enumerate(block_nos.tolist()):
+            low, high = bounds[i], bounds[i + 1]
+            local = positions[low:high] - self.block_starts[block_no]
+            out[low:high] = self._fetch_block(pool, block_no, local)
+        return out
+
+    def _fetch_block(self, pool: BufferPool, block_no: int,
+                     local: np.ndarray) -> np.ndarray:
+        """Values at block-relative ascending positions ``local``."""
+        payload = pool.read_page(self.name, block_no)
+        count = int.from_bytes(payload[:_PAGE_HEADER_BYTES], "little")
+        if len(local) * _SPARSE_FACTOR > count:
+            return self._parse_page(payload, block_no, False, pool).data[local]
+        values, decoded = decode_payload_at(payload, local, _PAGE_HEADER_BYTES)
+        self._account(payload, block_no, decoded, pool)
+        return values
 
 
 __all__ = ["ColumnFile", "CompressionLevel"]

@@ -10,12 +10,15 @@ an index per row.
 from __future__ import annotations
 
 import struct
+from typing import Tuple
 
 import numpy as np
 
 from ...errors import EncodingError
-from .codec import Codec, CodecId, pack_dtype, register, unpack_dtype
-from .bitpack import bits_needed, pack_bits, unpack_bits
+from .codec import (BlockStats, Codec, CodecId, pack_dtype, register,
+                    unpack_dtype, unpack_header)
+from .bitpack import (bits_needed, extract_bits, pack_bits, packed_bytes,
+                      unpack_bits)
 
 
 class DictionaryCodec(Codec):
@@ -23,6 +26,7 @@ class DictionaryCodec(Codec):
 
     codec_id = CodecId.DICTIONARY
     name = "dictionary"
+    _HEADER = struct.Struct("<IIB")
 
     def can_encode(self, values: np.ndarray) -> bool:
         return values.dtype.kind == "i"
@@ -36,25 +40,60 @@ class DictionaryCodec(Codec):
         bits = bits_needed(max(len(distinct) - 1, 0))
         header = (
             pack_dtype(values.dtype)
-            + struct.pack("<IIB", len(values), len(distinct), bits)
+            + self._HEADER.pack(len(values), len(distinct), bits)
         )
         return (
             header
             + np.ascontiguousarray(distinct).tobytes()
-            + pack_bits(indices.astype(np.int64), bits)
+            + pack_bits(indices, bits)
         )
 
-    def decode(self, payload: bytes) -> np.ndarray:
-        dtype, offset = unpack_dtype(payload, 0)
-        count, ndistinct, bits = struct.unpack_from("<IIB", payload, offset)
-        offset += 9
-        distinct_end = offset + ndistinct * dtype.itemsize
-        distinct = np.frombuffer(payload[offset:distinct_end], dtype=dtype,
-                                 count=ndistinct)
-        indices = unpack_bits(payload[distinct_end:], count, bits).astype(np.intp)
+    def encoded_size(self, stats: BlockStats) -> int:
+        distinct = stats.distinct
+        return (stats.tag_bytes + self._HEADER.size + distinct * stats.width
+                + packed_bytes(stats.count, bits_needed(max(distinct - 1, 0))))
+
+    def _parse(self, payload: bytes, offset: int):
+        """(distinct values, index count, index width, index offset)."""
+        dtype, offset = unpack_dtype(payload, offset)
+        count, ndistinct, bits = unpack_header(self._HEADER, payload, offset)
+        offset += self._HEADER.size
+        indices_at = offset + ndistinct * dtype.itemsize
+        if len(payload) < indices_at:
+            raise EncodingError(
+                f"dictionary payload truncated: want {indices_at - offset}"
+                f" bytes of values, have {max(len(payload) - offset, 0)}"
+            )
         if count and ndistinct == 0:
             raise EncodingError("dictionary payload corrupt: no distinct values")
-        return distinct[indices] if count else np.zeros(0, dtype=dtype)
+        if bits != bits_needed(max(ndistinct - 1, 0)):
+            raise EncodingError(
+                f"dictionary payload corrupt: {bits}-bit indices into"
+                f" {ndistinct} distinct values"
+            )
+        distinct = np.frombuffer(payload, dtype, ndistinct, offset)
+        return distinct, count, bits, indices_at
+
+    @staticmethod
+    def _lookup(distinct: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        try:
+            return distinct[indices]
+        except IndexError:
+            raise EncodingError(
+                f"dictionary payload corrupt: index beyond its"
+                f" {len(distinct)} distinct values"
+            ) from None
+
+    def decode(self, payload: bytes, offset: int = 0) -> np.ndarray:
+        distinct, count, bits, offset = self._parse(payload, offset)
+        return self._lookup(
+            distinct, unpack_bits(payload, count, bits, np.intp, offset))
+
+    def decode_at(self, payload: bytes, positions: np.ndarray,
+                  offset: int = 0) -> Tuple[np.ndarray, int]:
+        distinct, count, bits, offset = self._parse(payload, offset)
+        return self._lookup(distinct, extract_bits(
+            payload, count, bits, positions, np.intp, offset)), count
 
 
 DICTIONARY = register(DictionaryCodec())

@@ -13,7 +13,8 @@ import struct
 import numpy as np
 
 from ...errors import EncodingError
-from .codec import Codec, CodecId, pack_dtype, register, unpack_dtype
+from .codec import (BlockStats, Codec, CodecId, pack_dtype, register,
+                    unpack_dtype, unpack_header)
 
 
 class PlainCodec(Codec):
@@ -21,6 +22,7 @@ class PlainCodec(Codec):
 
     codec_id = CodecId.PLAIN
     name = "plain"
+    _HEADER = struct.Struct("<I")
 
     def can_encode(self, values: np.ndarray) -> bool:
         return values.dtype.kind in ("i", "S")
@@ -28,14 +30,20 @@ class PlainCodec(Codec):
     def encode(self, values: np.ndarray) -> bytes:
         if not self.can_encode(values):
             raise EncodingError(f"plain codec cannot encode dtype {values.dtype}")
-        header = pack_dtype(values.dtype) + struct.pack("<I", len(values))
+        header = pack_dtype(values.dtype) + self._HEADER.pack(len(values))
         return header + np.ascontiguousarray(values).tobytes()
 
-    def decode(self, payload: bytes) -> np.ndarray:
-        dtype, offset = unpack_dtype(payload, 0)
-        (count,) = struct.unpack_from("<I", payload, offset)
-        offset += 4
+    def encoded_size(self, stats: BlockStats) -> int:
+        return (stats.tag_bytes + self._HEADER.size
+                + stats.count * stats.width)
+
+    def decode(self, payload: bytes, offset: int = 0) -> np.ndarray:
+        dtype, offset = unpack_dtype(payload, offset)
+        (count,) = unpack_header(self._HEADER, payload, offset)
+        offset += self._HEADER.size
         expected = count * dtype.itemsize
+        # the copy gives the values an aligned buffer of their own: a
+        # view at this odd offset would slow every operator downstream
         body = payload[offset:offset + expected]
         if len(body) != expected:
             raise EncodingError(

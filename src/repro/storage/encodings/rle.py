@@ -18,7 +18,8 @@ from typing import Tuple
 import numpy as np
 
 from ...errors import EncodingError
-from .codec import Codec, CodecId, pack_dtype, register, unpack_dtype
+from .codec import (BlockStats, Codec, CodecId, check_positions, pack_dtype,
+                    register, unpack_dtype, unpack_header)
 
 
 def runs_of(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -41,6 +42,7 @@ class RleCodec(Codec):
 
     codec_id = CodecId.RLE
     name = "rle"
+    _HEADER = struct.Struct("<II")
 
     def can_encode(self, values: np.ndarray) -> bool:
         return values.dtype.kind == "i"
@@ -51,7 +53,7 @@ class RleCodec(Codec):
         run_values, run_lengths = runs_of(values)
         header = (
             pack_dtype(values.dtype)
-            + struct.pack("<II", len(values), len(run_values))
+            + self._HEADER.pack(len(values), len(run_values))
         )
         return (
             header
@@ -59,27 +61,43 @@ class RleCodec(Codec):
             + np.ascontiguousarray(run_lengths).tobytes()
         )
 
-    def _parse(self, payload: bytes) -> Tuple[np.ndarray, np.ndarray, int]:
-        dtype, offset = unpack_dtype(payload, 0)
-        count, nruns = struct.unpack_from("<II", payload, offset)
-        offset += 8
-        values_end = offset + nruns * dtype.itemsize
-        run_values = np.frombuffer(payload[offset:values_end], dtype=dtype,
-                                   count=nruns)
-        lengths_end = values_end + nruns * 4
-        run_lengths = np.frombuffer(payload[values_end:lengths_end],
-                                    dtype=np.uint32, count=nruns)
+    def encoded_size(self, stats: BlockStats) -> int:
+        return (stats.tag_bytes + self._HEADER.size
+                + stats.runs * (stats.width + 4))
+
+    def _parse(self, payload: bytes, offset: int
+               ) -> Tuple[np.ndarray, np.ndarray, int]:
+        dtype, offset = unpack_dtype(payload, offset)
+        count, nruns = unpack_header(self._HEADER, payload, offset)
+        offset += self._HEADER.size
+        lengths_at = offset + nruns * dtype.itemsize
+        if len(payload) < lengths_at + nruns * 4:
+            raise EncodingError(
+                f"rle payload truncated: want {lengths_at + nruns * 4 - offset}"
+                f" bytes of runs, have {max(len(payload) - offset, 0)}"
+            )
+        run_values = np.frombuffer(payload, dtype, nruns, offset)
+        run_lengths = np.frombuffer(payload, np.uint32, nruns, lengths_at)
         if int(run_lengths.sum()) != count:
             raise EncodingError("rle payload corrupt: run lengths do not sum")
         return run_values, run_lengths, count
 
-    def decode(self, payload: bytes) -> np.ndarray:
-        run_values, run_lengths, _count = self._parse(payload)
+    def decode(self, payload: bytes, offset: int = 0) -> np.ndarray:
+        run_values, run_lengths, _count = self._parse(payload, offset)
         return np.repeat(run_values, run_lengths)
 
-    def decode_runs(self, payload: bytes) -> Tuple[np.ndarray, np.ndarray]:
+    def decode_at(self, payload: bytes, positions: np.ndarray,
+                  offset: int = 0) -> Tuple[np.ndarray, int]:
+        run_values, run_lengths, count = self._parse(payload, offset)
+        check_positions(positions, count)
+        run_ends = np.cumsum(run_lengths, dtype=np.int64)
+        run = np.searchsorted(run_ends, positions, side="right")
+        return run_values[run], count
+
+    def decode_runs(self, payload: bytes, offset: int = 0
+                    ) -> Tuple[np.ndarray, np.ndarray]:
         """The runs themselves, for direct operation on compressed data."""
-        run_values, run_lengths, _count = self._parse(payload)
+        run_values, run_lengths, _count = self._parse(payload, offset)
         return run_values, run_lengths
 
 

@@ -103,10 +103,13 @@ class ColumnSynopsisBuilder:
         """Record one block's values (a non-empty 1-D array)."""
         if chunk.dtype.kind in "iu":
             kind, width = _VK_INT, 0
-            lo, hi = int(chunk.min()), int(chunk.max())
-            uniq = np.unique(chunk)
-            distinct = (uniq.astype(np.int64) if len(uniq) <= MAX_DISTINCT
-                        else None)
+            # one sort serves all three (and is far cheaper than the
+            # hashing ``np.unique`` of numpy >= 2.3 on a block)
+            ordered = np.sort(chunk)
+            lo, hi = int(ordered[0]), int(ordered[-1])
+            firsts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+            distinct = (ordered[np.concatenate(([0], firsts))].astype(np.int64)
+                        if len(firsts) < MAX_DISTINCT else None)
         elif chunk.dtype.kind == "S":
             kind, width = _VK_BYTES, chunk.dtype.itemsize
             values = chunk.tolist()  # trailing NULs stripped, like numpy

@@ -162,3 +162,86 @@ def test_dictionary_no_distinct_values():
     with pytest.raises(EncodingError,
                        match="no distinct values"):
         decode_payload(payload)
+
+
+# a short packed body used to decode, zero-padded, into wrong values, and
+# a short header escaped as a bare ``struct.error``
+def _codecs():
+    from repro.storage.encodings.bitpack import BITPACK
+    from repro.storage.encodings.delta import DELTA
+    from repro.storage.encodings.dictionary import DICTIONARY
+    from repro.storage.encodings.plain import PLAIN
+    from repro.storage.encodings.rle import RLE
+
+    return {c.name: c for c in (PLAIN, RLE, BITPACK, DELTA, DICTIONARY)}
+
+
+@pytest.mark.parametrize("name", ("bitpack", "delta", "dictionary"))
+def test_truncated_packed_body_is_an_error_not_zero_padding(name):
+    values = np.arange(1000, dtype=np.int32)
+    framed = _codecs()[name].frame(values)
+    assert np.array_equal(decode_payload(framed), values)
+    for cut in (1, 20, 100):
+        with pytest.raises(EncodingError, match="truncated"):
+            decode_payload(framed[:-cut])
+
+
+@pytest.mark.parametrize("name", ("bitpack", "delta", "dictionary"))
+def test_truncated_packed_body_on_the_positional_path(name):
+    from repro.storage.encodings.codec import decode_payload_at
+
+    framed = _codecs()[name].frame(np.arange(1000, dtype=np.int32))
+    positions = np.array([3, 999], dtype=np.int64)
+    for cut in (1, 20, 100):
+        with pytest.raises(EncodingError, match="truncated"):
+            decode_payload_at(framed[:-cut], positions)
+
+
+@pytest.mark.parametrize("name", sorted(_codecs()))
+def test_truncated_header_is_an_encoding_error(name):
+    framed = _codecs()[name].frame(np.arange(1000, dtype=np.int32))
+    for keep in range(1, 16):
+        with pytest.raises(EncodingError):
+            decode_payload(framed[:keep])
+
+
+def test_dictionary_index_beyond_the_table():
+    from repro.storage.encodings.codec import CodecId
+
+    dtype = np.dtype(np.int32)
+    header = (bytes([CodecId.DICTIONARY]) + pack_dtype(dtype)
+              + struct.pack("<IIB", 4, 3, 2))       # 4 rows, 3 values, 2 bits
+    table = np.array([10, 20, 30], dtype=dtype).tobytes()
+    good = header + table + bytes([0b00_01_10_00])  # indices 0 1 2 0
+    assert decode_payload(good).tolist() == [10, 20, 30, 10]
+    bad = header + table + bytes([0b00_01_11_00])   # index 3 of 3
+    with pytest.raises(EncodingError, match="index beyond"):
+        decode_payload(bad)
+    # an index width that disagrees with the table size is corrupt too
+    wide = (bytes([CodecId.DICTIONARY]) + pack_dtype(dtype)
+            + struct.pack("<IIB", 4, 3, 8) + table + bytes(4))
+    with pytest.raises(EncodingError, match="8-bit indices"):
+        decode_payload(wide)
+
+
+def test_dictionary_index_beyond_the_table_on_the_positional_path():
+    from repro.storage.encodings.codec import CodecId, decode_payload_at
+
+    dtype = np.dtype(np.int32)
+    bad = (bytes([CodecId.DICTIONARY]) + pack_dtype(dtype)
+           + struct.pack("<IIB", 4, 3, 2)
+           + np.array([10, 20, 30], dtype=dtype).tobytes()
+           + bytes([0b00_01_11_00]))                # index 3 of 3
+    with pytest.raises(EncodingError, match="index beyond"):
+        decode_payload_at(bad, np.array([2], dtype=np.int64))
+    # positions that miss the bad index decode: the rest is not looked at
+    got, count = decode_payload_at(bad, np.array([0, 1], dtype=np.int64))
+    assert got.tolist() == [10, 20] and count == 4
+
+
+def test_bit_width_out_of_range():
+    from repro.storage.encodings.bitpack import unpack_bits
+
+    for bits in (0, 65, 200):
+        with pytest.raises(EncodingError, match="bit width"):
+            unpack_bits(bytes(2000), 10, bits)

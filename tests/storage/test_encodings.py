@@ -172,14 +172,13 @@ def test_property_bitpack_roundtrip(arr):
     assert np.array_equal(out, arr)
 
 
-@given(nonneg_arrays, st.integers(min_value=1, max_value=33))
+@given(nonneg_arrays, st.integers(min_value=0, max_value=33))
 @settings(max_examples=40, deadline=None)
 def test_property_pack_bits_roundtrip(arr, extra_bits):
-    if len(arr):
-        bits = max(bits_needed(int(arr.max())), 1)
-    else:
-        bits = 1
+    # any width that holds the values round-trips, not only the minimal
+    bits = bits_needed(int(arr.max()) if len(arr) else 0) + extra_bits
     packed = pack_bits(arr, bits)
+    assert len(packed) == (len(arr) * bits + 7) // 8
     out = unpack_bits(packed, len(arr), bits)
     assert np.array_equal(out.astype(np.int64), arr.astype(np.int64))
 

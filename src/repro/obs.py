@@ -44,6 +44,7 @@ Span trees surface in three places:
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
@@ -54,6 +55,9 @@ from .simio.stats import (COUNTER_NAMES, CostBreakdown, CostModel, PAPER_2008,
 
 #: Schema tag written into every ``--trace-json`` record.
 TRACE_SCHEMA = "repro-trace-v1"
+
+#: every ledger counter of a ``QueryStats`` as one tuple
+_COUNTERS = operator.attrgetter(*COUNTER_NAMES)
 
 
 @dataclass
@@ -119,6 +123,28 @@ class Trace:
         flat per-query ledger.  Raises :class:`TraceInvariantError` on
         any violation.
         """
+        if not self._sums_exactly(flat):
+            self._raise_violation(flat)
+        return self
+
+    def _sums_exactly(self, flat: QueryStats) -> bool:
+        """The two conditions of :meth:`verify`, decided from one
+        counter tuple per span (this runs on every served request)."""
+        if _COUNTERS(self.root.stats) != _COUNTERS(flat):
+            return False
+        for span in self.root.walk():
+            own = _COUNTERS(span.stats)
+            if span.children:
+                charged = map(sum, zip(*[_COUNTERS(child.stats)
+                                         for child in span.children]))
+                if not all(map(operator.ge, own, charged)):
+                    return False
+            elif min(own) < 0:
+                return False
+        return True
+
+    def _raise_violation(self, flat: QueryStats) -> None:
+        """Name the first violated counter (the slow, exact path)."""
         root_snapshot = self.root.stats.snapshot()
         flat_snapshot = flat.snapshot()
         if root_snapshot != flat_snapshot:
@@ -138,7 +164,6 @@ class Trace:
                         f"span {span.name!r} is over-attributed: children "
                         f"charge {name} {-value} more than the span itself"
                     )
-        return self
 
     def span_names(self) -> List[str]:
         return [span.name for span in self.root.walk()]

@@ -166,8 +166,11 @@ class ColumnStoreAdapter:
     def dim_key_set(self, query: StarQuery, session: Session, dim: str,
                     dim_cache: Dict) -> np.ndarray:
         """The requested query's surviving keys for ``dim``, sorted."""
-        return self._dim_rows(self._planner(session), query, dim,
-                              dim_cache).keys
+        rows = dim_cache.get(dim)
+        if rows is None:  # a planner is only worth building on a miss
+            rows = self._dim_rows(self._planner(session), query, dim,
+                                  dim_cache)
+        return rows.keys
 
     def key_sets(self, query: StarQuery, session: Session,
                  dim_cache: Dict) -> Dict[str, np.ndarray]:

@@ -262,7 +262,13 @@ def subsumption_gaps(requested: PredicateSignature,
     positions)."""
     if requested.fact_table != cached.fact_table:
         return None
-    req = requested.by_column()
+    return _gaps(requested.by_column(), cached)
+
+
+def _gaps(req: Dict[Tuple[str, str], Constraint],
+          cached: PredicateSignature) -> Optional[List[str]]:
+    """:func:`subsumption_gaps` over the requested signature's
+    ``by_column()`` (same fact table), so a lookup builds it once."""
     gaps: List[str] = []
     for table, column, cached_constraint in cached.constraints:
         mine = req.get((table, column))
@@ -295,8 +301,9 @@ class PositionEntry:
 
     ``payload`` is engine-specific (column-store position lists naming
     their projection, row-store rid arrays); ``key_sets`` holds each
-    predicated dimension's surviving keys, sorted, for the exact
-    containment fallback."""
+    predicated dimension's surviving keys — primary keys, so strictly
+    ascending once sorted — for the exact containment fallback, which
+    relies on that order."""
 
     key: Tuple
     scope: Tuple
@@ -317,6 +324,8 @@ class CacheCounters:
     rejected_cheap: int = 0
     evictions: int = 0
     invalidations: int = 0
+    #: position entries ``find_subsuming`` ran the subsumption test on
+    candidates_inspected: int = 0
 
 
 class SemanticCache:
@@ -328,6 +337,9 @@ class SemanticCache:
         self.admit_seconds = admit_seconds
         self._lock = threading.RLock()
         self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
+        #: scope -> signature -> position entry: the position entries of
+        #: ``_entries``, each scope's in the same relative LRU order
+        self._positions: Dict[Tuple, "OrderedDict"] = {}
         self._bytes = 0
         self.counters = CacheCounters()
 
@@ -353,13 +365,15 @@ class SemanticCache:
         keyset_fn: Optional[Callable[[str], np.ndarray]],
         dimensions: Optional[FrozenSet[str]] = None,
     ) -> Optional[PositionEntry]:
-        """The first position entry in ``scope`` whose predicates imply
-        ``requested``'s.
+        """The position entry in ``scope`` with ``requested``'s own
+        signature if there is one, else the oldest in LRU order whose
+        predicates imply ``requested``'s.
 
         ``keyset_fn(dim)`` must return the *requested* query's surviving
-        keys for dimension ``dim`` (sorted int64); it is only called for
-        dimensions symbolic reasoning could not decide, and any I/O it
-        performs is the caller's to charge.  ``keyset_fn=None`` forbids
+        keys for dimension ``dim`` (strictly ascending int64); it is
+        called at most once per dimension, only for dimensions symbolic
+        reasoning could not decide, and any I/O it performs is the
+        caller's to charge.  ``keyset_fn=None`` forbids
         key-set probes entirely: only *symbolically proven* entries (no
         gaps) match — degraded-mode serving uses this so a cache answer
         never depends on reading possibly-corrupt dimension columns.
@@ -367,13 +381,41 @@ class SemanticCache:
         key-set check against a dimension outside it cannot be
         evaluated, so those candidates are skipped."""
         with self._lock:
-            candidates = [e for e in self._entries.values()
-                          if isinstance(e, PositionEntry)
-                          and e.scope == scope]
-        # prefer an exact signature match: its re-filter is a no-op scan
-        candidates.sort(key=lambda e: e.signature != requested)
+            bucket = self._positions.get(scope)
+            if not bucket:
+                return None
+            # prefer an exact signature match: its re-filter is a no-op scan
+            exact = bucket.get(requested)
+            candidates = [e for e in bucket.values() if e is not exact]
+        if exact is not None:
+            candidates.insert(0, exact)
+        req = requested.by_column()
+        requested_keys: Dict[str, np.ndarray] = {}
+        #: (dim, the entry's constraints on dim) -> contained?  Equal
+        #: constraints in one scope select equal key sets.
+        verdicts: Dict[Tuple, bool] = {}
+
+        def contained(entry: PositionEntry, dim: str) -> bool:
+            cached_keys = entry.key_sets.get(dim)
+            if cached_keys is None:
+                return False
+            memo = (dim, tuple(c for c in entry.signature.constraints
+                               if c[0] == dim))
+            verdict = verdicts.get(memo)
+            if verdict is None:
+                keys = requested_keys.get(dim)
+                if keys is None:
+                    keys = requested_keys[dim] = keyset_fn(dim)
+                verdict = verdicts[memo] = _ascending_subset(keys,
+                                                             cached_keys)
+            return verdict
+
+        found, inspected = None, 0
         for entry in candidates:
-            gaps = subsumption_gaps(requested, entry.signature)
+            if entry.signature.fact_table != requested.fact_table:
+                continue
+            inspected += 1
+            gaps = _gaps(req, entry.signature)
             if gaps is None:
                 continue
             if keyset_fn is None and gaps:
@@ -381,26 +423,15 @@ class SemanticCache:
             if dimensions is not None \
                     and not set(gaps) <= set(dimensions):
                 continue
-            if all(self._keyset_contained(entry, dim, keyset_fn)
-                   for dim in gaps):
-                with self._lock:
-                    if entry.key in self._entries:
-                        self._entries.move_to_end(entry.key)
-                return entry
-        return None
-
-    @staticmethod
-    def _keyset_contained(entry: PositionEntry, dim: str,
-                          keyset_fn: Callable[[str], np.ndarray]) -> bool:
-        cached_keys = entry.key_sets.get(dim)
-        if cached_keys is None:
-            return False
-        requested_keys = keyset_fn(dim)
-        if requested_keys.size == 0:
-            return True
-        if cached_keys.size == 0:
-            return False
-        return bool(np.isin(requested_keys, cached_keys).all())
+            if all(contained(entry, dim) for dim in gaps):
+                found = entry
+                break
+        with self._lock:
+            self.counters.candidates_inspected += inspected
+            if found is not None and found.key in self._entries:
+                self._entries.move_to_end(found.key)
+                self._positions[scope].move_to_end(found.signature)
+        return found
 
     # -------------------------------------------------------------- #
     # admission / eviction
@@ -453,20 +484,38 @@ class SemanticCache:
             old = self._entries.pop(entry.key, None)
             if old is not None:
                 self._bytes -= old.nbytes
+                self._unindex(old)
             self._entries[entry.key] = entry
+            if isinstance(entry, PositionEntry):
+                self._positions.setdefault(entry.scope, OrderedDict())[
+                    entry.signature] = entry
             self._bytes += entry.nbytes
             self.counters.admitted += 1
+            removed = old is not None
             while self._bytes > self.budget_bytes and len(self._entries) > 1:
                 _key, evicted = self._entries.popitem(last=False)
                 self._bytes -= evicted.nbytes
+                self._unindex(evicted)
                 self.counters.evictions += 1
-            self._check_bytes()
+                removed = True
+            if removed:
+                self._check_bytes()
+
+    def _unindex(self, entry) -> None:
+        """Drop a removed entry from the position index (lock held)."""
+        if isinstance(entry, PositionEntry):
+            bucket = self._positions[entry.scope]
+            del bucket[entry.signature]
+            if not bucket:
+                del self._positions[entry.scope]
 
     def _check_bytes(self) -> None:
         """Assert the byte gauge against ground truth (caller holds the
-        lock).  Runs after every mutation: the gauge drives eviction and
-        the ``snapshot()`` numbers, so silent drift would corrupt both
-        long before anything visibly failed."""
+        lock).  Runs after every mutation that removes entries and in
+        ``snapshot()`` — a plain insert only adds to the gauge — because
+        the gauge drives eviction and the ``snapshot()`` numbers, so
+        silent drift would corrupt both long before anything visibly
+        failed."""
         actual = sum(e.nbytes for e in self._entries.values())
         if self._bytes != actual or self._bytes < 0:
             raise AssertionError(
@@ -482,6 +531,7 @@ class SemanticCache:
             entry = self._entries.pop(key, None)
             if entry is not None:
                 self._bytes -= entry.nbytes
+                self._unindex(entry)
             self._check_bytes()
 
     def invalidate(self, table: Optional[str] = None) -> int:
@@ -494,12 +544,15 @@ class SemanticCache:
             if table is None:
                 dropped = len(self._entries)
                 self._entries.clear()
+                self._positions.clear()
                 self._bytes = 0
             else:
                 victims = [k for k, e in self._entries.items()
                            if table in e.tables]
                 for key in victims:
-                    self._bytes -= self._entries.pop(key).nbytes
+                    entry = self._entries.pop(key)
+                    self._bytes -= entry.nbytes
+                    self._unindex(entry)
                 dropped = len(victims)
             self.counters.invalidations += dropped
             self._check_bytes()
@@ -522,19 +575,32 @@ class SemanticCache:
 
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
-            results = sum(isinstance(e, ResultEntry)
-                          for e in self._entries.values())
+            self._check_bytes()
+            positions = sum(len(b) for b in self._positions.values())
             return {
                 "entries": len(self._entries),
-                "result_entries": results,
-                "position_entries": len(self._entries) - results,
+                "result_entries": len(self._entries) - positions,
+                "position_entries": positions,
                 "bytes": self._bytes,
                 "budget_bytes": self.budget_bytes,
                 "admitted": self.counters.admitted,
                 "rejected_cheap": self.counters.rejected_cheap,
                 "evictions": self.counters.evictions,
                 "invalidations": self.counters.invalidations,
+                "candidates_inspected": self.counters.candidates_inspected,
             }
+
+
+def _ascending_subset(keys: np.ndarray, within: np.ndarray) -> bool:
+    """Is every element of ``keys`` in ``within``?  Both are strictly
+    ascending, so size and end points reject most pairs before the one
+    binary-search pass."""
+    if keys.size == 0:
+        return True
+    if keys.size > within.size or keys[0] < within[0] \
+            or keys[-1] > within[-1]:
+        return False
+    return bool((within[np.searchsorted(within, keys)] == keys).all())
 
 
 def _result_nbytes(result: ResultSet) -> int:

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
@@ -81,6 +82,9 @@ from .resilience import (
 )
 from .semcache import SemanticCache, normalize_query
 from .session import Session
+
+#: bound SELECT texts one service remembers (least recently used out)
+STATEMENT_CACHE_SIZE = 1024
 
 #: engine failures that count toward a scope's circuit breaker: the
 #: storage stack's persistent verdicts plus cooperative timeouts
@@ -413,6 +417,11 @@ class QueryService:
         #: writers queue here instead of tripping the write store's
         #: WriteContentionError
         self._dml_lock = threading.Lock()
+        #: exact SQL text -> bound StarQuery, in LRU order.  ``StarQuery``
+        #: is frozen and binding reads only the static SSB schema, so an
+        #: entry is never invalidated, only aged out.
+        self._statements: "OrderedDict[str, StarQuery]" = OrderedDict()
+        self._statements_lock = threading.Lock()
         self._closed = False
 
     # -------------------------------------------------------------- #
@@ -558,15 +567,27 @@ class QueryService:
 
         SELECT binds to a :class:`StarQuery` and goes through
         :meth:`submit` (returns its :class:`ServiceRun`); INSERT/DELETE
-        go through the service write path (returns rows affected)."""
-        statement = parse_statement(sql)
-        if isinstance(statement, InsertStatement):
-            table, rows = bind_insert(statement)
-            return self.insert(table, rows)
-        if isinstance(statement, DeleteStatement):
-            table, predicates = bind_delete(statement)
-            return self.delete(table, predicates)
-        query = bind(statement, name="sql")
+        go through the service write path (returns rows affected).  A
+        SELECT text seen before skips the parser and binder: its bound
+        query is kept by exact text (DML texts and texts that failed to
+        parse or bind are never kept)."""
+        with self._statements_lock:
+            query = self._statements.get(sql)
+            if query is not None:
+                self._statements.move_to_end(sql)
+        if query is None:
+            statement = parse_statement(sql)
+            if isinstance(statement, InsertStatement):
+                table, rows = bind_insert(statement)
+                return self.insert(table, rows)
+            if isinstance(statement, DeleteStatement):
+                table, predicates = bind_delete(statement)
+                return self.delete(table, predicates)
+            query = bind(statement, name="sql")
+            with self._statements_lock:
+                self._statements[sql] = query
+                if len(self._statements) > STATEMENT_CACHE_SIZE:
+                    self._statements.popitem(last=False)
         return self.submit(query, session=session, **submit_kwargs)
 
     def serve_stats(self) -> Dict:

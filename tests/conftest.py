@@ -6,7 +6,10 @@ leaving every dimension domain fully populated (all 250 cities, all
 own ledger, so sharing engines across tests does not leak measurements.
 """
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.colstore.engine import CStore
 from repro.rowstore.designs import DesignKind
@@ -17,6 +20,15 @@ from repro.simio.stats import QueryStats
 from repro.ssb.generator import generate
 
 SMALL_SF = 0.01
+
+# Hypothesis budgets, picked by HYPOTHESIS_PROFILE.  ``tier1`` (the
+# default) is small and derandomized, so the gating suite runs the same
+# examples every time; ``chaos`` is the deep, randomized run of CI's
+# chaos lane.  A test that pins its own ``max_examples`` keeps it.
+settings.register_profile("tier1", max_examples=100, deadline=None,
+                          derandomize=True)
+settings.register_profile("chaos", max_examples=2000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture(scope="session")

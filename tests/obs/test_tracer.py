@@ -1,6 +1,8 @@
 """Tracer unit tests: span stacking, attribution, invariants, artifacts."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import TraceInvariantError
 from repro.obs import (
@@ -76,6 +78,34 @@ def test_verify_rejects_overattributed_children():
     root = Span("query", root_stats, PAPER_2008.cost(root_stats), [child])
     with pytest.raises(TraceInvariantError, match="over-attributed"):
         Trace(root).verify(QueryStats())
+
+
+_small = st.integers(-1, 3)
+_ledgers = st.builds(QueryStats, seeks=_small, hash_probes=_small,
+                     bytes_read=_small)
+_trees = st.recursive(
+    st.builds(Span, st.just("leaf"), _ledgers, st.just(None)),
+    lambda kids: st.builds(Span, st.just("node"), _ledgers, st.just(None),
+                           st.lists(kids, max_size=3)),
+    max_leaves=6)
+
+
+@given(_trees, _ledgers)
+def test_fast_verdict_is_the_slow_paths_verdict(root, flat):
+    """``verify`` decides from counter tuples and only formats through
+    the counter-by-counter path; the two must never disagree."""
+    trace = Trace(root)
+    try:
+        trace._raise_violation(flat)
+        violated = False
+    except TraceInvariantError:
+        violated = True
+    assert trace._sums_exactly(flat) is not violated
+    if violated:
+        with pytest.raises(TraceInvariantError):
+            trace.verify(flat)
+    else:
+        assert trace.verify(flat) is trace
 
 
 def test_leaf_spans_record_in_order():

@@ -105,7 +105,7 @@ def group_matrix():
 
 def test_group_factorize_packed(benchmark, group_matrix):
     """Packed-key factorization (the grouped_aggregate fast path)."""
-    from repro.colstore.operators.aggregate import factorize_groups
+    from repro.plan.aggregates import factorize_groups
 
     uniq, inverse = benchmark(lambda: factorize_groups(group_matrix))
     ref_uniq, ref_inverse = np.unique(group_matrix, axis=1,

@@ -76,40 +76,6 @@ GroupReduction = Tuple[np.ndarray, Optional[np.ndarray]]
 _I64 = np.iinfo(np.int64)
 
 
-def factorize_groups(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Unique group keys (lexicographic by row order) and per-row inverse.
-
-    Equivalent to ``np.unique(matrix, axis=1, return_inverse=True)`` but
-    avoids the notoriously slow ``axis=`` path: the k group-code rows are
-    ravelled into a single int64 packed key (first row most significant,
-    so sorted packed order == lexicographic column order) and factorized
-    with a 1-D ``np.unique``.  Falls back to the axis path only when the
-    combined key domain cannot fit in an int64.
-    """
-    k, n = matrix.shape
-    if n == 0:
-        return matrix, np.zeros(0, dtype=np.int64)
-    if k == 1:
-        uniq, inverse = np.unique(matrix[0], return_inverse=True)
-        return uniq[np.newaxis, :], inverse
-    mins = matrix.min(axis=1)
-    maxs = matrix.max(axis=1)
-    spans = [int(hi) - int(lo) + 1 for lo, hi in zip(mins, maxs)]
-    domain = 1
-    for span in spans:  # exact product in Python ints; no silent overflow
-        domain *= span
-    if domain > 2 ** 62:
-        uniq, inverse = np.unique(matrix, axis=1, return_inverse=True)
-        return uniq, inverse
-    key = np.zeros(n, dtype=np.int64)
-    for row, lo, span in zip(matrix, mins, spans):
-        key *= span
-        key += row - lo
-    _keys, index, inverse = np.unique(key, return_index=True,
-                                      return_inverse=True)
-    return matrix[:, index], inverse
-
-
 def grouped_aggregate(
     group_arrays: Sequence[np.ndarray],
     agg_arrays: Sequence[np.ndarray],
@@ -135,7 +101,7 @@ def grouped_aggregate(
     if n == 0:
         return matrix, [(np.zeros(0, dtype=np.int64), None)
                         for _ in agg_arrays]
-    uniq, inverse = factorize_groups(matrix)
+    uniq, inverse = agg_semantics.factorize_groups(matrix)
     reduced: List[GroupReduction] = []
     for func, values in zip(funcs, agg_arrays):
         _charge(stats, config, len(values))
@@ -159,7 +125,7 @@ def merge_group_reductions(
     if not live:
         return parts[0] if parts else (np.zeros((0, 0), dtype=np.int64), [])
     matrix = np.concatenate([u for u, _ in live], axis=1)
-    uniq, inverse = factorize_groups(matrix)
+    uniq, inverse = agg_semantics.factorize_groups(matrix)
     num_groups = uniq.shape[1]
     merged: List[GroupReduction] = []
     for i, func in enumerate(funcs):
@@ -217,7 +183,6 @@ __all__ = [
     "eval_fact_expr",
     "scalar_aggregate",
     "grouped_aggregate",
-    "factorize_groups",
     "merge_group_reductions",
     "partial_scalar_aggregate",
     "merge_scalar_reductions",

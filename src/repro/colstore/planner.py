@@ -21,6 +21,7 @@ import numpy as np
 from ..errors import PlanError
 from ..obs import Tracer, span_context
 from ..plan.aggregates import (
+    factorize_groups,
     finalize as finalize_agg,
     needs_expr_values,
     reduce_groups,
@@ -41,7 +42,6 @@ from ..core.invisible_join import (
 )
 from .operators.aggregate import (
     eval_fact_expr,
-    factorize_groups,
     grouped_aggregate,
     scalar_aggregate,
 )

@@ -38,6 +38,40 @@ def needs_expr_values(func: str) -> bool:
     return func != "count"
 
 
+def factorize_groups(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Unique group keys (lexicographic by row order) and per-row inverse.
+
+    Equivalent to ``np.unique(matrix, axis=1, return_inverse=True)`` but
+    avoids the notoriously slow ``axis=`` path: the k group-code rows are
+    ravelled into a single int64 packed key (first row most significant,
+    so sorted packed order == lexicographic column order) and factorized
+    with a 1-D ``np.unique``.  Falls back to the axis path only when the
+    combined key domain cannot fit in an int64.
+    """
+    k, n = matrix.shape
+    if n == 0:
+        return matrix, np.zeros(0, dtype=np.int64)
+    if k == 1:
+        uniq, inverse = np.unique(matrix[0], return_inverse=True)
+        return uniq[np.newaxis, :], inverse
+    mins = matrix.min(axis=1)
+    maxs = matrix.max(axis=1)
+    spans = [int(hi) - int(lo) + 1 for lo, hi in zip(mins, maxs)]
+    domain = 1
+    for span in spans:  # exact product in Python ints; no silent overflow
+        domain *= span
+    if domain > 2 ** 62:
+        uniq, inverse = np.unique(matrix, axis=1, return_inverse=True)
+        return uniq, inverse
+    key = np.zeros(n, dtype=np.int64)
+    for row, lo, span in zip(matrix, mins, spans):
+        key *= span
+        key += row - lo
+    _keys, index, inverse = np.unique(key, return_index=True,
+                                      return_inverse=True)
+    return matrix[:, index], inverse
+
+
 def reduce_groups(
     func: str,
     values: np.ndarray,
@@ -132,6 +166,7 @@ __all__ = [
     "SUPPORTED_FUNCS",
     "validate_func",
     "needs_expr_values",
+    "factorize_groups",
     "reduce_groups",
     "reduce_scalar",
     "merge",

@@ -19,15 +19,14 @@ sequential scans" (Section 6.2.2).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import StorageError
 from ..simio.buffer_pool import BufferPool
 from ..simio.disk import PAGE_SIZE, SimulatedDisk
-from ..storage.encodings import decode_payload
-from ..storage.encodings.delta import DELTA
+from ..storage.encodings.delta import DELTA, decode_frames
 
 
 class BitmapIndex:
@@ -81,21 +80,34 @@ class BitmapIndex:
     # ------------------------------------------------------------------ #
     # reads
     # ------------------------------------------------------------------ #
-    def read_rids(self, pool: BufferPool, value: int) -> np.ndarray:
-        """The ascending rid set for one value (empty if absent)."""
+    def _frame(self, pool: BufferPool, value: int) -> Optional[bytes]:
+        """One value's stored rid list, its pages read through the pool
+        (None if the value is absent)."""
         entry = self.directory.get(int(value))
         if entry is None:
-            return np.zeros(0, dtype=np.int64)
+            return None
         offset, length = entry
-        first_page = offset // PAGE_SIZE
+        first_page, start = divmod(offset, PAGE_SIZE)
         last_page = (offset + length - 1) // PAGE_SIZE
-        chunks = [pool.read_page(self.name, p)
-                  for p in range(first_page, last_page + 1)]
-        blob = b"".join(chunks)[offset - first_page * PAGE_SIZE:
-                                offset - first_page * PAGE_SIZE + length]
-        rids = decode_payload(blob)
+        pages = [pool.read_page(self.name, p)
+                 for p in range(first_page, last_page + 1)]
+        # a blob is ~100 bytes of a 32 KB page: slice it, do not copy the
+        # page (the few blobs that straddle pages pay the join)
+        whole = pages[0] if len(pages) == 1 else b"".join(pages)
+        return whole[start:start + length]
+
+    def _read_lists(self, pool: BufferPool, values: Iterable[int]
+                    ) -> np.ndarray:
+        """The rid lists of ``values`` back to back, each ascending;
+        pages are requested value by value, all lists decoded at once."""
+        frames = [self._frame(pool, v) for v in values]
+        rids = decode_frames([f for f in frames if f is not None])
         pool.stats.values_decompressed += len(rids)
         return rids
+
+    def read_rids(self, pool: BufferPool, value: int) -> np.ndarray:
+        """The ascending rid set for one value (empty if absent)."""
+        return self._read_lists(pool, [value])
 
     def read_union(self, pool: BufferPool, values: Iterable[int]
                    ) -> np.ndarray:
@@ -104,11 +116,7 @@ class BitmapIndex:
         Charges one position op per rid merged, the bitmap-merge overhead
         the paper calls out.
         """
-        parts = [self.read_rids(pool, v) for v in values]
-        parts = [p for p in parts if len(p)]
-        if not parts:
-            return np.zeros(0, dtype=np.int64)
-        merged = np.sort(np.concatenate(parts))
+        merged = np.sort(self._read_lists(pool, values))
         pool.stats.position_ops += len(merged)
         return merged
 

@@ -4,7 +4,10 @@ Every operator consumes and produces :class:`RowBatch` streams.  Batches
 exist for wall-clock speed only; the ledger charges what a
 tuple-at-a-time engine does — per-tuple iterator calls, per-tuple
 attribute extractions, per-tuple hash probes (Section 5.3: "1-2 function
-calls to extract needed data from a tuple for each operation").
+calls to extract needed data from a tuple for each operation").  Every
+charge is ``n x something`` or counted per page, so a batch can be as
+large as memory allows: scans and rid fetches hand on a run of up to
+:data:`SCAN_RUN_PAGES` pages at a time.
 
 Column naming: scans qualify output columns as ``table.column``; joins
 merge the probe batch with the build side's payload columns, so
@@ -105,13 +108,23 @@ def qualified(table: str, column: str) -> str:
 # --------------------------------------------------------------------- #
 # scans
 # --------------------------------------------------------------------- #
+#: Most pages one scan or rid-fetch batch may span.  It bounds the buffer
+#: a batch holds (64 pages = 2 MB, whatever the heap's size) and nothing
+#: else: the ledger is the same at any value, so it is not a knob.  A
+#: 13-query ``T`` flight at SF 0.02 takes 259 ms at 1 page, 116 ms at 16,
+#: 93 ms at 64, 93 ms at 256 and 94 ms unbounded — 64 is where the
+#: per-batch Python stops showing.
+SCAN_RUN_PAGES = 64
+
+
 def _scan_record_pages(
     heap: HeapFile,
     pool: BufferPool,
     predicates: Sequence[Predicate],
     zone_maps: bool,
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield ``(page_no, record batch)`` for every page a scan must read.
+) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """Yield ``(first page, pages, records)`` for every run of up to
+    :data:`SCAN_RUN_PAGES` consecutive pages a scan must read.
 
     With zone maps on, the heap's sidecar synopsis is consulted first and
     pages whose per-column min/max cannot satisfy the conjunction of
@@ -119,8 +132,14 @@ def _scan_record_pages(
     examined charges one ``synopsis_probes`` tick; when nothing can be
     skipped (or the synopsis is missing/corrupt) the scan degenerates to
     the plain full sweep, byte-for-byte.
+
+    Pages still come through the pool one ``read_page`` at a time, in
+    page order; only their parse is batched.  A page is its records back
+    to back and only a file's last page is short, so the joined payloads
+    of consecutive pages are the records of the run.
     """
     stats = pool.stats
+    spans = [(0, heap.num_pages - 1)]
     if zone_maps and predicates:
         synopsis = load_heap_synopsis(heap)
         if synopsis is not None:
@@ -129,15 +148,13 @@ def _scan_record_pages(
             skipped = int(mask.size - mask.sum())
             if skipped:
                 stats.blocks_skipped += skipped
-                for first, last in mask_runs(mask):
-                    page_no = first
-                    for payload in pool.scan_pages(heap.name, first,
-                                                   last + 1):
-                        yield page_no, heap.fmt.parse_page(payload)
-                        page_no += 1
-                return
-    for page_no, payload in enumerate(pool.scan_pages(heap.name)):
-        yield page_no, heap.fmt.parse_page(payload)
+                spans = mask_runs(mask)
+    for first, last in spans:
+        for start in range(first, last + 1, SCAN_RUN_PAGES):
+            payloads = list(pool.scan_pages(
+                heap.name, start, min(start + SCAN_RUN_PAGES, last + 1)))
+            yield (start, len(payloads),
+                   heap.fmt.parse_page(b"".join(payloads)))
 
 
 def seq_scan(
@@ -168,20 +185,18 @@ def seq_scan(
     ]
     record_width = heap.fmt.record_width
     rows_per_page = heap.fmt.rows_per_page
-    for page_no, records in _scan_record_pages(heap, pool, predicates,
-                                               zone_maps):
+    for first_page, _pages, records in _scan_record_pages(
+            heap, pool, predicates, zone_maps):
         n = len(records)
         # only the final page is partial, so rids are page arithmetic
-        base = rid_base + page_no * rows_per_page
+        local = first_page * rows_per_page
         stats.iterator_calls += n
         # parsing/copying each tuple costs time proportional to its width
         stats.tuple_bytes_scanned += n * record_width
         mask: Optional[np.ndarray] = None
         if live_mask is not None:
-            local = page_no * rows_per_page
             stats.position_ops += n
             mask = live_mask[local:local + n].copy()
-        alive = n
         for column, pred in compiled:
             if mask is None:
                 verdict = pred(records[column], stats)
@@ -193,20 +208,21 @@ def seq_scan(
                 verdict = pred(survivors, stats)
                 mask = mask.copy()
                 mask[np.flatnonzero(mask)[~verdict]] = False
+        # project, then select: survivors are copied one column wide
         if mask is None:
-            selected = records
-            sel_idx = None
+            kept = n
+            out = {qualified(table, c): np.ascontiguousarray(records[c])
+                   for c in out_columns}
         else:
             sel_idx = np.flatnonzero(mask)
-            selected = records[sel_idx]
-        out = {
-            qualified(table, c): np.ascontiguousarray(selected[c])
-            for c in out_columns
-        }
+            kept = len(sel_idx)
+            out = {qualified(table, c): records[c][sel_idx]
+                   for c in out_columns}
         if rid_column is not None:
+            base = rid_base + local
             rids = np.arange(base, base + n, dtype=np.int64)
-            out[rid_column] = rids if sel_idx is None else rids[sel_idx]
-        yield RowBatch(out, len(selected))
+            out[rid_column] = rids if mask is None else rids[sel_idx]
+        yield RowBatch(out, kept)
 
 
 def super_tuple_scan(
@@ -234,11 +250,11 @@ def super_tuple_scan(
         for p in predicates
     ]
     rows_per_page = heap.fmt.rows_per_page
-    for page_no, records in _scan_record_pages(heap, pool, predicates,
-                                               zone_maps):
+    for first_page, pages, records in _scan_record_pages(
+            heap, pool, predicates, zone_maps):
         n = len(records)
-        stats.block_calls += 1
-        base = page_no * rows_per_page
+        stats.block_calls += pages
+        base = first_page * rows_per_page
         values = np.ascontiguousarray(records[column])
         positions = np.arange(base, base + n, dtype=np.int64)
         mask: Optional[np.ndarray] = None
@@ -317,38 +333,33 @@ def heap_fetch(
     rids: np.ndarray,
     table: str,
     out_columns: Sequence[str],
-    batch_rows: int = 65536,
 ) -> Iterator[RowBatch]:
     """Fetch tuples by rid (ascending), reading each needed page once.
 
-    Random I/O is charged naturally: non-adjacent pages cost seeks.
+    Random I/O is charged naturally: non-adjacent pages cost seeks.  One
+    batch covers up to :data:`SCAN_RUN_PAGES` distinct pages, joined the
+    way a scan run is (the only short page is the file's last, hence the
+    join's last), so a record sits at ``page rank * rows_per_page +
+    slot`` and one index takes them all.
     """
     stats = pool.stats
+    rows_per_page = heap.fmt.rows_per_page
     rids = np.sort(np.asarray(rids, dtype=np.int64))
-    pages = rids // heap.fmt.rows_per_page
-    for start in range(0, len(rids), batch_rows):
-        chunk = rids[start:start + batch_rows]
-        chunk_pages = pages[start:start + batch_rows]
-        collected: Dict[str, List[np.ndarray]] = {c: [] for c in out_columns}
-        rid_parts: List[np.ndarray] = []
-        for page_no in np.unique(chunk_pages):
-            records = heap.fmt.parse_page(pool.read_page(heap.name,
-                                                         int(page_no)))
-            local = chunk[chunk_pages == page_no] - int(page_no) * \
-                heap.fmt.rows_per_page
-            stats.iterator_calls += len(local)
-            stats.tuple_bytes_scanned += len(local) * heap.fmt.record_width
-            picked = records[local]
-            for c in out_columns:
-                collected[c].append(np.ascontiguousarray(picked[c]))
-            rid_parts.append(chunk[chunk_pages == page_no])
-        if rid_parts:
-            out = {
-                qualified(table, c): np.concatenate(collected[c])
-                for c in out_columns
-            }
-            out["_rid"] = np.concatenate(rid_parts)
-            yield RowBatch(out)
+    pages, first, rank = np.unique(rids // rows_per_page, return_index=True,
+                                   return_inverse=True)
+    where = rank * rows_per_page + rids % rows_per_page
+    bounds = np.append(first, len(rids))
+    for lo in range(0, len(pages), SCAN_RUN_PAGES):
+        run = pages[lo:lo + SCAN_RUN_PAGES]
+        chunk = slice(bounds[lo], bounds[lo + len(run)])
+        records = heap.fmt.parse_page(b"".join(
+            pool.read_page(heap.name, int(page_no)) for page_no in run))
+        picked = where[chunk] - lo * rows_per_page
+        stats.iterator_calls += len(picked)
+        stats.tuple_bytes_scanned += len(picked) * heap.fmt.record_width
+        out = {qualified(table, c): records[c][picked] for c in out_columns}
+        out["_rid"] = rids[chunk]
+        yield RowBatch(out)
 
 
 # --------------------------------------------------------------------- #
@@ -482,13 +493,13 @@ def hash_join(
         n = len(batch)
         stats.iterator_calls += n
         found, rows = table.probe(batch.column(probe_key), stats)
-        matched = batch.take(found)
-        matched_rows = rows[found]
+        if not found.all():
+            batch, rows = batch.take(found), rows[found]
         extra = {}
         for source, out_name in output_prefixing.items():
-            extra[out_name] = table.payload_at(source, matched_rows)
-        stats.tuple_attrs_copied += len(matched_rows) * len(output_prefixing)
-        yield matched.with_columns(extra)
+            extra[out_name] = table.payload_at(source, rows)
+        stats.tuple_attrs_copied += len(rows) * len(output_prefixing)
+        yield batch.with_columns(extra)
 
 
 # --------------------------------------------------------------------- #
@@ -535,7 +546,8 @@ class HashAggregator:
 
         self.group_names = list(group_names)
         self.agg_names = list(agg_names)
-        self.agg_funcs = list(agg_funcs) if agg_funcs is not None else             ["sum"] * len(agg_names)
+        self.agg_funcs = (list(agg_funcs) if agg_funcs is not None
+                          else ["sum"] * len(agg_names))
         self._semantics = agg_semantics
         self._acc: Dict[Tuple, List[Tuple[int, Optional[int]]]] = {}
 
@@ -557,7 +569,7 @@ class HashAggregator:
             return
         # consolidate the batch first, then merge per distinct group
         matrix = np.stack([_group_code(a) for a in group_arrays])
-        uniq, inverse = np.unique(matrix, axis=1, return_inverse=True)
+        uniq, inverse = semantics.factorize_groups(matrix)
         per_agg = [
             semantics.reduce_groups(func, arr, inverse, uniq.shape[1])
             for func, arr in zip(self.agg_funcs, agg_arrays)

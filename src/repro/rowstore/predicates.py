@@ -92,11 +92,8 @@ def compile_predicate(pred: Predicate, dtype: np.dtype) -> CompiledPredicate:
         return run_range
 
     if isinstance(pred, InSet):
-        literals = [encode_literal(v, dtype) for v in pred.values]
-        if dtype.kind == "S":
-            needles = np.asarray(literals, dtype=dtype)
-        else:
-            needles = np.asarray(literals, dtype=dtype)
+        needles = np.asarray([encode_literal(v, dtype) for v in pred.values],
+                             dtype=dtype)
 
         def run_in(values: np.ndarray, stats: QueryStats) -> np.ndarray:
             n = len(values)

@@ -17,13 +17,13 @@ import pytest
 
 from repro.colstore.engine import CStore
 from repro.colstore.operators.aggregate import (
-    factorize_groups,
     grouped_aggregate,
     merge_group_reductions,
     merge_scalar_reductions,
     partial_scalar_aggregate,
     scalar_aggregate,
 )
+from repro.plan.aggregates import factorize_groups
 from repro.colstore.parallel import MorselEngine, TracePool, make_engine
 from repro.colstore.positions import (
     ArrayPositions,

@@ -71,6 +71,37 @@ def test_bitmap_intersection():
     assert pool.stats.position_ops > 0
 
 
+def test_bitmap_union_equals_union_of_lists_across_page_boundaries():
+    from repro.simio.disk import PAGE_SIZE
+
+    rng = np.random.default_rng(9)
+    values = rng.integers(0, 1500, 60_000).astype(np.int32)
+    idx, _ = _bitmap(values)
+    straddlers = [v for v, (offset, length) in idx.directory.items()
+                  if offset // PAGE_SIZE != (offset + length - 1) // PAGE_SIZE]
+    assert len(straddlers) >= 2  # blobs are packed back to back
+    wanted = sorted(set(straddlers) | set(range(0, 1500, 7))) + [9999]
+
+    one_by_one = BufferPool(idx.disk, 1024 * 1024)
+    idx.disk.stats = QueryStats()
+    idx.disk.reset_head()
+    lists = [idx.read_rids(one_by_one, v) for v in wanted]
+    for v, rids in zip(wanted, lists):
+        assert rids.tolist() == np.flatnonzero(values == v).tolist()
+    ledger = idx.disk.stats.snapshot()
+
+    at_once = BufferPool(idx.disk, 1024 * 1024)
+    idx.disk.stats = QueryStats()
+    idx.disk.reset_head()
+    union = idx.read_union(at_once, wanted)
+    assert np.array_equal(union, np.sort(np.concatenate(lists)))
+    # the same pages in the same order, the same values decompressed;
+    # the union alone pays the merge
+    assert idx.disk.stats.position_ops == len(union)
+    idx.disk.stats.position_ops = 0
+    assert idx.disk.stats.snapshot() == ledger
+
+
 def test_bitmap_rids_roundtrip_random():
     rng = np.random.default_rng(4)
     values = rng.integers(0, 37, 10_000).astype(np.int32)

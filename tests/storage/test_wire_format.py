@@ -37,7 +37,7 @@ from repro.storage.encodings.bitpack import (
     unpack_bits,
 )
 from repro.storage.encodings.codec import decode_payload_at
-from repro.storage.encodings.delta import DELTA
+from repro.storage.encodings.delta import DELTA, decode_frames
 from repro.storage.encodings.dictionary import DICTIONARY
 from repro.storage.encodings.plain import PLAIN
 from repro.storage.encodings.rle import RLE
@@ -424,3 +424,81 @@ def test_decode_payload_at_reports_the_block_count(codec):
     assert count == len(values)
     assert got.dtype == values.dtype
     assert np.array_equal(got, values[positions])
+
+
+# --------------------------------------------------------------------- #
+# 4. decode_frames: many rid lists in one pass equal one at a time
+# --------------------------------------------------------------------- #
+@st.composite
+def rid_lists(draw):
+    """An ascending int64 list whose deltas pack ``bits`` wide: lengths
+    1, 2 and many, every width a zig-zagged non-negative delta can take
+    short of overflowing the running sum."""
+    bits = draw(st.integers(1, 63))
+    count = draw(st.sampled_from((1, 2, 3, 9, 40)))
+    count = min(count, 1 + (1 << min(63 - bits, 6)))
+    widest = max((1 << bits) - 1 >> 1, 0)  # zig-zag doubles a delta >= 0
+    deltas = draw(st.lists(st.integers(0, widest), min_size=count - 1,
+                           max_size=count - 1))
+    if deltas:
+        deltas[draw(st.integers(0, len(deltas) - 1))] = widest
+    first = draw(st.integers(0, 1 << 40))
+    return np.cumsum([first] + deltas, dtype=np.int64)
+
+
+@given(st.lists(rid_lists(), max_size=12))
+@settings(max_examples=max(150, settings().max_examples), deadline=None)
+def test_property_decode_frames_equals_decode_payload_per_frame(lists):
+    frames = [DELTA.frame(values) for values in lists]
+    got = decode_frames(frames)
+    assert got.dtype == np.int64
+    expected = [decode_payload(frame) for frame in frames]
+    for values, decoded in zip(lists, expected):
+        assert np.array_equal(decoded, values)
+    assert np.array_equal(
+        got, np.concatenate(expected) if expected else np.zeros(0, np.int64))
+
+
+def test_decode_frames_mixes_widths_and_keeps_empty_lists_empty():
+    lists = [np.array([7], dtype=np.int64),
+             np.zeros(0, dtype=np.int64),
+             np.array([5, 6, 8, 1 << 61], dtype=np.int64),
+             np.array([-3, -9, 40], dtype=np.int64),   # not ascending
+             np.arange(0, 3000, 3, dtype=np.int64)]
+    got = decode_frames([DELTA.frame(values) for values in lists])
+    assert np.array_equal(got, np.concatenate(lists))
+    assert len(decode_frames([])) == 0
+    assert len(decode_frames([DELTA.frame(lists[1])] * 2)) == 0
+
+
+@given(st.lists(rid_lists(), min_size=1, max_size=6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_property_truncated_frame_raises(lists, data):
+    frames = [DELTA.frame(values) for values in lists]
+    victim = data.draw(st.integers(0, len(frames) - 1))
+    keep = data.draw(st.integers(0, len(frames[victim]) - 1))
+    frames[victim] = frames[victim][:keep]
+    with pytest.raises(EncodingError):
+        decode_frames(frames)
+
+
+@pytest.mark.parametrize("imposter", [
+    PLAIN.frame(np.arange(4, dtype=np.int64)),
+    BITPACK.frame(np.arange(4, dtype=np.int64)),
+    RLE.frame(np.arange(4, dtype=np.int64)),
+    DELTA.frame(np.arange(4, dtype=np.int32)),
+], ids=("plain", "bitpack", "rle", "delta-int32"))
+def test_decode_frames_refuses_other_codecs_and_dtypes(imposter):
+    good = DELTA.frame(np.arange(4, dtype=np.int64))
+    with pytest.raises(EncodingError):
+        decode_frames([good, imposter, good])
+
+
+@pytest.mark.parametrize("bits", (0, 65))
+def test_decode_frames_refuses_an_impossible_bit_width(bits):
+    frame = bytearray(DELTA.frame(np.arange(9, dtype=np.int64)))
+    frame[14] = bits  # codec id, dtype tag, count (4), first (8), width
+    with pytest.raises(EncodingError):
+        decode_payload(bytes(frame))
+    with pytest.raises(EncodingError):
+        decode_frames([bytes(frame)])

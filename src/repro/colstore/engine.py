@@ -65,8 +65,6 @@ class CStore(EngineShell):
         self._projections: Dict[Tuple[str, CompressionLevel],
                                 List[Projection]] = {}
         self._tables: Dict[str, Table] = dict(data.tables)
-        self._contiguous: Dict[str, Optional[int]] = {}
-        self._monotonic: Dict[str, bool] = {}
         for level in levels:
             self.load_table(data.lineorder, FACT_SORT_KEYS, level)
             for name, dim in data.dimensions().items():
@@ -96,8 +94,6 @@ class CStore(EngineShell):
                                        name=name)
         self._projections.setdefault(key, []).append(projection)
         self._tables[table.name] = table
-        if table.name not in self._contiguous:
-            self._classify_keys(table)
         # the shard sets carry the same physical design: each child that
         # holds its own slice of this table gains the projection too
         for child in self._shard_engines():
@@ -119,24 +115,6 @@ class CStore(EngineShell):
         for level in levels:
             self.load_table(table, sort_keys, level)
 
-    def _classify_keys(self, table: Table) -> None:
-        """Detect contiguous-from-1 and monotonic key columns (used by
-        the invisible join's extraction phase)."""
-        key_column = table.columns()[0]
-        if key_column.dictionary is not None:
-            self._contiguous[table.name] = None
-            self._monotonic[table.name] = False
-            return
-        keys = key_column.data
-        if len(keys) and np.array_equal(
-                keys, np.arange(1, len(keys) + 1, dtype=keys.dtype)):
-            self._contiguous[table.name] = 1
-            self._monotonic[table.name] = True
-        else:
-            self._contiguous[table.name] = None
-            self._monotonic[table.name] = bool(
-                len(keys) == 0 or np.all(np.diff(keys.astype(np.int64)) >= 0))
-
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
@@ -145,8 +123,6 @@ class CStore(EngineShell):
             pool=self.pool,
             projections=self._projections,
             tables=self._tables,
-            dim_key_contiguous=self._contiguous,
-            dim_key_monotonic=self._monotonic,
             forbidden=forbidden,
         )
 
@@ -277,8 +253,6 @@ class CStore(EngineShell):
     def _adopt_shadow(self, shadow: "CStore") -> None:
         self._projections = shadow._projections
         self._tables = shadow._tables
-        self._contiguous = shadow._contiguous
-        self._monotonic = shadow._monotonic
         self._row_mv = shadow._row_mv
 
     def _plan_recovery(self, error: ChecksumError, forbidden: set,

@@ -2,12 +2,15 @@
 
 Two distinct costs live here (Section 5.4.1):
 
-* ``dimension_rows_for_keys`` — mapping fact FK values to dimension rows.
-  When the dimension's keys are a sorted, contiguous list starting at 1
-  (customer/supplier/part after key reassignment), the key *is* the
-  position and the mapping is a subtraction — "simply a fast array
-  look-up".  Otherwise (the date table) a real join is performed, charged
-  as one hash probe per value.
+* ``dimension_rows_for_keys`` — mapping fact FK values to dimension rows,
+  i.e. positions in the dimension's projection.  When the projection's
+  key column reads first, first + 1, first + 2, ... in position order
+  (customer/supplier/part after key reassignment, until a dimension
+  write lands a key mid-projection), the key *is* the position and the
+  mapping is a subtraction — "simply a fast array look-up".  Otherwise
+  (the date table, or a written dimension) a real join is performed
+  through a :class:`~repro.plan.keys.KeyIndex` over the key column in
+  projection order, charged as one hash probe per value.
 * ``gather_attribute`` — extracting dimension attribute values at a set
   of rows.  The invisible join performs this once, after all predicates,
   in a vectorized pass over an L2-resident column; the late materialized
@@ -23,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from ...errors import ExecutionError
+from ...plan.keys import KeyIndex
 from ...simio.stats import QueryStats
 from ...core.config import ExecutionConfig
 
@@ -32,14 +36,14 @@ def dimension_rows_for_keys(
     stats: QueryStats,
     config: ExecutionConfig,
     contiguous_from: Optional[int],
-    sorted_keys: Optional[np.ndarray] = None,
+    index: Optional[KeyIndex] = None,
 ) -> np.ndarray:
     """Dimension row index for each FK value.
 
-    ``contiguous_from`` is the first key when keys are contiguous (the
-    common case, enabling direct array extraction); otherwise
-    ``sorted_keys`` must hold the dimension's key column and each value
-    pays a hash probe.
+    ``contiguous_from`` is the first key when keys are contiguous in
+    position order (the common case, enabling direct array extraction);
+    otherwise ``index`` must be built over the key column in position
+    order and each value pays a hash probe.
     """
     if contiguous_from is not None:
         if config.block_iteration:
@@ -48,16 +52,15 @@ def dimension_rows_for_keys(
         else:
             stats.values_scanned_scalar += len(fk_values)
         return fk_values.astype(np.int64) - contiguous_from
-    if sorted_keys is None:
+    if index is None:
         raise ExecutionError(
             "non-contiguous dimension keys require the key column"
         )
     stats.hash_probes += len(fk_values)
-    rows = np.searchsorted(sorted_keys, fk_values)
-    rows = np.minimum(rows, max(len(sorted_keys) - 1, 0))
-    if len(sorted_keys) and not np.all(sorted_keys[rows] == fk_values):
+    found, rows = index.lookup(fk_values)
+    if index.size and not found.all():
         raise ExecutionError("dangling foreign key during dimension lookup")
-    return rows.astype(np.int64)
+    return rows
 
 
 def gather_attribute(

@@ -17,11 +17,13 @@ honestly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ...errors import ExecutionError
+from ...plan.keys import KeyIndex
 from ...plan.logical import (
     BinOp,
     ColumnRef,
@@ -40,6 +42,11 @@ class DimensionRows:
     dimension: str
     keys: np.ndarray
     attrs: Dict[str, np.ndarray]
+
+    @cached_property
+    def index(self) -> KeyIndex:
+        """The probe structure over ``keys``, built on first use."""
+        return KeyIndex(self.keys)
 
 
 def construct_tuples(fact_arrays: Dict[str, np.ndarray],
@@ -80,17 +87,16 @@ def _apply_row_predicate(values: np.ndarray, domain, stats: QueryStats
     return (values >= lo) & (values <= hi)
 
 
-def _eval_expr_rowwise(expr: Expr, columns: Dict[str, np.ndarray],
-                       stats: QueryStats) -> np.ndarray:
-    n = len(next(iter(columns.values()))) if columns else 0
+def _eval_expr_rowwise(expr: Expr, column: Callable[[str], np.ndarray],
+                       n: int, stats: QueryStats) -> np.ndarray:
     if isinstance(expr, ColumnRef):
         stats.attr_extractions += n
-        return columns[expr.column].astype(np.int64)
+        return column(expr.column).astype(np.int64)
     if isinstance(expr, Literal):
         return np.full(n, expr.value, dtype=np.int64)
     if isinstance(expr, BinOp):
-        left = _eval_expr_rowwise(expr.left, columns, stats)
-        right = _eval_expr_rowwise(expr.right, columns, stats)
+        left = _eval_expr_rowwise(expr.left, column, n, stats)
+        right = _eval_expr_rowwise(expr.right, column, n, stats)
         stats.values_scanned_scalar += n
         if expr.op == "+":
             return left + right
@@ -116,58 +122,61 @@ def row_pipeline(
     when the plan references no fact columns at all (a bare
     ``count(*)``), where ``fact_arrays`` cannot speak for it.
     """
-    columns = dict(fact_arrays)
-    n = construct_tuples(columns, stats)
-    if not columns and num_rows is not None:
+    n = construct_tuples(fact_arrays, stats)
+    if not fact_arrays and num_rows is not None:
         n = num_rows
 
     # per-tuple selection
     mask = np.ones(n, dtype=bool)
     for column, domain in fact_pred_domains:
         alive = np.flatnonzero(mask)
-        verdict = _apply_row_predicate(columns[column][alive], domain, stats)
+        verdict = _apply_row_predicate(fact_arrays[column][alive], domain,
+                                       stats)
         mask[alive[~verdict]] = False
     selector = np.flatnonzero(mask)
-    columns = {k: v[selector] for k, v in columns.items()}
 
-    # per-tuple dimension joins (probe + carry attributes along)
-    dim_attr_values: Dict[Tuple[str, str], np.ndarray] = {}
+    # per-tuple dimension joins: each probe charges as a row store's
+    # does, attributes carried along included, but only the surviving
+    # fact positions and each dimension's matched rows travel; values
+    # are gathered once, after the last join
+    matched: Dict[str, np.ndarray] = {}
     for dim in dims:
-        fk = query.fk_of(dim.dimension)
-        fk_values = columns[fk]
+        fk_values = fact_arrays[query.fk_of(dim.dimension)][selector]
         stats.iterator_calls += len(fk_values)
         stats.hash_probes += len(fk_values)
-        idx = np.searchsorted(dim.keys, fk_values)
-        idx = np.minimum(idx, max(len(dim.keys) - 1, 0))
-        found = (dim.keys[idx] == fk_values) if len(dim.keys) else \
-            np.zeros(len(fk_values), dtype=bool)
-        columns = {k: v[found] for k, v in columns.items()}
-        matched = idx[found]
-        for (d, a), v in list(dim_attr_values.items()):
-            dim_attr_values[(d, a)] = v[found]
-        for attr, values in dim.attrs.items():
-            gathered = values[matched]
-            stats.tuple_attrs_copied += len(gathered)
-            dim_attr_values[(dim.dimension, attr)] = gathered
+        found, rows = dim.index.lookup(fk_values)
+        if not found.all():
+            selector, rows = selector[found], rows[found]
+            matched = {d: r[found] for d, r in matched.items()}
+        matched[dim.dimension] = rows
+        stats.tuple_attrs_copied += len(rows) * len(dim.attrs)
 
     # per-tuple aggregation inputs
-    rows_final = len(next(iter(columns.values()))) if columns else n
+    rows_final = len(selector)
+    kept: Dict[str, np.ndarray] = {}
+
+    def column(name: str) -> np.ndarray:
+        if name not in kept:
+            kept[name] = fact_arrays[name][selector]
+        return kept[name]
+
     agg_arrays = [
         np.ones(rows_final, dtype=np.int64) if agg.func == "count"
-        else _eval_expr_rowwise(agg.expr, columns, stats)
+        else _eval_expr_rowwise(agg.expr, column, rows_final, stats)
         for agg in query.aggregates
     ]
     stats.agg_updates += rows_final
 
+    attrs = {dim.dimension: dim.attrs for dim in dims}
     group_arrays: List[np.ndarray] = []
     group_dims: List[Optional[str]] = []
     for g in query.group_by:
         if g.table == query.fact_table:
             stats.attr_extractions += rows_final
-            group_arrays.append(columns[g.column])
+            group_arrays.append(column(g.column))
             group_dims.append(None)
         else:
-            group_arrays.append(dim_attr_values[(g.table, g.column)])
+            group_arrays.append(attrs[g.table][g.column][matched[g.table]])
             group_dims.append(g.table)
     return group_arrays, agg_arrays, group_dims
 

@@ -25,6 +25,7 @@ from ...plan.logical import (
     Predicate,
     RangePredicate,
 )
+from ...plan.keys import KeyIndex
 from ...reference.predicates import (
     code_bounds_for_range,
     comparison_as_code_bounds,
@@ -250,6 +251,7 @@ def probe_positions(
     first, last, lo_pos, hi_pos = block_window(colfile, restrict)
     if last < first or len(keys) == 0:
         return EMPTY
+    index = KeyIndex(keys)
     span = hi_pos - lo_pos
     bits = np.zeros(span, dtype=bool)
     runs = _surviving_runs(colfile, stats, config, first, last,
@@ -262,7 +264,7 @@ def probe_positions(
                 stats.hash_probes += block.num_runs
                 if not config.block_iteration:
                     stats.values_scanned_scalar += block.num_runs
-                run_mask = _probe(keys, block.run_values)
+                run_mask, _rows = index.lookup(block.run_values)
                 value_mask = np.repeat(run_mask, block.run_lengths)
             else:
                 stats.hash_probes += block.count
@@ -270,7 +272,7 @@ def probe_positions(
                     stats.values_scanned_scalar += block.count
                 else:
                     stats.block_calls += 1
-                value_mask = _probe(keys, block.data)
+                value_mask, _rows = index.lookup(block.data)
             b_lo = max(block.start, lo_pos)
             b_hi = min(block.end, hi_pos)
             if b_hi <= b_lo:
@@ -278,12 +280,6 @@ def probe_positions(
             bits[b_lo - lo_pos:b_hi - lo_pos] = \
                 value_mask[b_lo - block.start:b_hi - block.start]
     return from_bitmap_maybe_range(lo_pos, bits)
-
-
-def _probe(sorted_keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(sorted_keys, values)
-    idx = np.minimum(idx, len(sorted_keys) - 1)
-    return sorted_keys[idx] == values
 
 
 __all__ = ["predicate_positions", "probe_positions", "stored_bounds",

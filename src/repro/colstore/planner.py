@@ -67,15 +67,11 @@ class StoreContext:
         pool: BufferPool,
         projections: Dict[Tuple[str, CompressionLevel], List[Projection]],
         tables: Dict[str, "object"],  # name -> storage Table
-        dim_key_contiguous: Dict[str, Optional[int]],
-        dim_key_monotonic: Dict[str, bool],
         forbidden: Optional[set] = None,
     ) -> None:
         self.pool = pool
         self.projections = projections
         self.tables = tables
-        self.dim_key_contiguous = dim_key_contiguous
-        self.dim_key_monotonic = dim_key_monotonic
         #: projection names the engine's recovery loop has ruled out
         #: (a page of theirs is quarantined); the planner plans around
         #: them as long as an alternative projection exists
@@ -215,13 +211,14 @@ class ColumnPlanner:
         sides: Dict[str, DimensionSide] = {}
         for dim in query.dimensions_used():
             table = self.ctx.tables[dim]
+            projection = self.ctx.projection(dim, self.level)
             sides[dim] = DimensionSide(
                 name=dim,
-                projection=self.ctx.projection(dim, self.level),
+                projection=projection,
                 key_column=query.key_of(dim),
                 catalog={c.name: c for c in table.columns()},
-                contiguous_from=self.ctx.dim_key_contiguous[dim],
-                key_monotonic=self.ctx.dim_key_monotonic[dim],
+                contiguous_from=projection.contiguous_from,
+                key_monotonic=projection.key_monotonic,
             )
         return sides
 

@@ -21,6 +21,9 @@ on the fact table's FK columns, in three phases:
 Between-predicate rewriting requires no optimizer support: phase 1
 detects at run time whether the surviving positions are contiguous and
 whether the key column is monotonic, exactly as the paper describes.
+Contiguity and monotonicity are properties of the dimension
+*projection's* position order (see :class:`DimensionSide`): a dimension
+insert can land a fresh key mid-projection and break both.
 
 :class:`LateMaterializedJoin` is the fallback C-Store uses when the
 invisible join is disabled (the ``i`` configurations): the same late
@@ -38,6 +41,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..plan.keys import KeyIndex
 from ..plan.logical import Predicate, StarQuery
 from ..simio.buffer_pool import BufferPool
 from ..simio.stats import QueryStats
@@ -98,7 +102,8 @@ class DimensionSide:
     projection: Projection
     key_column: str
     catalog: Dict[str, Column]
-    #: first key value when keys are contiguous (enables array extraction)
+    #: first key value when the keys run first, first + 1, ... in
+    #: ``projection``'s position order (enables array extraction)
     contiguous_from: Optional[int]
     #: True when the key column is monotonically non-decreasing in
     #: position order (holds for contiguous keys and for the date table)
@@ -205,6 +210,13 @@ class _JoinBase:
         key_file = dim.projection.column_file(dim.key_column)
         values = fetch_values(key_file, self.pool, ends, self.config)
         return int(values[0]), int(values[-1])
+
+    def _key_index(self, dim: DimensionSide) -> KeyIndex:
+        """Phase 3's lookup structure: the whole key column read in
+        projection order, so the rows it resolves are positions."""
+        return KeyIndex(read_column(
+            dim.projection.column_file(dim.key_column), self.pool,
+            self.config))
 
     def _fetch_keys(self, dim: DimensionSide, positions: Positions
                     ) -> np.ndarray:
@@ -331,18 +343,12 @@ class InvisibleJoin(_JoinBase):
                 fk_file = self.fact.column_file(query.fk_of(dim_name))
                 fk_values = self._fact_fetch(fk_file,
                                              survivors).astype(np.int64)
-                if dim.contiguous_from is not None:
-                    rows = dimension_rows_for_keys(
-                        fk_values, self.stats, self.config,
-                        dim.contiguous_from)
-                else:
-                    keys = read_column(
-                        dim.projection.column_file(dim.key_column),
-                        self.pool, self.config).astype(np.int64)
-                    rows = dimension_rows_for_keys(
-                        fk_values, self.stats, self.config, None,
-                        sorted_keys=keys)
-                dim_rows[dim_name] = rows
+                index = None
+                if dim.contiguous_from is None:
+                    index = self._key_index(dim)
+                dim_rows[dim_name] = dimension_rows_for_keys(
+                    fk_values, self.stats, self.config, dim.contiguous_from,
+                    index=index)
         return survivors, dim_rows
 
 
@@ -405,12 +411,9 @@ class LateMaterializedJoin(_JoinBase):
                 # the LM join resolves dimension rows by hash lookup even
                 # for contiguous keys — it has no key/position
                 # equivalence notion
-                keys = read_column(dim.projection.column_file(dim.key_column),
-                                   self.pool, self.config).astype(np.int64)
-                rows = dimension_rows_for_keys(
+                dim_rows[dim_name] = dimension_rows_for_keys(
                     fk_values, self.stats, self.config, None,
-                    sorted_keys=keys)
-                dim_rows[dim_name] = rows
+                    index=self._key_index(dim))
         return survivors, dim_rows
 
 

@@ -35,6 +35,7 @@ from ..plan.logical import (
     Literal,
     Predicate,
 )
+from ..plan.keys import KeyIndex
 from ..result import ResultSet, Row
 from ..simio.buffer_pool import BufferPool
 from ..simio.disk import PAGE_SIZE, SimulatedDisk
@@ -370,12 +371,15 @@ class HashTable:
 
     ``charge_inserts=False`` is used when the structure is merely a
     sorted materialization (e.g. the output of a merge join), not a hash
-    build."""
+    build.  The lookup structure over the keys is built on the first
+    probe, so a table that is only streamed back out never pays for it.
+    """
 
     def __init__(self, keys: np.ndarray, payload: Dict[str, np.ndarray],
                  stats: QueryStats, charge_inserts: bool = True) -> None:
         order = np.argsort(keys, kind="stable")
         self._keys = keys[order]
+        self._index: Optional[KeyIndex] = None
         self._payload = {k: v[order] for k, v in payload.items()}
         if charge_inserts:
             stats.hash_inserts += len(keys)
@@ -408,12 +412,9 @@ class HashTable:
               ) -> Tuple[np.ndarray, np.ndarray]:
         """(found mask, build row index) for each probe key."""
         stats.hash_probes += len(keys)
-        idx = np.searchsorted(self._keys, keys)
-        idx_clipped = np.minimum(idx, max(len(self._keys) - 1, 0))
-        if len(self._keys) == 0:
-            return np.zeros(len(keys), dtype=bool), idx_clipped
-        found = self._keys[idx_clipped] == keys
-        return found, idx_clipped
+        if self._index is None:
+            self._index = KeyIndex(self._keys)
+        return self._index.lookup(keys)
 
     def payload_at(self, name: str, rows: np.ndarray) -> np.ndarray:
         return self._payload[name][rows]

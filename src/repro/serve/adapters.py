@@ -89,17 +89,6 @@ def _domain_mask(values: np.ndarray, domain, stats: QueryStats
     return (values >= low) & (values <= high)
 
 
-def _member_mask(keys: np.ndarray, sorted_keys: np.ndarray,
-                 stats: QueryStats) -> np.ndarray:
-    """Membership of ``keys`` in an ascending key array."""
-    stats.hash_probes += len(keys)
-    if sorted_keys.size == 0:
-        return np.zeros(len(keys), dtype=bool)
-    idx = np.searchsorted(sorted_keys, keys)
-    idx = np.clip(idx, 0, sorted_keys.size - 1)
-    return sorted_keys[idx] == keys
-
-
 # ---------------------------------------------------------------------- #
 # column store
 # ---------------------------------------------------------------------- #
@@ -248,7 +237,8 @@ class ColumnStoreAdapter:
             fk = fetch_values(proj.column_file(query.fk_of(dim)),
                               engine.pool, ArrayPositions(pos_arr[alive]),
                               config).astype(np.int64)
-            found = _member_mask(fk, rows.keys, stats)
+            stats.hash_probes += len(fk)
+            found, _rows = rows.index.lookup(fk)
             mask[alive[~found]] = False
 
         survivors = ArrayPositions(pos_arr[mask])
@@ -266,8 +256,8 @@ class ColumnStoreAdapter:
                 fk = fetch(query.fk_of(table)).astype(np.int64)
                 fk_arrays[table] = fk
             # every surviving FK is in the dimension's key set by
-            # construction, so the sorted-key gather is exact
-            idx = np.searchsorted(rows.keys, fk)
+            # construction, so every lookup finds its row
+            _found, idx = rows.index.lookup(fk)
             stats.values_scanned_vector += len(fk)
             return rows.attrs[column][idx]
 

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from ..errors import PlanError
+from ..plan.keys import KeyIndex
 from ..plan.logical import (
     AggExpr,
     BinOp,
@@ -70,11 +69,9 @@ def denormalize(data: SsbData) -> Table:
     for dim_name, attrs in DENORM_ATTRIBUTES.items():
         dim = data.table(dim_name)
         key_column = dim.columns()[0].name
-        keys = dim.column(key_column).data
-        fk = fact.column(_FK_OF_DIM[dim_name]).data
-        rows = np.searchsorted(keys, fk)
-        rows = np.minimum(rows, len(keys) - 1)
-        if not np.all(keys[rows] == fk):
+        found, rows = KeyIndex(dim.column(key_column).data).lookup(
+            fact.column(_FK_OF_DIM[dim_name]).data)
+        if not found.all():
             raise PlanError(
                 f"dangling foreign keys into {dim_name} during denormalization"
             )

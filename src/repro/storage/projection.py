@@ -8,12 +8,15 @@ compressible and flight 1 an order of magnitude faster under compression.
 
 Dimension tables are stored sorted by their rollup hierarchy (e.g.
 region, nation, city), which is what makes between-predicate rewriting
-(Section 5.4.2) applicable.
+(Section 5.4.2) applicable.  Whether a projection's key column runs
+1, 2, 3, ... or at least never decreases is a property of *its* position
+order, not of the table's, so each projection records it when it is
+built — a rebuild after a write re-derives it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from ..errors import SchemaError
 from ..simio.buffer_pool import BufferPool
 from ..simio.disk import SimulatedDisk
 from .colfile import ColumnFile, CompressionLevel
+from .column import Column
 from .table import SortOrder, Table
 
 
@@ -35,6 +39,8 @@ class Projection:
         column_files: Dict[str, ColumnFile],
         num_rows: int,
         level: CompressionLevel,
+        contiguous_from: Optional[int] = None,
+        key_monotonic: bool = False,
     ) -> None:
         self.name = name
         self.table_name = table_name
@@ -42,6 +48,11 @@ class Projection:
         self._column_files = column_files
         self.num_rows = num_rows
         self.level = level
+        #: first key when the key (leading) column reads first, first + 1,
+        #: ... in position order, so a key's row is a subtraction
+        self.contiguous_from = contiguous_from
+        #: True when the key column never decreases in position order
+        self.key_monotonic = key_monotonic
 
     @classmethod
     def create(
@@ -64,8 +75,9 @@ class Projection:
         for column in table.columns():
             file_name = f"{proj_name}.{column.name}"
             files[column.name] = ColumnFile.load(disk, file_name, column, level)
+        contiguous_from, monotonic = _key_order(table.columns()[0])
         return cls(proj_name, table.name, SortOrder(tuple(sort_keys)), files,
-                   table.num_rows, level)
+                   table.num_rows, level, contiguous_from, monotonic)
 
     # ------------------------------------------------------------------ #
     # access
@@ -117,6 +129,18 @@ class Projection:
     def sorted_on(self, column: str) -> Optional[int]:
         """This column's position in the sort key (0 = primary), or None."""
         return self.sort_order.position(column)
+
+
+def _key_order(key: Column) -> Tuple[Optional[int], bool]:
+    """(``contiguous_from``, ``key_monotonic``) of a key column, read in
+    the order it is stored in (the in-memory data, so no I/O)."""
+    if key.dictionary is not None:
+        return None, False
+    keys = key.data
+    if len(keys) and np.array_equal(
+            keys, np.arange(1, len(keys) + 1, dtype=keys.dtype)):
+        return 1, True
+    return None, bool(np.all(np.diff(keys.astype(np.int64)) >= 0))
 
 
 __all__ = ["Projection"]

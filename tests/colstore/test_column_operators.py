@@ -22,6 +22,7 @@ from repro.colstore.operators.scan import (
 from repro.colstore.positions import ArrayPositions, RangePositions
 from repro.core.config import ExecutionConfig
 from repro.errors import ExecutionError
+from repro.plan.keys import KeyIndex
 from repro.plan.logical import (
     BinOp,
     ColumnRef,
@@ -213,7 +214,7 @@ def test_dimension_rows_lookup():
     stats = QueryStats()
     keys = np.array([10, 20, 30], dtype=np.int64)
     rows = dimension_rows_for_keys(np.array([30, 10]), stats, BLOCK,
-                                   None, sorted_keys=keys)
+                                   None, index=KeyIndex(keys))
     assert rows.tolist() == [2, 0]
     assert stats.hash_probes == 2
 
@@ -223,7 +224,7 @@ def test_dimension_rows_dangling_raises():
     keys = np.array([10, 20], dtype=np.int64)
     with pytest.raises(ExecutionError):
         dimension_rows_for_keys(np.array([15]), stats, BLOCK, None,
-                                sorted_keys=keys)
+                                index=KeyIndex(keys))
 
 
 def test_gather_attribute_charges_out_of_order():

@@ -57,13 +57,14 @@ def _join(cstore, ssb_data, name, cls=InvisibleJoin, config=None,
     dims = {}
     for dim in query.dimensions_used():
         table = ssb_data.table(dim)
+        projection = cstore.projection(dim, level)
         dims[dim] = DimensionSide(
             name=dim,
-            projection=cstore.projection(dim, level),
+            projection=projection,
             key_column=query.key_of(dim),
             catalog={c.name: c for c in table.columns()},
-            contiguous_from=cstore._contiguous[dim],
-            key_monotonic=cstore._monotonic[dim],
+            contiguous_from=projection.contiguous_from,
+            key_monotonic=projection.key_monotonic,
         )
     fact_catalog = {c.name: c for c in ssb_data.lineorder.columns()}
     cstore.disk.stats.reset()
@@ -134,11 +135,12 @@ def test_date_extraction_needs_real_lookup(cstore, ssb_data):
 
 
 def test_contiguous_dims_detected(cstore):
-    assert cstore._contiguous["customer"] == 1
-    assert cstore._contiguous["supplier"] == 1
-    assert cstore._contiguous["part"] == 1
-    assert cstore._contiguous["date"] is None
-    assert cstore._monotonic["date"] is True
+    for level in (CompressionLevel.MAX, CompressionLevel.NONE):
+        for dim in ("customer", "supplier", "part"):
+            assert cstore.projection(dim, level).contiguous_from == 1
+        date = cstore.projection("date", level)
+        assert date.contiguous_from is None
+        assert date.key_monotonic is True
 
 
 def test_lm_join_matches_invisible_positions(cstore, ssb_data):

@@ -101,10 +101,13 @@ def eval_predicate(column: Column, pred: Predicate) -> np.ndarray:
             return np.zeros(len(data), dtype=bool)
         return (data >= lo) & (data <= hi)
     if isinstance(pred, InSet):
+        info = np.iinfo(data.dtype)
         raw = []
         for v in pred.values:
             code = column.encode_literal(v)
-            if code is not None:
+            # an absent string, or an integer the dtype cannot hold,
+            # matches nothing
+            if code is not None and info.min <= code <= info.max:
                 raw.append(code)
         if not raw:
             return np.zeros(len(data), dtype=bool)

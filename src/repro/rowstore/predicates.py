@@ -92,8 +92,12 @@ def compile_predicate(pred: Predicate, dtype: np.dtype) -> CompiledPredicate:
         return run_range
 
     if isinstance(pred, InSet):
-        needles = np.asarray([encode_literal(v, dtype) for v in pred.values],
-                             dtype=dtype)
+        literals = [encode_literal(v, dtype) for v in pred.values]
+        if dtype.kind in "iu":
+            # a value the column's dtype cannot hold matches nothing
+            info = np.iinfo(dtype)
+            literals = [v for v in literals if info.min <= v <= info.max]
+        needles = np.asarray(literals, dtype=dtype)
 
         def run_in(values: np.ndarray, stats: QueryStats) -> np.ndarray:
             n = len(values)

@@ -1,16 +1,18 @@
 """Tokenizer for the SSB SQL subset.
 
-Hand-rolled single-pass scanner.  Keywords are case-insensitive and
-reported upper-case; identifiers preserve case; string literals use
-single quotes with ``''`` as the escape; numbers are integers (the SSB
-dialect needs nothing else).
+One compiled scanner: a single regular expression whose named
+alternatives are tried in order, one match per token, driven by
+``finditer``.  Keywords are case-insensitive and reported upper-case; identifiers
+preserve case; string literals use single quotes with ``''`` as the
+escape; numbers are ASCII-digit integers (the SSB dialect needs nothing
+else, and a non-ASCII digit such as ``'²'`` is an unexpected character).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List
+import re
+from typing import List, NamedTuple
 
 from ..errors import SqlLexError
 
@@ -30,8 +32,7 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     position: int
@@ -43,68 +44,64 @@ class Token:
         return self.kind is TokenKind.SYMBOL and self.text == symbol
 
 
-_SYMBOLS = ("<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", ".",
-            "*", "+", "-", ";")
+# One match per token: the alternatives in priority order, each one
+# group (so ``lastindex`` tells which matched), then any run of
+# whitespace and ``--`` comments after it.  A string's closing quote
+# must not be followed by another quote, so a quote run that never
+# closes fails as a whole and reaches the catch-all, which reports the
+# opening quote, instead of ending at an earlier ``''``.  ``\w`` is
+# exactly ``str.isalnum()`` or ``_``; a word whose first character is
+# not a letter or ``_`` (a non-ASCII digit such as ``'²'``) is refused
+# where it starts.
+_SKIP = r"(?:\s+|--[^\n]*\n?)*"
+_SCANNER = re.compile(
+    r"(?:(?P<string>'[^']*(?:''[^']*)*'(?!'))"
+    r"|(?P<number>[0-9]+)"
+    r"|(?P<word>\w+)"
+    r"|(?P<symbol><=|>=|<>|!=|[=<>(),.*+\-;])"
+    r"|(?P<bad>.))" + _SKIP,
+    re.DOTALL,
+)
+_LEADING_SKIP = re.compile(_SKIP)
+_STRING, _NUMBER, _WORD, _SYMBOL = (
+    _SCANNER.groupindex[name] for name in ("string", "number", "word",
+                                           "symbol"))
 
 
 def tokenize(text: str) -> List[Token]:
     """Tokenize ``text``; raises :class:`SqlLexError` on bad input."""
     tokens: List[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and text[i:i + 2] == "--":
-            newline = text.find("\n", i)
-            i = n if newline < 0 else newline + 1
-            continue
-        if ch == "'":
-            j = i + 1
-            parts: List[str] = []
-            while True:
-                if j >= n:
-                    raise SqlLexError("unterminated string literal", i)
-                if text[j] == "'":
-                    if text[j:j + 2] == "''":
-                        parts.append("'")
-                        j += 2
-                        continue
-                    break
-                parts.append(text[j])
-                j += 1
-            tokens.append(Token(TokenKind.STRING, "".join(parts), i))
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token(TokenKind.NUMBER, text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
+    append = tokens.append
+    make = Token._make
+    number, symbol = TokenKind.NUMBER, TokenKind.SYMBOL
+    start = _LEADING_SKIP.match(text).end()
+    for match in _SCANNER.finditer(text, start):
+        group = match.lastindex
+        if group == _NUMBER:
+            append(make((number, match[_NUMBER], match.start())))
+        elif group == _SYMBOL:
+            append(make((symbol, match[_SYMBOL], match.start())))
+        elif group == _STRING:
+            append(Token(TokenKind.STRING,
+                         match[_STRING][1:-1].replace("''", "'"),
+                         match.start()))
+        elif group == _WORD:
+            word = match[_WORD]
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise SqlLexError(f"unexpected character {word[0]!r}",
+                                  match.start())
             upper = word.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(TokenKind.KEYWORD, upper, i))
+                append(Token(TokenKind.KEYWORD, upper, match.start()))
             else:
-                tokens.append(Token(TokenKind.IDENT, word, i))
-            i = j
-            continue
-        for symbol in _SYMBOLS:
-            if text.startswith(symbol, i):
-                tokens.append(Token(TokenKind.SYMBOL, symbol, i))
-                i += len(symbol)
-                break
+                append(Token(TokenKind.IDENT, word, match.start()))
         else:
-            raise SqlLexError(f"unexpected character {ch!r}", i)
-    tokens.append(Token(TokenKind.EOF, "", n))
+            ch = match[group]
+            if ch == "'":
+                raise SqlLexError("unterminated string literal",
+                                  match.start())
+            raise SqlLexError(f"unexpected character {ch!r}", match.start())
+    tokens.append(Token(TokenKind.EOF, "", len(text)))
     return tokens
 
 

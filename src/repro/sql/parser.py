@@ -130,10 +130,35 @@ class _Parser:
         return token.text
 
     def _parse_value_row(self, width: int) -> tuple:
+        """One ``(literal, ...)`` row, a literal being ``['-'] NUMBER``
+        or ``STRING``.  The cells are read in one local loop over the
+        token list: a bulk INSERT spends most of its parse here."""
         self.expect_symbol("(")
-        values = [self._parse_literal()]
-        while self.accept_symbol(","):
-            values.append(self._parse_literal())
+        tokens, pos = self.tokens, self.pos
+        number, string, symbol = (TokenKind.NUMBER, TokenKind.STRING,
+                                  TokenKind.SYMBOL)
+        values = []
+        while True:
+            kind, text, position = tokens[pos]
+            negative = kind is symbol and text == "-"
+            if negative:
+                pos += 1
+                kind, text, position = tokens[pos]
+            pos += 1
+            if kind is number:
+                values.append(ast.NumberLit(-int(text) if negative
+                                            else int(text)))
+            elif kind is string and not negative:
+                values.append(ast.StringLit(text))
+            else:
+                raise SqlParseError(
+                    f"expected a literal, got {text!r} at offset {position}"
+                )
+            kind, text, _position = tokens[pos]
+            if kind is not symbol or text != ",":
+                break
+            pos += 1
+        self.pos = pos
         self.expect_symbol(")")
         if len(values) != width:
             raise SqlParseError(
@@ -141,19 +166,6 @@ class _Parser:
                 f"column(s)"
             )
         return tuple(values)
-
-    def _parse_literal(self) -> ast.SqlExpr:
-        negative = self.accept_symbol("-")
-        token = self.advance()
-        if token.kind is TokenKind.NUMBER:
-            value = int(token.text)
-            return ast.NumberLit(-value if negative else value)
-        if token.kind is TokenKind.STRING and not negative:
-            return ast.StringLit(token.text)
-        raise SqlParseError(
-            f"expected a literal, got {token.text!r} at offset "
-            f"{token.position}"
-        )
 
     def parse_delete(self) -> ast.DeleteStatement:
         self.expect_keyword("DELETE")

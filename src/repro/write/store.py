@@ -40,6 +40,7 @@ import numpy as np
 from ..errors import (IntegrityError, SnapshotTooOldError,
                       WriteContentionError, WriteError)
 from ..obs import Tracer
+from ..plan.keys import KeyIndex
 from ..plan.logical import (
     Comparison,
     CompareOp,
@@ -135,6 +136,11 @@ class WriteStore:
         self.journal = journal if journal is not None else RedoJournal()
         # projection-space deleted positions, keyed (epoch, sort keys)
         self._proj_cache: Dict[Tuple[int, Tuple[str, ...]], np.ndarray] = {}
+        # the latest visibility: epoch E's snapshot never changes until a
+        # move swaps the base at E, so complete_move clears it (the lock
+        # orders that clear against a reader filling the slot)
+        self._visibility: Optional[Visibility] = None
+        self._slot_lock = threading.Lock()
         # batch application is not re-entrant: journal order must match
         # buffer mutation order, so a racing second writer is refused typed
         self._apply_lock = threading.Lock()
@@ -190,8 +196,7 @@ class WriteStore:
             base = self.base_table(table)
             if not rows:
                 return 0
-            checked = [self._validate_row(table, base, dict(r))
-                       for r in rows]
+            checked = self._validate_rows(table, base, rows)
             if table == FACT_TABLE:
                 self._check_fact_references(checked)
             else:
@@ -202,10 +207,12 @@ class WriteStore:
                  "rows": checked},
                 stats, tracer,
             )
-            self.epoch = new_epoch
+            # buffer first, publish the epoch last: a reader never pins an
+            # epoch whose rows are not buffered yet
             self._wos[table].extend(
                 WosRow(values=r, insert_epoch=new_epoch) for r in checked
             )
+            self.epoch = new_epoch
             return len(checked)
         finally:
             self._apply_lock.release()
@@ -262,11 +269,11 @@ class WriteStore:
              "wos_rows": len(wos_hits)},
             stats, tracer,
         )
-        self.epoch = new_epoch
         for pos in base_hits:
             deleted_map[pos] = new_epoch
         for idx in wos_hits:
             wos[idx].delete_epoch = new_epoch
+        self.epoch = new_epoch
         return len(base_hits) + len(wos_hits)
 
     # ------------------------------------------------------------------ #
@@ -330,87 +337,105 @@ class WriteStore:
     # ------------------------------------------------------------------ #
     # validation
     # ------------------------------------------------------------------ #
-    def _validate_row(self, table: str, base: Table,
-                      row: Dict[str, Value]) -> Dict[str, Value]:
+    def _validate_rows(self, table: str, base: Table,
+                       rows: Sequence[Dict[str, Value]]
+                       ) -> List[Dict[str, Value]]:
+        """Check every row against the schema, in row then column order;
+        the column set and per-column plan are built once per batch."""
         expected = set(base.column_names)
-        got = set(row)
-        if got != expected:
-            missing, extra = expected - got, got - expected
-            raise IntegrityError(
-                f"insert into {table!r}: row must supply exactly the "
-                f"schema columns (missing {sorted(missing)}, "
-                f"unexpected {sorted(extra)})"
-            )
-        out: Dict[str, Value] = {}
+        plan = []
         for col in base.columns():
-            value = row[col.name]
             if col.dictionary is not None:
-                if not isinstance(value, str):
-                    raise IntegrityError(
-                        f"insert into {table!r}.{col.name}: expected a "
-                        f"string, got {value!r}"
-                    )
-                if value not in col.dictionary:
-                    raise IntegrityError(
-                        f"insert into {table!r}.{col.name}: {value!r} is "
-                        f"outside the column's fixed string domain"
-                    )
-                out[col.name] = value
+                plan.append((col.name, col.dictionary, 0, 0))
             else:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise IntegrityError(
-                        f"insert into {table!r}.{col.name}: expected an "
-                        f"integer, got {value!r}"
-                    )
                 info = np.iinfo(col.data.dtype)
-                if not info.min <= value <= info.max:
-                    raise IntegrityError(
-                        f"insert into {table!r}.{col.name}: {value} does "
-                        f"not fit the stored width"
-                    )
-                out[col.name] = int(value)
-        return out
+                plan.append((col.name, None, int(info.min), int(info.max)))
+        checked: List[Dict[str, Value]] = []
+        for row in rows:
+            if row.keys() != expected:
+                got = set(row)
+                missing, extra = expected - got, got - expected
+                raise IntegrityError(
+                    f"insert into {table!r}: row must supply exactly the "
+                    f"schema columns (missing {sorted(missing)}, "
+                    f"unexpected {sorted(extra)})"
+                )
+            out: Dict[str, Value] = {}
+            for name, dictionary, low, high in plan:
+                value = row[name]
+                if dictionary is not None:
+                    if not isinstance(value, str):
+                        raise IntegrityError(
+                            f"insert into {table!r}.{name}: expected a "
+                            f"string, got {value!r}"
+                        )
+                    if value not in dictionary:
+                        raise IntegrityError(
+                            f"insert into {table!r}.{name}: {value!r} is "
+                            f"outside the column's fixed string domain"
+                        )
+                    out[name] = value
+                else:
+                    if isinstance(value, bool) or not isinstance(value, int):
+                        raise IntegrityError(
+                            f"insert into {table!r}.{name}: expected an "
+                            f"integer, got {value!r}"
+                        )
+                    if not low <= value <= high:
+                        raise IntegrityError(
+                            f"insert into {table!r}.{name}: {value} does "
+                            f"not fit the stored width"
+                        )
+                    out[name] = int(value)
+            checked.append(out)
+        return checked
 
-    def _visible_dim_keys(self, dim: str, key_column: str) -> Set[int]:
-        base = self._base[dim]
-        data = base.column(key_column).data
+    def _missing_keys(self, dim: str, key_column: str,
+                      keys: Sequence[int]) -> np.ndarray:
+        """Mask over ``keys``: True where no live ``dim`` row (base minus
+        deleted positions, plus undeleted WOS rows) has that key."""
+        data = self._base[dim].column(key_column).data
         deleted = self._base_deleted[dim]
         if deleted:
             live = np.ones(len(data), dtype=bool)
             live[np.fromiter(deleted, dtype=np.int64)] = False
-            keys = {int(k) for k in data[live]}
-        else:
-            keys = {int(k) for k in data}
-        for row in self._wos[dim]:
-            if row.delete_epoch is None:
-                keys.add(int(row.values[key_column]))
-        return keys
+            data = data[live]
+        wos = [row.values[key_column] for row in self._wos[dim]
+               if row.delete_epoch is None]
+        known = KeyIndex(np.concatenate([data.astype(np.int64),
+                                         np.asarray(wos, dtype=np.int64)]))
+        found, _rows = known.lookup(np.asarray(keys, dtype=np.int64))
+        return ~found
 
     def _check_fact_references(self, rows: Sequence[Dict[str, Value]]
                                ) -> None:
+        # first failing foreign key, then first failing row within it
         for fk, (dim, key_column) in VALIDATED_FOREIGN_KEYS.items():
-            known = self._visible_dim_keys(dim, key_column)
-            for row in rows:
-                if int(row[fk]) not in known:
-                    raise IntegrityError(
-                        f"insert into {FACT_TABLE!r}: {fk}={row[fk]} "
-                        f"references no live {dim!r} row"
-                    )
+            missing = self._missing_keys(dim, key_column,
+                                         [row[fk] for row in rows])
+            if missing.any():
+                row = rows[int(np.argmax(missing))]
+                raise IntegrityError(
+                    f"insert into {FACT_TABLE!r}: {fk}={row[fk]} "
+                    f"references no live {dim!r} row"
+                )
 
     def _check_dimension_uniqueness(self, table: str, base: Table,
                                     rows: Sequence[Dict[str, Value]]
                                     ) -> None:
         key_column = base.columns()[0].name
-        known = self._visible_dim_keys(table, key_column)
-        batch: Set[int] = set()
-        for row in rows:
-            key = int(row[key_column])
-            if key in known or key in batch:
-                raise IntegrityError(
-                    f"insert into {table!r}: duplicate key "
-                    f"{key_column}={key}"
-                )
-            batch.add(key)
+        keys = [row[key_column] for row in rows]
+        batch = np.asarray(keys, dtype=np.int64)
+        # a duplicate: a live row or an earlier row of the batch has it
+        _found, first = KeyIndex(batch).lookup(batch)
+        duplicate = ((first != np.arange(len(batch)))
+                     | ~self._missing_keys(table, key_column, batch))
+        if duplicate.any():
+            key = keys[int(np.argmax(duplicate))]
+            raise IntegrityError(
+                f"insert into {table!r}: duplicate key "
+                f"{key_column}={key}"
+            )
 
     def _check_dimension_unreferenced(self, dim: str, key_column: str,
                                       keys: Set[int]) -> None:
@@ -442,7 +467,13 @@ class WriteStore:
     # snapshot reads
     # ------------------------------------------------------------------ #
     def visibility(self, epoch: Optional[int] = None) -> Visibility:
-        """What a reader pinned at ``epoch`` (default: now) may see."""
+        """What a reader pinned at ``epoch`` (default: now) may see.
+
+        Every read pinned at one epoch shares one read-only WOS image,
+        kept in a slot that a move clears; an image of a future epoch,
+        or one built while a move landed, is not kept.  Reads are not
+        ordered against writes here (QueryService's engine locks do).
+        """
         if epoch is None:
             epoch = self.epoch
         if epoch < self.horizon:
@@ -450,17 +481,28 @@ class WriteStore:
                 f"epoch {epoch} predates the merge horizon {self.horizon}; "
                 f"pin a fresh epoch and retry"
             )
-        fact = self._base[FACT_TABLE]
+        slot = self._visibility
+        if slot is not None and slot.epoch == epoch:
+            return slot
+        fact, horizon = self._base[FACT_TABLE], self.horizon
         deleted = [pos for pos, ep in self._base_deleted[FACT_TABLE].items()
                    if ep <= epoch]
         mask: Optional[np.ndarray] = None
         if deleted:
             mask = np.zeros(fact.num_rows, dtype=bool)
             mask[np.asarray(deleted, dtype=np.int64)] = True
+            mask.flags.writeable = False
         visible = [r for r in self._wos[FACT_TABLE] if r.visible_at(epoch)]
         wos_table = self._rows_as_table(FACT_TABLE, visible)
-        return Visibility(epoch=epoch, store=self, fact_deleted=mask,
-                          fact_wos=wos_table)
+        image = Visibility(epoch=epoch, store=self, fact_deleted=mask,
+                           fact_wos=wos_table)
+        with self._slot_lock:
+            # a future epoch may still gain rows, and a move that landed
+            # mid-build made this image stale
+            if (epoch <= self.epoch and self._base[FACT_TABLE] is fact
+                    and self.horizon == horizon):
+                self._visibility = image
+        return image
 
     def effective_table(self, name: str, epoch: Optional[int] = None
                         ) -> Table:
@@ -544,11 +586,13 @@ class WriteStore:
             raise WriteError(
                 f"tuple move must cover every table; got {sorted(tables)}"
             )
-        self._base = dict(tables)
-        self._wos = {n: [] for n in tables}
-        self._base_deleted = {n: {} for n in tables}
-        self._proj_cache.clear()
-        self.horizon = self.epoch
+        with self._slot_lock:
+            self._base = dict(tables)
+            self._wos = {n: [] for n in tables}
+            self._base_deleted = {n: {} for n in tables}
+            self._proj_cache.clear()
+            self._visibility = None
+            self.horizon = self.epoch
 
     # ------------------------------------------------------------------ #
     # helpers

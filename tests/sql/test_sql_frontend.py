@@ -1,11 +1,14 @@
 """SQL lexer, parser, and binder tests."""
 
+import re
+
 import pytest
 
 from repro.errors import SqlBindError, SqlLexError, SqlParseError
 from repro.plan.logical import CompareOp, Comparison, InSet, RangePredicate
-from repro.sql import parse, parse_query
+from repro.sql import parse, parse_query, parse_statement
 from repro.sql.ast import Arith, BetweenCond, Ident, NumberLit, StringLit
+from repro.sql import lexer
 from repro.sql.lexer import TokenKind, tokenize
 
 
@@ -39,6 +42,31 @@ def test_tokenize_unterminated_string():
 def test_tokenize_bad_character():
     with pytest.raises(SqlLexError):
         tokenize("SELECT @")
+
+
+@pytest.mark.parametrize("sql", [
+    "INSERT INTO date (datekey) VALUES (²)",
+    "SELECT sum(lo.revenue) AS r FROM lineorder AS lo "
+    "WHERE lo.quantity < ²",
+    "SELECT sum(lo.revenue) AS r FROM lineorder AS lo "
+    "WHERE lo.quantity < 2²",
+])
+def test_non_ascii_digit_is_a_typed_lex_error(sql):
+    # numbers are ASCII digits only: '²' passes str.isdigit() but not
+    # int(), and must not escape the frontend as a bare ValueError
+    with pytest.raises(SqlLexError) as caught:
+        parse_statement(sql)
+    assert caught.value.position == sql.index("²")
+    assert "unexpected character '²'" in str(caught.value)
+
+
+def test_scanner_needs_no_python_311_regex_syntax():
+    # pyproject.toml supports Python 3.9: possessive quantifiers and
+    # atomic groups only compile from 3.11 on, so the scanner (compiled
+    # at import) must not use them
+    pattern = lexer._SCANNER.pattern + lexer._LEADING_SKIP.pattern
+    outside_classes = re.sub(r"\[(?:\\.|[^\]\\])*\]", "", pattern)
+    assert not re.search(r"[*+?}]\+|\(\?>", outside_classes)
 
 
 # --------------------------------------------------------------------- #

@@ -19,7 +19,7 @@ sequential scans" (Section 6.2.2).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -80,43 +80,54 @@ class BitmapIndex:
     # ------------------------------------------------------------------ #
     # reads
     # ------------------------------------------------------------------ #
-    def _frame(self, pool: BufferPool, value: int) -> Optional[bytes]:
-        """One value's stored rid list, its pages read through the pool
-        (None if the value is absent)."""
-        entry = self.directory.get(int(value))
-        if entry is None:
-            return None
-        offset, length = entry
-        first_page, start = divmod(offset, PAGE_SIZE)
-        last_page = (offset + length - 1) // PAGE_SIZE
-        pages = [pool.read_page(self.name, p)
-                 for p in range(first_page, last_page + 1)]
-        # a blob is ~100 bytes of a 32 KB page: slice it, do not copy the
-        # page (the few blobs that straddle pages pay the join)
-        whole = pages[0] if len(pages) == 1 else b"".join(pages)
-        return whole[start:start + length]
-
     def _read_lists(self, pool: BufferPool, values: Iterable[int]
                     ) -> np.ndarray:
-        """The rid lists of ``values`` back to back, each ascending;
-        pages are requested value by value, all lists decoded at once."""
-        frames = [self._frame(pool, v) for v in values]
-        rids = decode_frames([f for f in frames if f is not None])
+        """The rid lists of ``values`` back to back, each ascending.
+
+        The pages are requested in the order a value-by-value read asks
+        for them, but each run of repeats of one page is a single pool
+        visit; every list is sliced out of those pages and all are
+        decoded at once.
+        """
+        entries = [e for e in map(self.directory.get, values)
+                   if e is not None]
+        offsets, lengths = np.array(entries, dtype=np.int64).reshape(-1, 2).T
+        firsts = offsets // PAGE_SIZE
+        spans = (offsets + lengths - 1) // PAGE_SIZE - firsts + 1
+        # the page sequence of the per-value requests, then its runs
+        seq = np.repeat(firsts - np.cumsum(spans) + spans, spans) \
+            + np.arange(int(spans.sum()))
+        runs = np.flatnonzero(np.diff(seq, prepend=-1))
+        times = np.diff(runs, append=len(seq))
+        pages = {p: pool.read_page(self.name, p, n)
+                 for p, n in zip(seq[runs].tolist(), times.tolist())}
+        # a blob is ~100 bytes of a 32 KB page: slice it, do not copy the
+        # page (the few blobs that straddle pages pay the join)
+        frames = []
+        for (offset, length), first, span in zip(entries, firsts.tolist(),
+                                                 spans.tolist()):
+            whole = pages[first] if span == 1 else b"".join(
+                [pages[p] for p in range(first, first + span)])
+            start = offset - first * PAGE_SIZE
+            frames.append(whole[start:start + length])
+        rids = decode_frames(frames)
         pool.stats.values_decompressed += len(rids)
         return rids
 
     def read_rids(self, pool: BufferPool, value: int) -> np.ndarray:
         """The ascending rid set for one value (empty if absent)."""
-        return self._read_lists(pool, [value])
+        return self._read_lists(pool, [int(value)])
 
     def read_union(self, pool: BufferPool, values: Iterable[int]
                    ) -> np.ndarray:
         """OR together the rid sets of ``values`` (result ascending).
 
         Charges one position op per rid merged, the bitmap-merge overhead
-        the paper calls out.
+        the paper calls out.  OR is a set union, so a value listed twice
+        is read once.
         """
-        merged = np.sort(self._read_lists(pool, values))
+        distinct = dict.fromkeys(map(int, values))
+        merged = np.sort(self._read_lists(pool, distinct))
         pool.stats.position_ops += len(merged)
         return merged
 

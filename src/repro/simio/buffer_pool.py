@@ -126,23 +126,32 @@ class BufferPool:
     def __len__(self) -> int:
         return len(self._pages)
 
-    def read_page(self, name: str, page_no: int) -> bytes:
-        """Read a page through the pool."""
+    def read_page(self, name: str, page_no: int, times: int = 1) -> bytes:
+        """Read a page through the pool.
+
+        ``times`` > 1 stands for that many requests in a row: the first
+        is a hit or a miss as usual and the repeats are buffer hits, so
+        the ledger, the counters and the LRU order are those of
+        ``times`` calls.
+        """
         # cooperative cancellation lands here too: buffer hits never
         # reach the disk, but a cancelled query must still stop at the
-        # next page boundary
+        # next page boundary (a hit prices nothing, so one check covers
+        # the repeats)
         if self.disk.cancellation is not None:
             self.disk.cancellation.check(self.stats)
         key = (name, page_no)
         cached = self._pages.get(key)
         if cached is not None:
             self._pages.move_to_end(key)
-            self.stats.buffer_hits += 1
-            self.hits += 1
+            self.stats.buffer_hits += times
+            self.hits += times
             return cached
         payload, _ = fill_page(self.disk, name, page_no, self.stats)
         self._insert(key, payload)
         self.misses += 1
+        self.stats.buffer_hits += times - 1
+        self.hits += times - 1
         return payload
 
     def replay_read(self, name: str, page_no: int, attempts: int = 1) -> bytes:

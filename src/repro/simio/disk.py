@@ -48,6 +48,10 @@ class DiskFile:
         self.pages: List[bytes] = []
         #: per-page CRC32 recorded at write time, parallel to ``pages``
         self.checksums: List[int] = []
+        # page number -> (image, its CRC) for the image a write stored:
+        # exact ``bytes`` are immutable, so a read handed that very
+        # object again needs no second hash (see :meth:`crc_of`)
+        self._written: Dict[int, Tuple[bytes, int]] = {}
 
     @property
     def num_pages(self) -> int:
@@ -57,6 +61,28 @@ class DiskFile:
     def size_bytes(self) -> int:
         """Occupied size: whole pages are charged even if partly filled."""
         return len(self.pages) * PAGE_SIZE
+
+    def crc_of(self, page_no: int, image: bytes) -> int:
+        """``page_checksum(image)``, hashed only when ``image`` is not the
+        object the last write to ``page_no`` stored.
+
+        Exact: identity implies equal bytes, and anything that alters a
+        stored image (fault injection, truncation, a direct assignment)
+        puts a new object in ``pages``, which is hashed like any other.
+        """
+        written = self._written.get(page_no)
+        if written is not None and written[0] is image:
+            return written[1]
+        return page_checksum(image)
+
+    def _store(self, page_no: int, payload: bytes) -> int:
+        """Record ``payload``'s write-time CRC for ``page_no``."""
+        crc = page_checksum(payload)
+        if type(payload) is bytes:
+            self._written[page_no] = (payload, crc)
+        else:  # a mutable image may change under us: never trusted
+            self._written.pop(page_no, None)
+        return crc
 
 
 class SimulatedDisk:
@@ -148,7 +174,7 @@ class SimulatedDisk:
             # the retry loop (and its backoff charges)
             raise TransientIOError(name, f.num_pages)
         f.pages.append(payload)
-        f.checksums.append(page_checksum(payload))
+        f.checksums.append(f._store(f.num_pages - 1, payload))
         self.stats.bytes_written += PAGE_SIZE
         return f.num_pages - 1
 
@@ -172,7 +198,7 @@ class SimulatedDisk:
                 f"page {page_no} out of range for {name!r} ({f.num_pages} pages)"
             )
         f.pages[page_no] = payload
-        f.checksums[page_no] = page_checksum(payload)
+        f.checksums[page_no] = f._store(page_no, payload)
         if charge:
             self.stats.bytes_written += PAGE_SIZE
 
@@ -263,9 +289,11 @@ class SimulatedDisk:
     def verify_page(self, name: str, page_no: int,
                     payload: Optional[bytes] = None) -> bool:
         """Does the (given or stored) page image match its write-time CRC?"""
+        f = self.file(name)
         if payload is None:
-            payload = self.file(name).pages[page_no]
-        return page_checksum(payload) == self.expected_checksum(name, page_no)
+            payload = f.pages[page_no]
+        return f.crc_of(page_no, payload) == self.expected_checksum(name,
+                                                                     page_no)
 
     def quarantine(self, name: str, page_no: int) -> None:
         """Fence off a persistently corrupt page: all further reads fail

@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .plan.logical import CompareOp, Comparison, InSet, RangePredicate
-from .simio.disk import PAGE_SIZE, page_checksum
+from .simio.disk import PAGE_SIZE
 
 #: Sidecar file suffix: ``lineorder.max.0.quantity`` → ``....quantity.zm``.
 SIDECAR_SUFFIX = ".zm"
@@ -349,7 +349,8 @@ def _read_verified_blob(disk, name: str):
     :class:`SynopsisWarning`.
     """
     f = disk.file(name)
-    computed = tuple(page_checksum(payload) for payload in f.pages)
+    computed = tuple(f.crc_of(page_no, payload)
+                     for page_no, payload in enumerate(f.pages))
     for page_no, crc in enumerate(computed):
         if crc != disk.expected_checksum(name, page_no) \
                 or disk.is_quarantined(name, page_no):

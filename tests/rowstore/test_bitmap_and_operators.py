@@ -13,7 +13,9 @@ from repro.plan.logical import (
     InSet,
     RangePredicate,
 )
+from repro.reference import execute as ref_execute
 from repro.rowstore.bitmap_index import BitmapIndex, intersect_rid_sets
+from repro.rowstore.designs import DesignKind
 from repro.rowstore.operators import (
     HashAggregator,
     HashTable,
@@ -28,6 +30,7 @@ from repro.rowstore.predicates import compile_predicate, encode_literal
 from repro.simio.buffer_pool import BufferPool
 from repro.simio.disk import SimulatedDisk
 from repro.simio.stats import QueryStats
+from repro.sql import parse_query
 from repro.storage.column import Column
 from repro.storage.heapfile import HeapFile
 from repro.storage.table import Table
@@ -100,6 +103,30 @@ def test_bitmap_union_equals_union_of_lists_across_page_boundaries():
     assert idx.disk.stats.position_ops == len(union)
     idx.disk.stats.position_ops = 0
     assert idx.disk.stats.snapshot() == ledger
+
+
+def test_bitmap_union_reads_a_repeated_value_once():
+    idx, pool = _bitmap([3, 1, 3, 2, 3])
+    assert idx.read_union(pool, [3, 1, 3]).tolist() == [0, 1, 2, 4]
+    assert pool.stats.values_decompressed == 4
+    assert pool.stats.position_ops == 4
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT SUM(lo.revenue) AS r FROM lineorder lo "
+    "WHERE lo.quantity IN (3, 3)",
+    "SELECT lo.quantity, SUM(lo.revenue) AS r FROM lineorder lo "
+    "WHERE lo.discount IN (1, 3, 3) GROUP BY lo.quantity "
+    "ORDER BY lo.quantity",
+])
+def test_bitmap_plan_counts_a_repeated_in_value_once(ssb_data, system_x,
+                                                     sql):
+    """OR is a set union: ``IN (3, 3)`` must answer as ``IN (3)``."""
+    query = parse_query(sql)
+    expected = ref_execute(ssb_data.tables, query)
+    assert expected.rows
+    for design in (DesignKind.TRADITIONAL, DesignKind.TRADITIONAL_BITMAP):
+        assert system_x.execute(query, design).result.same_rows(expected)
 
 
 def test_bitmap_rids_roundtrip_random():

@@ -12,7 +12,7 @@ from typing import List, Sequence, Tuple, Union
 
 from .plan.logical import OrderKey
 
-Cell = Union[int, str]
+Cell = Union[int, float, str]
 Row = Tuple[Cell, ...]
 
 
@@ -75,11 +75,12 @@ class ResultSet:
         return "\n".join([header, rule] + body + suffix)
 
 
-def _sort_key(value: Cell) -> Tuple[int, Union[int, str]]:
-    """Total order across ints and strings (ints first)."""
+def _sort_key(value: Cell) -> Tuple[int, Union[int, float, str]]:
+    """Total order across numbers and strings (numbers first, ints and
+    floats — an AVG — compared by value)."""
     if isinstance(value, str):
         return (1, value)
-    return (0, int(value))
+    return (0, value)
 
 
 __all__ = ["ResultSet", "Row", "Cell"]

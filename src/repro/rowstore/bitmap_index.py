@@ -19,14 +19,14 @@ sequential scans" (Section 6.2.2).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import StorageError
 from ..simio.buffer_pool import BufferPool
 from ..simio.disk import PAGE_SIZE, SimulatedDisk
-from ..storage.encodings.delta import DELTA, decode_frames
+from ..storage.encodings.delta import decode_frames, encode_frames
 
 
 class BitmapIndex:
@@ -43,27 +43,22 @@ class BitmapIndex:
     def build(cls, disk: SimulatedDisk, name: str, values: np.ndarray
               ) -> "BitmapIndex":
         """Index ``values`` (row i holds values[i]); values are raw codes."""
+        # a stable sort keeps each value's rids ascending
         order = np.argsort(values, kind="stable")
         sorted_values = values[order]
-        boundaries = np.flatnonzero(np.diff(sorted_values)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [len(values)]))
-
-        blobs: List[Tuple[int, bytes]] = []
-        for s, e in zip(starts, ends):
-            rids = np.sort(order[s:e]).astype(np.int64)
-            blobs.append((int(sorted_values[s]), DELTA.frame(rids)))
-
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_values))
+                                 + 1))
+        counts = np.diff(starts, append=len(values))
+        frames = encode_frames(order.astype(np.int64), counts)
+        lengths = np.fromiter(map(len, frames), np.int64, len(frames))
+        offsets = np.cumsum(lengths) - lengths
+        directory: Dict[int, Tuple[int, int]] = dict(zip(
+            sorted_values[starts].tolist(),
+            zip(offsets.tolist(), lengths.tolist())))
         disk.create(name)
-        directory: Dict[int, Tuple[int, int]] = {}
-        buffer = bytearray()
-        offset = 0
-        for value, blob in blobs:
-            directory[value] = (offset, len(blob))
-            buffer += blob
-            offset += len(blob)
+        buffer = b"".join(frames)
         for start in range(0, max(len(buffer), 1), PAGE_SIZE):
-            disk.append_page(name, bytes(buffer[start:start + PAGE_SIZE]))
+            disk.append_page(name, buffer[start:start + PAGE_SIZE])
         return cls(disk, name, directory, len(values))
 
     # ------------------------------------------------------------------ #

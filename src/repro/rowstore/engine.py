@@ -119,7 +119,8 @@ class SystemX(EngineShell):
             join_memory_bytes = scaled_budget(PAPER_JOIN_MEMORY_BYTES,
                                               data.scale_factor)
         self.join_memory_bytes = join_memory_bytes
-        # ANALYZE at load time: the planner orders joins from these
+        # ANALYZE, table by table on first use: the planner orders joins
+        # from these
         self.statistics = CatalogStatistics(data.tables)
         self.artifacts = Artifacts()
         self._built: set = set()

@@ -2,10 +2,11 @@
 
 A commercial row store orders joins from catalog statistics, not by
 peeking at filtered results.  This module provides the classic
-ANALYZE-style machinery: one equi-depth histogram per column (built once
-at load time over dictionary codes for strings, so range semantics carry
-over), a distinct-value count, and conjunctive selectivity estimation
-under the usual attribute-independence assumption.
+ANALYZE-style machinery: one equi-depth histogram per column (built once,
+the first time the planner asks about its table, over dictionary codes
+for strings, so range semantics carry over), a distinct-value count, and
+conjunctive selectivity estimation under the usual attribute-independence
+assumption.
 
 :class:`TableStatistics` estimates any IR predicate;
 :class:`CatalogStatistics` holds them per table.  The row-store planner
@@ -184,12 +185,10 @@ class TableStatistics:
             lo, hi = code_bounds_for_range(column, pred.low, pred.high)
             return hist.estimate_range(lo, hi)
         if isinstance(pred, InSet):
-            total = 0.0
-            for v in pred.values:
-                code = column.encode_literal(v)
-                if code is not None:
-                    total += hist.estimate_eq(code)
-            return min(total, 1.0)
+            # a value listed twice still matches its rows once
+            codes = dict.fromkeys(map(column.encode_literal, pred.values))
+            codes.pop(None, None)
+            return min(sum(map(hist.estimate_eq, codes), 0.0), 1.0)
         raise SchemaError(f"unknown predicate type {type(pred).__name__}")
 
     def estimate_conjunction(self, predicates: Sequence[Predicate]
@@ -202,20 +201,27 @@ class TableStatistics:
 
 
 class CatalogStatistics:
-    """ANALYZE output for a whole database."""
+    """ANALYZE output for a whole database, built on first use.
+
+    A table's histograms are built the first time it is asked about and
+    kept: the planner only estimates dimension predicates, so the fact
+    table's histograms — most of a load's ANALYZE time — are never built.
+    ``tables`` holds the statistics built so far.
+    """
 
     def __init__(self, tables: Dict[str, Table],
                  buckets: int = DEFAULT_BUCKETS) -> None:
-        self.tables = {
-            name: TableStatistics(table, buckets)
-            for name, table in tables.items()
-        }
+        self._sources = dict(tables)
+        self._buckets = buckets
+        self.tables: Dict[str, TableStatistics] = {}
 
     def table(self, name: str) -> TableStatistics:
-        try:
-            return self.tables[name]
-        except KeyError:
-            raise SchemaError(f"no statistics for table {name!r}") from None
+        if name not in self.tables:
+            if name not in self._sources:
+                raise SchemaError(f"no statistics for table {name!r}")
+            self.tables[name] = TableStatistics(self._sources[name],
+                                                self._buckets)
+        return self.tables[name]
 
     def estimate_dimension(self, dim: str, predicates: Sequence[Predicate]
                            ) -> float:

@@ -8,7 +8,7 @@ or a datekey column within one partition.
 from __future__ import annotations
 
 import struct
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -90,6 +90,54 @@ DELTA = register(DeltaCodec())
 _INT64_FRAME = bytes([CodecId.DELTA]) + pack_dtype(np.dtype(np.int64))
 
 
+#: the powers of two below 2**64: ``searchsorted`` of a value into them
+#: is its bit length
+_POWERS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+
+def encode_frames(values: np.ndarray, counts: np.ndarray) -> List[bytes]:
+    """``[DELTA.frame(run) for run in runs]``, where the runs are the
+    int64 ``values`` cut into consecutive pieces of ``counts`` (>= 1)
+    values — the inverse of :func:`decode_frames`.
+
+    A bitmap index encodes thousands of rid lists of a few dozen rids,
+    so framing them one by one is all per-call overhead.  Here all
+    deltas are zigzagged at once and each run's width is one reduction;
+    every run is padded to whole groups of eight lanes, so the runs of
+    one width pack in one call, each from a byte of its own.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    per_frame = counts - 1
+    within = np.ones(len(values), dtype=bool)
+    within[starts] = False  # the delta into a run belongs to no run
+    deltas = zigzag(np.diff(values))[within[1:]]
+    delta_at = np.cumsum(per_frame) - per_frame
+    packs = per_frame > 0
+    widest = np.zeros(len(counts), dtype=np.uint64)
+    if packs.any():
+        widest[packs] = np.maximum.reduceat(deltas, delta_at[packs])
+    widths = np.maximum(np.searchsorted(_POWERS, widest, side="right"), 1)
+    groups = (per_frame + 7) >> 3
+    lanes = np.zeros(int(groups.sum()) * 8, dtype=np.uint64)
+    lanes[np.repeat((np.cumsum(groups) - groups) * 8 - delta_at, per_frame)
+          + np.arange(len(deltas))] = deltas
+    lane_width = np.repeat(widths, groups * 8)
+    packed = [b""] * len(counts)
+    for bits in np.unique(widths[packs]).tolist():
+        stream = pack_bits(lanes[lane_width == bits], bits)
+        runs = np.flatnonzero(packs & (widths == bits))
+        byte_at = (np.cumsum(groups[runs]) - groups[runs]) * bits
+        for run, at, n in zip(runs.tolist(), byte_at.tolist(),
+                              per_frame[runs].tolist()):
+            packed[run] = stream[at:at + packed_bytes(n, bits)]
+    header = DeltaCodec._HEADER
+    return [_INT64_FRAME + header.pack(count, first, bits) + body
+            for count, first, bits, body in zip(
+                counts.tolist(), values[starts].tolist(), widths.tolist(),
+                packed)]
+
+
 def decode_frames(frames: Sequence[bytes]) -> np.ndarray:
     """``decode_payload`` of each of ``frames`` — framed int64 delta
     payloads, as a bitmap index stores rid lists — back to back.
@@ -148,4 +196,5 @@ def decode_frames(frames: Sequence[bytes]) -> np.ndarray:
     return out
 
 
-__all__ = ["DeltaCodec", "DELTA", "zigzag", "unzigzag", "decode_frames"]
+__all__ = ["DeltaCodec", "DELTA", "zigzag", "unzigzag", "encode_frames",
+           "decode_frames"]

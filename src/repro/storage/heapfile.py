@@ -50,7 +50,7 @@ class HeapFile:
         records = fmt.build_records(table)
         for payload in fmt.pages_of(records):
             disk.append_page(name, payload)
-        blob = heap_synopsis_blob(records, fmt.rows_per_page)
+        blob = heap_synopsis_blob(table, fmt)
         if blob is not None:
             write_sidecar(disk, sidecar_name(name), blob)
         return cls(disk, name, fmt, table.num_rows)

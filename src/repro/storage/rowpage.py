@@ -69,11 +69,17 @@ class RowFormat:
         for field in self.schema:
             col = table.column(field.name)
             if col.dictionary is not None:
-                decoded = np.asarray(col.dictionary.strings, dtype=f"S{field.ctype.width}")
-                records[field.name] = decoded[col.data]
+                records[field.name] = self.stored_strings(col)[col.data]
             else:
                 records[field.name] = col.data
         return records
+
+    def stored_strings(self, column) -> np.ndarray:
+        """A string column's dictionary as the CHAR(n) bytes its records
+        store, indexed by code (so in sorted order: truncation to the
+        field's width keeps it)."""
+        return np.asarray(column.dictionary.strings,
+                          dtype=self.dtype[column.name])
 
     def pages_of(self, records: np.ndarray) -> Iterator[bytes]:
         """Split a record array into page payloads."""

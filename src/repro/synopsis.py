@@ -156,46 +156,39 @@ class ColumnSynopsisBuilder:
             write_sidecar(disk, sidecar_name(data_name), self.blob())
 
 
-def heap_synopsis_blob(records: np.ndarray,
-                       rows_per_page: int) -> Optional[bytes]:
-    """Per-page min/max over every data field of a heap's record array
-    (``None`` for an empty or single-page heap — see
-    :data:`MIN_SIDECAR_BLOCKS`).  Fields of void kind — the record
-    header — carry no queryable values and are skipped."""
-    total = len(records)
-    if total == 0:
+def heap_synopsis_blob(table, fmt) -> Optional[bytes]:
+    """Per-page min/max over every field of ``table`` laid out as the
+    :class:`~repro.storage.rowpage.RowFormat` ``fmt`` pages it (``None``
+    for an empty or single-page heap — see :data:`MIN_SIDECAR_BLOCKS`).
+    The record header carries no queryable values and is skipped.
+
+    One reduction per column over the page starts.  A string field
+    reduces its dictionary codes and maps them through the bytes its
+    records store: codes follow sorted string order, and CHAR(n)
+    truncation keeps that order, so a page's extreme codes store its
+    extreme bytes.
+    """
+    total = table.num_rows
+    if -(-total // fmt.rows_per_page) < MIN_SIDECAR_BLOCKS:
         return None
-    names = [name for name in records.dtype.names
-             if records.dtype[name].kind != "V"]
-    num_pages = -(-total // rows_per_page)
-    if num_pages < MIN_SIDECAR_BLOCKS:
-        return None
+    starts = np.arange(0, total, fmt.rows_per_page)
     parts = [_MAGIC, bytes([_KIND_HEAP, 0]),
-             struct.pack("<IH", num_pages, len(names))]
-    for name in names:
-        column = records[name]
-        kind = _VK_INT if column.dtype.kind in "iu" else _VK_BYTES
-        width = 0 if kind == _VK_INT else column.dtype.itemsize
-        encoded = name.encode("ascii")
+             struct.pack("<IH", len(starts), len(fmt.schema))]
+    for field in fmt.schema:
+        column = table.column(field.name)
+        extremes = [np.minimum.reduceat(column.data, starts),
+                    np.maximum.reduceat(column.data, starts)]
+        if column.dictionary is None:
+            kind, width = _VK_INT, 0
+            extremes = [codes.astype(np.int64) for codes in extremes]
+        else:
+            stored = fmt.stored_strings(column)
+            kind, width = _VK_BYTES, stored.dtype.itemsize
+            extremes = [stored[codes] for codes in extremes]
+        encoded = field.name.encode("ascii")
         parts.append(struct.pack("<H", len(encoded)) + encoded
                      + bytes([kind]) + struct.pack("<H", width))
-        mins: List = []
-        maxs: List = []
-        for start in range(0, total, rows_per_page):
-            chunk = column[start:start + rows_per_page]
-            if kind == _VK_INT:
-                mins.append(int(chunk.min()))
-                maxs.append(int(chunk.max()))
-            else:
-                values = chunk.tolist()
-                mins.append(min(values))
-                maxs.append(max(values))
-        if kind == _VK_INT:
-            parts.append(np.asarray(mins, np.int64).tobytes())
-            parts.append(np.asarray(maxs, np.int64).tobytes())
-        else:
-            parts.append(np.asarray(mins, f"S{width}").tobytes())
-            parts.append(np.asarray(maxs, f"S{width}").tobytes())
+        parts.extend(values.tobytes() for values in extremes)
     return b"".join(parts)
 
 

@@ -125,3 +125,77 @@ def test_property_full_range_is_one(values):
     h = Histogram.build(arr)
     assert h.estimate_range(int(arr.min()), int(arr.max())) == \
         pytest.approx(1.0, abs=0.02)
+
+
+def test_in_list_counts_each_value_once(ssb_data):
+    stats = TableStatistics(ssb_data.supplier)
+    nation = ColumnRef("supplier", "nation")
+    twice = stats.estimate_predicate(InSet(nation, ("CHINA", "CHINA")))
+    once = stats.estimate_predicate(InSet(nation, ("CHINA",)))
+    equal = stats.estimate_predicate(Comparison(nation, CompareOp.EQ,
+                                                "CHINA"))
+    assert twice == once == equal > 0
+    pair = stats.estimate_predicate(InSet(nation, ("CHINA", "JAPAN")))
+    assert stats.estimate_predicate(
+        InSet(nation, ("JAPAN", "CHINA", "JAPAN", "CHINA"))) == pair
+
+
+def _serve_sql_queries(data):
+    """Every statement of the serving benchmark's statement space."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    from repro.sql import parse_query
+
+    path = Path(__file__).resolve().parents[2] / "benchmarks/e2e/streams.py"
+    spec = importlib.util.spec_from_file_location("e2e_streams", path)
+    streams = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = streams  # its dataclasses look it up
+    spec.loader.exec_module(streams)
+    space = streams.StatementSpace(data, 20080609)
+    return [parse_query(request.sql) for request in space.statements.values]
+
+
+def test_analyze_on_demand_is_exact(ssb_data):
+    """Statistics are built per table on first use — only dimensions,
+    for the planner never estimates the fact table — and every estimate
+    and join order is the one eagerly built statistics give."""
+    from repro.rowstore.designs import DesignKind
+    from repro.rowstore.engine import SystemX
+    from repro.rowstore.operators import SpillAccountant
+    from repro.rowstore.planner import RowPlanner
+    from repro.ssb.queries import all_queries
+
+    designs = [DesignKind.TRADITIONAL, DesignKind.TRADITIONAL_BITMAP,
+               DesignKind.MATERIALIZED_VIEWS,
+               DesignKind.VERTICAL_PARTITIONING]
+    engine = SystemX(ssb_data, designs=designs)
+    assert engine.statistics.tables == {}
+    for design in designs:
+        for query in all_queries():
+            engine.execute(query, design)
+    lazy = engine.statistics
+    assert set(lazy.tables) == set(ssb_data.dimensions())
+
+    eager = CatalogStatistics(ssb_data.tables)
+    for name in ssb_data.tables:
+        eager.tables[name] = TableStatistics(ssb_data.tables[name])
+    queries = list(all_queries()) + _serve_sql_queries(ssb_data)
+    checked = 0
+    for query in queries:
+        for pred in query.predicates:
+            assert lazy.table(pred.table).estimate_predicate(pred) == \
+                eager.table(pred.table).estimate_predicate(pred)
+            checked += 1
+    assert checked > 5000
+
+    def join_order(statistics, query):
+        planner = RowPlanner(engine.pool, engine.artifacts, ssb_data,
+                             SpillAccountant(engine.disk, 1 << 30),
+                             statistics=statistics)
+        return [(dim, estimate) for dim, _table, estimate
+                in planner._dim_hash_tables(query)]
+
+    for query in all_queries():
+        assert join_order(lazy, query) == join_order(eager, query)

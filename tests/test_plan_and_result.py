@@ -102,3 +102,35 @@ def test_result_column_values_and_pretty():
 def test_result_mixed_type_sorting():
     r = ResultSet(["x"], [("s", ), (1, )])
     assert r.sorted_rows() == [(1,), ("s",)]
+
+
+def test_result_order_by_compares_floats_by_value():
+    # an AVG column: every value has integer part 4 or 5
+    r = ResultSet(["g", "a"], [(1992, 5.0187), (1993, 4.9056),
+                               (1994, 4.9810), (1995, 5.0010)])
+    desc = r.order_by([OrderKey("a", ascending=False)])
+    assert desc.column_values("a") == [5.0187, 5.0010, 4.9810, 4.9056]
+    assert desc.limited(2).column_values("g") == [1992, 1995]
+    asc = r.order_by([OrderKey("a")])
+    assert asc.column_values("a") == [4.9056, 4.9810, 5.0010, 5.0187]
+
+
+def test_result_sorted_rows_mix_ints_floats_and_strings():
+    r = ResultSet(["x"], [("s",), (2,), (1.5,), (1.25,), (1,)])
+    assert r.sorted_rows() == [(1,), (1.25,), (1.5,), (2,), ("s",)]
+    shuffled = ResultSet(["x"], [(1.5,), ("s",), (1,), (1.25,), (2,)])
+    assert r.same_rows(shuffled)
+    assert not r.same_rows(ResultSet(["x"], [(1.4,), ("s",), (1,),
+                                             (1.25,), (2,)]))
+
+
+def test_order_by_avg_in_sql(ssb_data):
+    from repro.reference import execute
+    from repro.sql import parse_query
+
+    query = parse_query(
+        "SELECT d.year, AVG(lo.discount) AS a FROM lineorder lo, date d "
+        "WHERE lo.orderdate = d.datekey GROUP BY d.year ORDER BY a DESC;")
+    averages = execute(ssb_data.tables, query).column_values("a")
+    assert len(averages) > 2
+    assert averages == sorted(averages, reverse=True)

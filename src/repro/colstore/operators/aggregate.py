@@ -14,6 +14,7 @@ import numpy as np
 
 from ...errors import ExecutionError
 from ...plan import aggregates as agg_semantics
+from ...plan.aggregates import GroupReduction, merge_group_reductions
 from ...plan.logical import BinOp, ColumnRef, Expr, Literal
 from ...simio.stats import QueryStats
 from ...core.config import ExecutionConfig
@@ -71,10 +72,6 @@ def scalar_aggregate(values_list: Sequence[np.ndarray], stats: QueryStats,
     return out
 
 
-GroupReduction = Tuple[np.ndarray, Optional[np.ndarray]]
-
-_I64 = np.iinfo(np.int64)
-
 
 def grouped_aggregate(
     group_arrays: Sequence[np.ndarray],
@@ -108,46 +105,6 @@ def grouped_aggregate(
         reduced.append(agg_semantics.reduce_groups(func, values, inverse,
                                                    uniq.shape[1]))
     return uniq, reduced
-
-
-def merge_group_reductions(
-    funcs: Sequence[str],
-    parts: Sequence[Tuple[np.ndarray, List[GroupReduction]]],
-) -> Tuple[np.ndarray, List[GroupReduction]]:
-    """Combine per-morsel :func:`grouped_aggregate` outputs into one.
-
-    Each part carries its own unique-key matrix and accumulators; the
-    merged result is identical to grouping the undivided input because
-    every accumulator follows :mod:`repro.plan.aggregates` semantics
-    (sum/count/avg add, min/max take elementwise extrema).
-    """
-    live = [(u, r) for u, r in parts if u.shape[1] > 0]
-    if not live:
-        return parts[0] if parts else (np.zeros((0, 0), dtype=np.int64), [])
-    matrix = np.concatenate([u for u, _ in live], axis=1)
-    uniq, inverse = agg_semantics.factorize_groups(matrix)
-    num_groups = uniq.shape[1]
-    merged: List[GroupReduction] = []
-    for i, func in enumerate(funcs):
-        primary_in = np.concatenate([r[i][0] for _, r in live])
-        if func in ("sum", "count", "avg"):
-            primary = np.zeros(num_groups, dtype=np.int64)
-            np.add.at(primary, inverse, primary_in)
-        elif func == "min":
-            primary = np.full(num_groups, _I64.max, dtype=np.int64)
-            np.minimum.at(primary, inverse, primary_in)
-        elif func == "max":
-            primary = np.full(num_groups, _I64.min, dtype=np.int64)
-            np.maximum.at(primary, inverse, primary_in)
-        else:
-            raise ExecutionError(f"cannot merge aggregate {func!r}")
-        secondary: Optional[np.ndarray] = None
-        if func == "avg":
-            secondary = np.zeros(num_groups, dtype=np.int64)
-            np.add.at(secondary, inverse,
-                      np.concatenate([r[i][1] for _, r in live]))
-        merged.append((primary, secondary))
-    return uniq, merged
 
 
 def partial_scalar_aggregate(

@@ -8,8 +8,9 @@ the execution mode of the "CS Row-MV" configuration.
 
 Output decoding is uniform: group values travel in the stored domain
 (ints, dictionary codes, or raw bytes when compression is off) and are
-decoded per output cell at the end, charging a dictionary lookup per
-decoded string.
+decoded per output column by the shared result tail
+(:mod:`repro.plan.tail`), charging a dictionary lookup per group per
+string column.
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ from ..obs import Tracer, span_context
 from ..plan.aggregates import (
     factorize_groups,
     finalize as finalize_agg,
+    finalize_column,
     needs_expr_values,
     reduce_groups,
     reduce_scalar,
 )
 from ..plan.logical import StarQuery, expr_columns
-from ..result import ResultSet, Row
+from ..plan.tail import GroupColumn, encode_group, finish
+from ..result import ResultSet
 from ..simio.buffer_pool import BufferPool
 from ..simio.stats import QueryStats
 from ..storage.colfile import CompressionLevel
@@ -55,8 +58,6 @@ from .operators.materialize import (
 )
 from .operators.scan import stored_bounds
 from .positions import ArrayPositions
-
-Decoder = Callable[[object], object]
 
 
 class StoreContext:
@@ -222,75 +223,42 @@ class ColumnPlanner:
             )
         return sides
 
-    def _decoder_for(self, table: str, column: str) -> Optional[Decoder]:
-        """None for integer columns; otherwise a raw->str decoder."""
-        catalog_column = self.ctx.catalog_column(table, column)
-        if catalog_column.dictionary is None:
-            return None
-        if self.level is CompressionLevel.NONE:
-            return lambda raw: raw.decode("ascii") if isinstance(raw, bytes) \
-                else str(raw)
-        dictionary = catalog_column.dictionary
-        return lambda raw: dictionary.value(int(raw))
-
     def _result(self, query: StarQuery, cells: Optional[List],
                 reduction: Optional[Tuple[np.ndarray, List]],
-                lookups: List[Optional[np.ndarray]]) -> ResultSet:
+                vocabularies: List[Optional[np.ndarray]]) -> ResultSet:
         """Assemble and order the output: one row of scalar ``cells``, or
-        the decoded groups of ``reduction`` (``lookups`` as returned by
-        :meth:`_group_codes`)."""
+        the groups of ``reduction`` (``vocabularies`` as returned by
+        :meth:`_group_codes`) through the shared result tail."""
         with self._span("sort"):
-            columns = [g.column for g in query.group_by] + [
+            names = [g.column for g in query.group_by] + [
                 a.alias for a in query.aggregates
             ]
             if reduction is None:
-                rows: List[Row] = [tuple(cells)]
-            else:
-                rows = self._decode_groups(query, reduction, lookups)
-            return ResultSet(columns, rows).order_by(query.order_by).limited(
-                query.limit)
-
-    def _decode_groups(self, query: StarQuery,
-                       reduction: Tuple[np.ndarray, List],
-                       lookups: List[Optional[np.ndarray]]) -> List[Row]:
-        """Decode group codes and finalize accumulators, row by row."""
-        uniq, reduced = reduction
-        decoders = [self._decoder_for(g.table, g.column)
-                    for g in query.group_by]
-        rows: List[Row] = []
-        for gi in range(uniq.shape[1]):
-            cells: List[object] = []
-            for k, decoder in enumerate(decoders):
-                raw = uniq[k, gi]
-                if lookups[k] is not None:
-                    raw = lookups[k][int(raw)]
-                if decoder is not None:
-                    self.stats.dict_lookups += 1
-                    cells.append(decoder(raw))
-                else:
-                    cells.append(int(raw))
-            for agg, (primary, secondary) in zip(query.aggregates, reduced):
-                cells.append(finalize_agg(
-                    agg.func, int(primary[gi]),
-                    None if secondary is None else int(secondary[gi])))
-            rows.append(tuple(cells))
-        return rows
+                return ResultSet(names, [tuple(cells)]).limited(query.limit)
+            uniq, reduced = reduction
+            groups = []
+            for codes, vocabulary, ref in zip(uniq, vocabularies,
+                                              query.group_by):
+                dictionary = self.ctx.catalog_column(
+                    ref.table, ref.column).dictionary
+                if dictionary is not None:
+                    self.stats.dict_lookups += len(codes)
+                    if vocabulary is None:
+                        vocabulary = dictionary.vocabulary
+                groups.append(GroupColumn(codes, vocabulary))
+            aggregates = [finalize_column(a.func, *acc)
+                          for a, acc in zip(query.aggregates, reduced)]
+            return finish(names, groups, aggregates, query.order_by,
+                          query.limit)
 
     @staticmethod
     def _group_codes(raw_arrays: List[np.ndarray]
                      ) -> Tuple[List[np.ndarray],
                                 List[Optional[np.ndarray]]]:
         """Group columns as int64 codes; byte-string columns (compression
-        off) become factor codes plus a lookup back to the raw bytes."""
-        codes: List[np.ndarray] = []
-        lookups: List[Optional[np.ndarray]] = []
-        for arr in raw_arrays:
-            lookup = None
-            if arr.dtype.kind == "S":
-                lookup, arr = np.unique(arr, return_inverse=True)
-            codes.append(arr.astype(np.int64))
-            lookups.append(lookup)
-        return codes, lookups
+        off) become factor codes plus their decoded vocabulary."""
+        encoded = [encode_group(arr) for arr in raw_arrays]
+        return [c for c, _ in encoded], [v for _, v in encoded]
 
     # ------------------------------------------------------------------ #
     # late materialization
@@ -362,7 +330,7 @@ class ColumnPlanner:
         """
         agg_funcs = [a.func for a in query.aggregates]
         cells = reduction = None
-        lookups: List[Optional[np.ndarray]] = []
+        vocabularies: List[Optional[np.ndarray]] = []
         with self._span("aggregate"):
             fact_arrays: Dict[str, np.ndarray] = {}
             for agg in query.aggregates:
@@ -385,7 +353,7 @@ class ColumnPlanner:
                     cells = scalar_aggregate(agg_arrays, self.stats,
                                              self.config, funcs=agg_funcs)
             else:
-                group_arrays, lookups = self._group_codes([
+                group_arrays, vocabularies = self._group_codes([
                     fetch(g.column) if g.table == query.fact_table
                     else gather(g.table, g.column)
                     for g in query.group_by
@@ -397,7 +365,7 @@ class ColumnPlanner:
                     reduction = grouped_aggregate(group_arrays, agg_arrays,
                                                   self.stats, self.config,
                                                   funcs=agg_funcs)
-        return self._result(query, cells, reduction, lookups)
+        return self._result(query, cells, reduction, vocabularies)
 
     # ------------------------------------------------------------------ #
     # early materialization
@@ -485,7 +453,7 @@ class ColumnPlanner:
 
         agg_funcs = [a.func for a in query.aggregates]
         cells = reduction = None
-        lookups: List[Optional[np.ndarray]] = []
+        vocabularies: List[Optional[np.ndarray]] = []
         with self._span("aggregate"):
             if not query.group_by:
                 cells = [
@@ -493,7 +461,7 @@ class ColumnPlanner:
                     for func, values in zip(agg_funcs, agg_arrays)
                 ]
             else:
-                group_arrays, lookups = self._group_codes(group_raw)
+                group_arrays, vocabularies = self._group_codes(group_raw)
                 # consolidation (already paid per tuple in the pipeline)
                 matrix = np.stack(group_arrays)
                 if matrix.shape[1] == 0:
@@ -507,7 +475,7 @@ class ColumnPlanner:
                         for func, values in zip(agg_funcs, agg_arrays)
                     ]
                 reduction = (uniq, reduced)
-        return self._result(query, cells, reduction, lookups)
+        return self._result(query, cells, reduction, vocabularies)
 
 
 __all__ = ["ColumnPlanner", "StoreContext"]

@@ -80,12 +80,10 @@ class Span:
 
     def self_stats(self) -> QueryStats:
         """This span's counters minus all children's (exclusive ledger)."""
-        out = QueryStats(**self.stats.snapshot())
+        own = _COUNTERS(self.stats)
         for child in self.children:
-            for name in COUNTER_NAMES:
-                setattr(out, name,
-                        getattr(out, name) - getattr(child.stats, name))
-        return out
+            own = map(operator.sub, own, _COUNTERS(child.stats))
+        return QueryStats(*own)
 
     def walk(self) -> Iterator["Span"]:
         """This span and every descendant, depth first."""
@@ -196,20 +194,21 @@ class Tracer:
                  root_name: str = "query") -> None:
         self._live = stats
         self._model = cost_model
-        #: (name, entry snapshot, collected children) per open span;
+        #: (name, entry counters, collected children) per open span;
         #: slot 0 is the implicit root, open for the tracer's lifetime
-        self._stack: List[tuple] = [(root_name, stats.snapshot(), [])]
+        self._stack: List[tuple] = [(root_name, _COUNTERS(stats), [])]
         self._finished: Optional[Trace] = None
 
     @contextmanager
     def span(self, name: str) -> Iterator[None]:
         """Open a named span around a block of plan execution."""
-        self._stack.append((name, self._live.snapshot(), []))
+        self._stack.append((name, _COUNTERS(self._live), []))
         try:
             yield
         finally:
-            opened_name, snapshot, children = self._stack.pop()
-            inclusive = self._live.diff(snapshot)
+            opened_name, entry, children = self._stack.pop()
+            inclusive = QueryStats(*map(operator.sub, _COUNTERS(self._live),
+                                        entry))
             self._attach(Span(opened_name, inclusive,
                               self._model.cost(inclusive), children))
 
@@ -248,8 +247,9 @@ class Tracer:
             raise TraceInvariantError(
                 f"tracer finished with spans still open: {open_names}"
             )
-        root_name, snapshot, children = self._stack[0]
-        inclusive = self._live.diff(snapshot)
+        root_name, entry, children = self._stack[0]
+        inclusive = QueryStats(*map(operator.sub, _COUNTERS(self._live),
+                                    entry))
         root = Span(root_name, inclusive, self._model.cost(inclusive),
                     children)
         self._finished = Trace(root).verify(flat)

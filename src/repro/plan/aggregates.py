@@ -10,27 +10,20 @@ regardless of evaluation order.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import PlanError
-
-#: Functions the IR accepts.
-SUPPORTED_FUNCS = ("sum", "count", "min", "max", "avg")
+from ..errors import ExecutionError
+from .logical import SUPPORTED_FUNCS, validate_func
 
 Cell = Union[int, float]
 
+#: one aggregate's per-group (primary, secondary) accumulators
+GroupReduction = Tuple[np.ndarray, Optional[np.ndarray]]
+
 _INT64_MIN = np.iinfo(np.int64).min
 _INT64_MAX = np.iinfo(np.int64).max
-
-
-def validate_func(func: str) -> None:
-    if func not in SUPPORTED_FUNCS:
-        raise PlanError(
-            f"unsupported aggregate {func!r}; supported: "
-            f"{', '.join(SUPPORTED_FUNCS)}"
-        )
 
 
 def needs_expr_values(func: str) -> bool:
@@ -123,6 +116,47 @@ def reduce_scalar(func: str, values: np.ndarray
     return int(values.max()), None
 
 
+def merge_group_reductions(
+    funcs: Sequence[str],
+    parts: Sequence[Tuple[np.ndarray, List[GroupReduction]]],
+) -> Tuple[np.ndarray, List[GroupReduction]]:
+    """Combine partial grouped reductions (per morsel, per batch or per
+    shard) into one.
+
+    Each part carries its own key matrix and accumulators; the merged
+    result is identical to grouping the undivided input because every
+    accumulator adds (sum/count/avg) or takes elementwise extrema
+    (min/max).  Groups come out in ascending key order.
+    """
+    live = [(u, r) for u, r in parts if u.shape[1] > 0]
+    if not live:
+        return parts[0] if parts else (np.zeros((0, 0), dtype=np.int64), [])
+    matrix = np.concatenate([u for u, _ in live], axis=1)
+    uniq, inverse = factorize_groups(matrix)
+    num_groups = uniq.shape[1]
+    merged: List[GroupReduction] = []
+    for i, func in enumerate(funcs):
+        primary_in = np.concatenate([r[i][0] for _, r in live])
+        if func in ("sum", "count", "avg"):
+            primary = np.zeros(num_groups, dtype=np.int64)
+            np.add.at(primary, inverse, primary_in)
+        elif func == "min":
+            primary = np.full(num_groups, _INT64_MAX, dtype=np.int64)
+            np.minimum.at(primary, inverse, primary_in)
+        elif func == "max":
+            primary = np.full(num_groups, _INT64_MIN, dtype=np.int64)
+            np.maximum.at(primary, inverse, primary_in)
+        else:
+            raise ExecutionError(f"cannot merge aggregate {func!r}")
+        secondary: Optional[np.ndarray] = None
+        if func == "avg":
+            secondary = np.zeros(num_groups, dtype=np.int64)
+            np.add.at(secondary, inverse,
+                      np.concatenate([r[i][1] for _, r in live]))
+        merged.append((primary, secondary))
+    return uniq, merged
+
+
 def merge(func: str, old: Tuple[int, Optional[int]],
           new: Tuple[int, Optional[int]]) -> Tuple[int, Optional[int]]:
     """Combine two partial accumulators (across batches)."""
@@ -149,17 +183,27 @@ def empty_accumulator(func: str) -> Tuple[int, Optional[int]]:
 
 
 def finalize(func: str, primary: int, secondary: Optional[int]) -> Cell:
-    """Turn accumulators into the output cell (AVG divides exactly at
-    the end, so every engine agrees bit-for-bit)."""
+    """Turn one group's accumulators into its output cell: the one-group
+    case of :func:`finalize_column`."""
     validate_func(func)
+    cell = finalize_column(func, np.array([primary], dtype=np.int64),
+                           np.array([secondary or 0], dtype=np.int64))
+    return cell[0].item()
+
+
+def finalize_column(func: str, primary: np.ndarray,
+                    secondary: Optional[np.ndarray]) -> np.ndarray:
+    """Turn accumulators into output cells a column at a time.  AVG is
+    one float64 divide at the end (0.0 where the count is 0), so every
+    engine agrees bit-for-bit; MIN/MAX of empty input map to 0 (SQL
+    would say NULL)."""
     if func == "avg":
-        count = secondary or 0
-        return float(primary) / count if count else 0.0
-    if func == "min" and primary == _INT64_MAX:
-        return 0  # empty input; SQL would say NULL, we normalize to 0
-    if func == "max" and primary == _INT64_MIN:
-        return 0
-    return int(primary)
+        out = np.zeros(len(primary), dtype=np.float64)
+        return np.divide(primary, secondary, out=out, where=secondary != 0)
+    if func in ("min", "max"):
+        empty = _INT64_MAX if func == "min" else _INT64_MIN
+        return np.where(primary == empty, 0, primary)
+    return primary
 
 
 __all__ = [
@@ -172,4 +216,7 @@ __all__ = [
     "merge",
     "empty_accumulator",
     "finalize",
+    "finalize_column",
+    "merge_group_reductions",
+    "GroupReduction",
 ]

@@ -24,6 +24,17 @@ from ..errors import PlanError
 
 Value = Union[int, str]
 
+#: Aggregate functions the IR accepts.
+SUPPORTED_FUNCS = ("sum", "count", "min", "max", "avg")
+
+
+def validate_func(func: str) -> None:
+    if func not in SUPPORTED_FUNCS:
+        raise PlanError(
+            f"unsupported aggregate {func!r}; supported: "
+            f"{', '.join(SUPPORTED_FUNCS)}"
+        )
+
 
 class CompareOp(enum.Enum):
     """Comparison operators supported in predicates."""
@@ -156,7 +167,8 @@ class AggExpr:
     """An aggregate output: ``func(expr) AS alias``.
 
     SUM covers the whole SSBM; COUNT, MIN, MAX, and AVG are supported
-    throughout every engine (semantics in :mod:`repro.plan.aggregates`).
+    throughout every engine (engine semantics in
+    :mod:`repro.plan.aggregates`; the oracle keeps its own).
     """
 
     func: str
@@ -164,8 +176,6 @@ class AggExpr:
     alias: str
 
     def __post_init__(self) -> None:
-        from .aggregates import validate_func
-
         validate_func(self.func)
 
 
@@ -306,4 +316,6 @@ __all__ = [
     "OrderKey",
     "StarQuery",
     "Value",
+    "SUPPORTED_FUNCS",
+    "validate_func",
 ]

@@ -1,9 +1,10 @@
 """The reference engine: a naive, obviously-correct StarQuery evaluator.
 
 This is the correctness oracle.  It shares no executor code with the
-row-store or column-store engines (only the in-memory ``Table`` container
-and the IR), evaluates queries with straightforward vectorized numpy over
-decoded values, and performs no I/O and no cost accounting.  Every
+row-store or column-store engines (only the in-memory ``Table`` container,
+the ``ResultSet`` container and the IR): it selects rows with
+straightforward vectorized numpy, then aggregates and orders them row at
+a time in plain Python, and performs no I/O and no cost accounting.  Every
 engine x design x configuration in the test suite must match its output
 exactly.
 """

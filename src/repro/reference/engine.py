@@ -6,35 +6,36 @@ The algorithm is deliberately the simplest correct one:
 2. for every filtered dimension, evaluate its predicates, then map each
    fact FK to its dimension row (dimension keys are unique and sorted, so
    a binary search suffices) and AND the dimension verdicts in;
-3. gather group-by attributes for the surviving fact rows, aggregate with
-   int64 accumulators, decode strings, sort per ORDER BY.
+3. decode the group-by attributes of the surviving fact rows, collect
+   each group's aggregate inputs row by row, reduce them with Python's
+   ``sum``/``len``/``min``/``max``, and sort with plain ``sorted``.
 
 No I/O, no cost ledger, no sharing of operator code with the measured
-engines — this is the oracle they are all compared against.
+engines — not their reducers, not their finalization, not their
+ordering — this is the oracle they are all compared against.  Its output
+semantics are stated here once: AVG is ``float(sum) / count`` (0.0 over
+no rows), MIN/MAX over no rows are 0, groups come out in ascending key
+order, and ORDER BY is a stable sort, so rows equal on every ORDER BY key
+keep ascending group-key order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import itertools
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from ..errors import ExecutionError
-from ..plan.aggregates import (
-    finalize,
-    needs_expr_values,
-    reduce_groups,
-    reduce_scalar,
-)
 from ..plan.logical import (
     BinOp,
     ColumnRef,
     Expr,
     Literal,
+    OrderKey,
     StarQuery,
 )
-from ..result import ResultSet, Row
-from ..storage.column import Column
+from ..result import Cell, ResultSet, Row
 from ..storage.table import Table
 from .predicates import eval_predicate
 
@@ -98,78 +99,82 @@ def _eval_expr(expr: Expr, fact: Table, positions: np.ndarray) -> np.ndarray:
     raise ExecutionError(f"unknown expression node {type(expr).__name__}")
 
 
-def _group_source(
-    tables: Dict[str, Table], query: StarQuery, ref: ColumnRef,
-    positions: np.ndarray,
-) -> Tuple[np.ndarray, Optional[Column]]:
-    """(raw codes/values, source column) for one group-by key."""
+def _group_values(tables: Dict[str, Table], query: StarQuery,
+                  ref: ColumnRef, positions: np.ndarray) -> List[Cell]:
+    """One group-by key's decoded value for every selected fact row."""
     fact = tables[query.fact_table]
     if ref.table == query.fact_table:
         column = fact.column(ref.column)
-        return column.data[positions], column
-    dim = tables[ref.table]
-    fk = fact.column(query.fk_of(ref.table)).data[positions]
-    rows = _dimension_row_index(dim, query.key_of(ref.table), fk)
-    if np.any(rows < 0):
-        raise ExecutionError(
-            f"dangling foreign key into {ref.table!r} "
-            f"(query {query.name!r})"
-        )
-    column = dim.column(ref.column)
-    return column.data[rows], column
+        raw = column.data[positions]
+    else:
+        dim = tables[ref.table]
+        fk = fact.column(query.fk_of(ref.table)).data[positions]
+        rows = _dimension_row_index(dim, query.key_of(ref.table), fk)
+        if np.any(rows < 0):
+            raise ExecutionError(
+                f"dangling foreign key into {ref.table!r} "
+                f"(query {query.name!r})"
+            )
+        column = dim.column(ref.column)
+        raw = column.data[rows]
+    if column.dictionary is None:
+        return raw.tolist()
+    strings = column.dictionary.strings
+    return [strings[code] for code in raw.tolist()]
+
+
+def _reduce(func: str, values: Sequence[int]) -> Cell:
+    """One aggregate over one group's input values."""
+    if func == "count":
+        return len(values)
+    if func == "sum":
+        return sum(values)
+    if func == "avg":
+        return float(sum(values)) / len(values) if values else 0.0
+    if not values:
+        return 0  # empty input; SQL would say NULL, we normalize to 0
+    return min(values) if func == "min" else max(values)
+
+
+def _ordered(columns: List[str], rows: List[Row],
+             order_by: Sequence[OrderKey]) -> List[Row]:
+    """``rows`` sorted per ORDER BY, least significant key first (each
+    pass is stable, so earlier order survives among ties)."""
+    for key in reversed(order_by):
+        position = columns.index(key.key)
+        rows = sorted(rows, key=lambda row: row[position],
+                      reverse=not key.ascending)
+    return rows
 
 
 def execute(tables: Dict[str, Table], query: StarQuery) -> ResultSet:
     """Evaluate ``query`` and return its ordered :class:`ResultSet`."""
     fact = tables[query.fact_table]
     positions = selected_positions(tables, query)
-    agg_inputs = [
-        _eval_expr(agg.expr, fact, positions)
-        if needs_expr_values(agg.func)
-        else np.zeros(len(positions), dtype=np.int64)
+    inputs = [
+        [0] * len(positions) if agg.func == "count"
+        else _eval_expr(agg.expr, fact, positions).tolist()
         for agg in query.aggregates
     ]
+    keys = [_group_values(tables, query, ref, positions)
+            for ref in query.group_by]
+    groups: Dict[tuple, List[tuple]] = {}
+    if not query.group_by:
+        groups[()] = []
+    for key, row in zip(zip(*keys) if keys else itertools.repeat(()),
+                        zip(*inputs)):
+        groups.setdefault(key, []).append(row)
+    rows: List[Row] = []
+    for key in sorted(groups):
+        per_agg = list(zip(*groups[key])) or [()] * len(query.aggregates)
+        rows.append(key + tuple(
+            _reduce(agg.func, values)
+            for agg, values in zip(query.aggregates, per_agg)))
     columns = [g.column for g in query.group_by] + [
         agg.alias for agg in query.aggregates
     ]
-
-    if not query.group_by:
-        cells = []
-        for agg, values in zip(query.aggregates, agg_inputs):
-            primary, secondary = reduce_scalar(agg.func, values)
-            cells.append(finalize(agg.func, primary, secondary))
-        result = ResultSet(columns, [tuple(cells)])
-        return result.order_by(query.order_by).limited(query.limit)
-
-    sources = [
-        _group_source(tables, query, ref, positions)
-        for ref in query.group_by
-    ]
-    if len(positions) == 0:
-        return ResultSet(columns, [])
-    key_matrix = np.stack([raw.astype(np.int64) for raw, _col in sources])
-    uniq, inverse = np.unique(key_matrix, axis=1, return_inverse=True)
-    num_groups = uniq.shape[1]
-    rows: List[Row] = []
-    reduced = [
-        reduce_groups(agg.func, values, inverse, num_groups)
-        for agg, values in zip(query.aggregates, agg_inputs)
-    ]
-    for g in range(num_groups):
-        cells: List[object] = []
-        for k, (_raw, col) in enumerate(sources):
-            raw_value = int(uniq[k, g])
-            if col.dictionary is not None:
-                cells.append(col.dictionary.value(raw_value))
-            else:
-                cells.append(raw_value)
-        for agg, (primary, secondary) in zip(query.aggregates, reduced):
-            cells.append(finalize(
-                agg.func, int(primary[g]),
-                None if secondary is None else int(secondary[g])))
-        rows.append(tuple(cells))
-    return ResultSet(columns, rows).order_by(query.order_by).limited(
-        query.limit)
+    rows = _ordered(columns, rows, query.order_by)
+    return ResultSet(columns, rows[:query.limit])  # [:None] keeps all
 
 
 __all__ = ["execute", "selected_positions"]

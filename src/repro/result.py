@@ -2,15 +2,15 @@
 
 Every engine returns a :class:`ResultSet`; integration tests compare an
 engine's result against the reference oracle with :meth:`ResultSet.same_rows`
-(order-insensitive) or exact equality after ORDER BY.
+(order-insensitive) or exact equality after ORDER BY.  Ordering is not
+shared: the engines order in :mod:`repro.plan.tail`, the oracle in
+:mod:`repro.reference.engine`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
-
-from .plan.logical import OrderKey
+from typing import List, Tuple, Union
 
 Cell = Union[int, float, str]
 Row = Tuple[Cell, ...]
@@ -33,17 +33,6 @@ class ResultSet:
     def same_rows(self, other: "ResultSet") -> bool:
         """True when both results hold exactly the same multiset of rows."""
         return self.sorted_rows() == other.sorted_rows()
-
-    def order_by(self, keys: Sequence[OrderKey]) -> "ResultSet":
-        """Return a copy sorted per ORDER BY keys (stable, desc supported)."""
-        if not keys:
-            return ResultSet(self.columns, list(self.rows))
-        rows = list(self.rows)
-        for key in reversed(keys):
-            idx = self.columns.index(key.key)
-            rows.sort(key=lambda r: _sort_key(r[idx]),
-                      reverse=not key.ascending)
-        return ResultSet(self.columns, rows)
 
     def limited(self, limit) -> "ResultSet":
         """A copy truncated to the first ``limit`` rows (None = all)."""

@@ -33,10 +33,13 @@ from ..plan.logical import (
     ColumnRef,
     Expr,
     Literal,
+    OrderKey,
     Predicate,
 )
+from ..plan import aggregates as agg
 from ..plan.keys import KeyIndex
-from ..result import ResultSet, Row
+from ..plan import tail
+from ..result import ResultSet
 from ..simio.buffer_pool import BufferPool
 from ..simio.disk import PAGE_SIZE, SimulatedDisk
 from ..simio.stats import QueryStats
@@ -534,8 +537,12 @@ def eval_expr_rows(expr: Expr, batch: RowBatch, fact_table: str,
 class HashAggregator:
     """Grouped aggregation with incremental int64 accumulators.
 
-    Group keys arrive as raw values (ints or bytes); :meth:`result`
-    decodes bytes to str for the final result set.  Aggregate semantics
+    Each batch is consolidated on arrival and kept as arrays: one
+    representative raw key per group (ints or bytes) plus the group's
+    accumulators.  :meth:`finish` merges the partials with one factorize
+    and one ``ufunc.at`` per aggregate — so groups reach the shared
+    result tail (:mod:`repro.plan.tail`) in ascending key order — and
+    the tail orders, limits and decodes them.  Aggregate semantics
     (sum/count/min/max/avg) come from :mod:`repro.plan.aggregates`, so
     partial per-batch reductions merge exactly.
     """
@@ -543,17 +550,13 @@ class HashAggregator:
     def __init__(self, group_names: Sequence[str],
                  agg_names: Sequence[str],
                  agg_funcs: Optional[Sequence[str]] = None) -> None:
-        from ..plan import aggregates as agg_semantics
-
         self.group_names = list(group_names)
         self.agg_names = list(agg_names)
         self.agg_funcs = (list(agg_funcs) if agg_funcs is not None
                           else ["sum"] * len(agg_names))
-        self._semantics = agg_semantics
-        self._acc: Dict[Tuple, List[Tuple[int, Optional[int]]]] = {}
-
-    def _fresh(self) -> List[Tuple[int, Optional[int]]]:
-        return [self._semantics.empty_accumulator(f) for f in self.agg_funcs]
+        self._scalar = [agg.empty_accumulator(f) for f in self.agg_funcs]
+        self._parts: List[Tuple[List[np.ndarray],
+                                List[agg.GroupReduction]]] = []
 
     def consume(self, group_arrays: Sequence[np.ndarray],
                 agg_arrays: Sequence[np.ndarray], stats: QueryStats) -> None:
@@ -561,58 +564,52 @@ class HashAggregator:
         if n == 0:
             return
         stats.agg_updates += n
-        semantics = self._semantics
         if not group_arrays:
-            acc = self._acc.setdefault((), self._fresh())
-            for i, (func, arr) in enumerate(zip(self.agg_funcs, agg_arrays)):
-                acc[i] = semantics.merge(
-                    func, acc[i], semantics.reduce_scalar(func, arr))
+            self._scalar = [
+                agg.merge(func, acc, agg.reduce_scalar(func, arr))
+                for func, acc, arr in zip(self.agg_funcs, self._scalar,
+                                          agg_arrays)]
             return
-        # consolidate the batch first, then merge per distinct group
-        matrix = np.stack([_group_code(a) for a in group_arrays])
-        uniq, inverse = semantics.factorize_groups(matrix)
-        per_agg = [
-            semantics.reduce_groups(func, arr, inverse, uniq.shape[1])
-            for func, arr in zip(self.agg_funcs, agg_arrays)
-        ]
-        # representative raw values for decoding
+        # consolidate the batch first, keeping a representative raw key
+        matrix = np.stack([tail.encode_group(a)[0] for a in group_arrays])
+        uniq, inverse = agg.factorize_groups(matrix)
         first_of_group = np.zeros(uniq.shape[1], dtype=np.int64)
         first_of_group[inverse[::-1]] = np.arange(n - 1, -1, -1)
-        for g in range(uniq.shape[1]):
-            rep = int(first_of_group[g])
-            key = tuple(_decode_cell(arr[rep]) for arr in group_arrays)
-            acc = self._acc.setdefault(key, self._fresh())
-            for i, (func, (primary, secondary)) in enumerate(
-                    zip(self.agg_funcs, per_agg)):
-                pair = (int(primary[g]),
-                        None if secondary is None else int(secondary[g]))
-                acc[i] = semantics.merge(func, acc[i], pair)
+        self._parts.append((
+            [arr[first_of_group] for arr in group_arrays],
+            [agg.reduce_groups(func, arr, inverse, uniq.shape[1])
+             for func, arr in zip(self.agg_funcs, agg_arrays)]))
 
-    def result(self) -> ResultSet:
-        columns = self.group_names + self.agg_names
-        rows: List[Row] = []
-        for key, acc in self._acc.items():
-            cells = tuple(
-                self._semantics.finalize(func, primary, secondary)
-                for func, (primary, secondary) in zip(self.agg_funcs, acc)
-            )
-            rows.append(tuple(key) + cells)
-        return ResultSet(columns, rows)
+    def finish(self, order_by: Sequence[OrderKey] = (),
+               limit: Optional[int] = None,
+               vocabularies: Optional[Sequence] = None) -> ResultSet:
+        """The merged groups through the result tail (one row without
+        GROUP BY).  ``vocabularies`` decodes integer keys that are
+        dictionary codes (index-only plans), one per group column."""
+        names = self.group_names + self.agg_names
+        if not self.group_names:
+            row = tuple(agg.finalize(func, *acc)
+                        for func, acc in zip(self.agg_funcs, self._scalar))
+            return ResultSet(names, [row]).limited(limit)
+        if not self._parts:
+            return ResultSet(names, [])
+        encoded = [tail.encode_group(np.concatenate(column)) for column in
+                   zip(*(keys for keys, _ in self._parts))]
+        matrix = np.stack([codes for codes, _ in encoded])
+        bounds = np.cumsum([len(keys[0]) for keys, _ in self._parts])
+        uniq, merged = agg.merge_group_reductions(self.agg_funcs, [
+            (part, reduced) for part, (_, reduced) in
+            zip(np.split(matrix, bounds[:-1], axis=1), self._parts)])
+        groups = [tail.GroupColumn(codes, own if own is not None else given)
+                  for codes, (_, own), given in zip(
+                      uniq, encoded, vocabularies or [None] * len(uniq))]
+        return tail.finish(names, groups,
+                           [agg.finalize_column(func, *acc)
+                            for func, acc in zip(self.agg_funcs, merged)],
+                           order_by, limit)
 
-
-def _group_code(arr: np.ndarray) -> np.ndarray:
-    """Map group values to comparable int64 codes for batch consolidation."""
-    if arr.dtype.kind == "S":
-        _uniq, inv = np.unique(arr, return_inverse=True)
-        return inv.astype(np.int64)
-    return arr.astype(np.int64)
-
-
-def _decode_cell(value) -> object:
-    if isinstance(value, bytes):
-        # numpy S-dtype scalars already drop trailing NULs
-        return value.decode("ascii")
-    return int(value)
+    #: the groups in ascending key order, no ORDER BY, no LIMIT
+    result = finish
 
 
 def charge_result_sort(result: ResultSet, stats: QueryStats) -> None:

@@ -194,6 +194,7 @@ class RowPlanner:
         stream: Iterable[RowBatch],
         dim_tables: List[Tuple[str, HashTable, float]],
         probe_rows_estimate: int,
+        vocabularies: Optional[List[Optional[np.ndarray]]] = None,
     ) -> ResultSet:
         """The common tail: pipeline dimension joins, aggregate, sort."""
         for dim, table, _sel in dim_tables:
@@ -207,7 +208,7 @@ class RowPlanner:
                 self.stats, spill=self.spill,
                 probe_row_bytes=32, probe_rows_estimate=probe_rows_estimate,
             )
-        return self._aggregate(query, stream)
+        return self._aggregate(query, stream, vocabularies)
 
     def _live_filter(self, stream: Iterable[RowBatch], key: str
                      ) -> Iterator[RowBatch]:
@@ -220,17 +221,13 @@ class RowPlanner:
             keep = live[keys]
             yield batch if keep.all() else batch.take(keep)
 
-    def _aggregate(self, query: StarQuery, stream: Iterable[RowBatch]
+    def _aggregate(self, query: StarQuery, stream: Iterable[RowBatch],
+                   vocabularies: Optional[List[Optional[np.ndarray]]] = None
                    ) -> ResultSet:
-        from ..plan.aggregates import (
-            empty_accumulator,
-            finalize,
-            needs_expr_values,
-        )
+        from ..plan.aggregates import needs_expr_values
 
-        group_names = [g.column for g in query.group_by]
-        agg_names = [a.alias for a in query.aggregates]
-        aggregator = HashAggregator(group_names, agg_names,
+        aggregator = HashAggregator([g.column for g in query.group_by],
+                                    [a.alias for a in query.aggregates],
                                     [a.func for a in query.aggregates])
         group_keys = [qualified(g.table, g.column) for g in query.group_by]
         # The scan and joins are lazy generators drained by this loop, so
@@ -249,13 +246,9 @@ class RowPlanner:
                     for a in query.aggregates
                 ]
                 aggregator.consume(group_arrays, agg_arrays, self.stats)
-            result = aggregator.result()
-            if not query.group_by and not result.rows:
-                result.rows.append(tuple(
-                    finalize(a.func, *empty_accumulator(a.func))
-                    for a in query.aggregates))
         with self._span("sort"):
-            result = result.order_by(query.order_by).limited(query.limit)
+            result = aggregator.finish(query.order_by, query.limit,
+                                       vocabularies)
             charge_result_sort(result, self.stats)
         return result
 
@@ -615,8 +608,17 @@ class RowPlanner:
         stream = current.as_batches("_rid")
         if self._fact_live is not None:
             stream = self._live_filter(stream, "_rid")
-        result = self._join_and_aggregate(query, stream, dim_tables, estimate)
-        return self._decode_index_codes(query, result)
+        # real indexes store the strings; ours store dictionary codes, so
+        # the output pays a dictionary lookup per string cell instead
+        vocabularies = [
+            None if d is None else d.vocabulary
+            for d in (self.catalog.table(g.table).column(g.column).dictionary
+                      for g in query.group_by)]
+        result = self._join_and_aggregate(query, stream, dim_tables, estimate,
+                                          vocabularies)
+        self.stats.dict_lookups += len(result) * sum(
+            v is not None for v in vocabularies)
+        return result
 
     def _dim_table_from_indexes(self, query: StarQuery, dim: str
                                 ) -> HashTable:
@@ -708,28 +710,6 @@ class RowPlanner:
                     out.append((code, code))
             return out
         return [self._pred_bounds(table, pred)]
-
-    def _decode_index_codes(self, query: StarQuery, result: ResultSet
-                            ) -> ResultSet:
-        """Translate dictionary codes back to strings in an index-only
-        result (real indexes store the strings; ours store codes and pay a
-        dictionary lookup per output cell instead)."""
-        decoders = []
-        for i, g in enumerate(query.group_by):
-            column = self.catalog.table(g.table).column(g.column)
-            decoders.append(column.dictionary)
-        if not any(decoders):
-            return result
-        rows = []
-        for row in result.rows:
-            cells = list(row)
-            for i, decoder in enumerate(decoders):
-                if decoder is not None:
-                    self.stats.dict_lookups += 1
-                    cells[i] = decoder.value(int(cells[i]))
-            rows.append(tuple(cells))
-        out = ResultSet(result.columns, rows)
-        return out.order_by(query.order_by).limited(query.limit)
 
 
 __all__ = ["RowPlanner"]

@@ -35,7 +35,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs import Span, Trace
-from ..plan.aggregates import empty_accumulator, finalize, merge
+from ..plan.aggregates import (
+    empty_accumulator,
+    finalize,
+    finalize_column,
+    merge,
+    merge_group_reductions,
+)
 from ..plan.logical import (
     AggExpr,
     CompareOp,
@@ -46,6 +52,7 @@ from ..plan.logical import (
     RangePredicate,
     StarQuery,
 )
+from ..plan.tail import GroupColumn, encode_group, finish
 from ..reference.predicates import eval_predicate
 from ..result import ResultSet
 from ..simio.stats import CostModel, QueryStats
@@ -224,9 +231,14 @@ def gather(query: StarQuery, spec: GatherSpec,
     dimensions (Q3.1 groups on two ``nation`` columns), so names cannot
     key anything.  Accumulators use the shared
     :mod:`repro.plan.aggregates` semantics, so the merge is exactly the
-    cross-batch merge the engines already perform internally.
+    cross-batch merge the engines already perform internally; grouped
+    partials merge as columns and finish through the shared result tail
+    (:mod:`repro.plan.tail`), in canonical group order before ORDER BY
+    whatever the shard count.
     """
     funcs = [agg.func for agg in query.aggregates]
+    names = ([g.column for g in query.group_by]
+             + [a.alias for a in query.aggregates])
     if not query.group_by:
         accs = [empty_accumulator(f) for f in funcs]
         for result in shard_results:
@@ -248,40 +260,26 @@ def gather(query: StarQuery, spec: GatherSpec,
         out_row = tuple(
             finalize(f, acc[0], acc[1]) for f, acc in zip(funcs, accs)
         )
-        merged = ResultSet([a.alias for a in query.aggregates], [out_row])
-    else:
-        width = len(query.group_by)
-        groups: dict = {}
-        for result in shard_results:
-            for row in result.rows:
-                key = row[:width]
-                accs = groups.get(key)
-                if accs is None:
-                    accs = [empty_accumulator(f) for f in funcs]
-                    groups[key] = accs
-                for i, cell in enumerate(spec.cells):
-                    if cell[0] == "avg":
-                        part = (int(row[width + cell[1]]),
-                                int(row[width + cell[2]]))
-                    else:
-                        part = (int(row[width + cell[1]]), None)
-                    accs[i] = merge(funcs[i], accs[i], part)
-        columns = ([g.column for g in query.group_by]
-                   + [a.alias for a in query.aggregates])
-        rows = [
-            key + tuple(finalize(f, acc[0], acc[1])
-                        for f, acc in zip(funcs, accs))
-            for key, accs in sorted(groups.items(),
-                                    key=lambda kv: _group_sort_key(kv[0]))
-        ]
-        merged = ResultSet(columns, rows)
-    return merged.order_by(query.order_by).limited(query.limit)
-
-
-def _group_sort_key(key: Tuple) -> Tuple:
-    """Canonical group order before ORDER BY, so ties (and queries with
-    no ORDER BY) come out deterministically regardless of shard count."""
-    return tuple((1, v) if isinstance(v, str) else (0, v) for v in key)
+        return ResultSet(names, [out_row]).limited(query.limit)
+    width = len(query.group_by)
+    rows = [row for result in shard_results for row in result.rows]
+    if not rows:
+        return ResultSet(names, [])
+    columns = [np.array(column) for column in zip(*rows)]
+    encoded = [encode_group(column) for column in columns[:width]]
+    partials = [
+        (columns[width + cell[1]].astype(np.int64),
+         columns[width + cell[2]].astype(np.int64) if cell[0] == "avg"
+         else None)
+        for cell in spec.cells
+    ]
+    uniq, merged = merge_group_reductions(
+        funcs, [(np.stack([codes for codes, _ in encoded]), partials)])
+    groups = [GroupColumn(uniq[k], vocabulary)
+              for k, (_, vocabulary) in enumerate(encoded)]
+    return finish(names, groups,
+                  [finalize_column(f, *acc) for f, acc in zip(funcs, merged)],
+                  query.order_by, query.limit)
 
 
 # ---------------------------------------------------------------------- #

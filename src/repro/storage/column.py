@@ -14,6 +14,7 @@ bytes when laying out tuples, exactly as System X stores CHAR(n) fields.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -75,7 +76,12 @@ class StringDictionary:
 
     def decode_array(self, codes: np.ndarray) -> np.ndarray:
         """Vectorized decode to a numpy unicode array."""
-        return np.asarray(self._strings, dtype=object)[codes]
+        return self.vocabulary[codes]
+
+    @cached_property
+    def vocabulary(self) -> np.ndarray:
+        """The strings in code order as an object array."""
+        return np.asarray(self._strings, dtype=object)
 
     def encode(self, values: Iterable[str]) -> np.ndarray:
         """Codes for an iterable of strings (all must be present)."""

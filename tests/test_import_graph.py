@@ -78,3 +78,17 @@ def test_oracle_imports_no_key_lookup_kernel():
     # the engines do reach it: the edge above is one worth guarding
     assert "repro.plan.keys" in reachable("repro.colstore.engine")
     assert "repro.plan.keys" in reachable("repro.rowstore.engine")
+
+
+def test_oracle_owns_its_output_semantics():
+    oracle = reachable("repro.reference")
+    assert "repro.result" in oracle  # the shared container
+    assert "repro.plan.aggregates" not in oracle
+    assert "repro.plan.tail" not in oracle
+    # the container holds rows and nothing that orders or aggregates them
+    assert reachable("repro.result") == {"repro.result"}
+    # the engines do reach both: the edges above are worth guarding
+    for engine in ("repro.colstore.engine", "repro.rowstore.engine",
+                   "repro.shard.executor"):
+        assert {"repro.plan.aggregates", "repro.plan.tail"} \
+            <= reachable(engine)

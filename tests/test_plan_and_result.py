@@ -1,5 +1,7 @@
-"""StarQuery IR and ResultSet tests."""
+"""StarQuery IR and ResultSet tests, and ORDER BY in both the engines'
+result tail and the oracle."""
 
+import numpy as np
 import pytest
 
 from repro.errors import PlanError
@@ -14,6 +16,8 @@ from repro.plan.logical import (
     StarQuery,
     expr_columns,
 )
+from repro.plan.tail import GroupColumn, encode_group, finish
+from repro.reference.engine import _ordered
 from repro.result import ResultSet
 from repro.ssb import query_by_name
 
@@ -81,13 +85,30 @@ def test_result_same_rows_order_insensitive():
     assert not a.same_rows(ResultSet(["x"], [(1,)]))
 
 
+def _tail_order(r, keys):
+    """``r`` ordered by the engines' result tail (its first column is
+    the group key, the rest are aggregates)."""
+    codes, vocabulary = encode_group(np.array(r.column_values(r.columns[0])))
+    aggregates = [np.array(r.column_values(c)) for c in r.columns[1:]]
+    return finish(r.columns, [GroupColumn(codes, vocabulary)], aggregates,
+                  keys, None)
+
+
+def _oracle_order(r, keys):
+    return ResultSet(r.columns, _ordered(r.columns, r.rows, keys))
+
+
+ORDERINGS = (_tail_order, _oracle_order)
+
+
 def test_result_order_by():
     r = ResultSet(["g", "v"], [("b", 1), ("a", 3), ("a", 2)])
-    asc = r.order_by([OrderKey("g"), OrderKey("v")])
-    assert asc.rows == [("a", 2), ("a", 3), ("b", 1)]
-    desc = r.order_by([OrderKey("g"), OrderKey("v", ascending=False)])
-    assert desc.rows == [("a", 3), ("a", 2), ("b", 1)]
-    assert r.order_by([]).rows == r.rows
+    for order_by in ORDERINGS:
+        asc = order_by(r, [OrderKey("g"), OrderKey("v")])
+        assert asc.rows == [("a", 2), ("a", 3), ("b", 1)]
+        desc = order_by(r, [OrderKey("g"), OrderKey("v", ascending=False)])
+        assert desc.rows == [("a", 3), ("a", 2), ("b", 1)]
+        assert order_by(r, []).rows == r.rows
 
 
 def test_result_column_values_and_pretty():
@@ -108,11 +129,12 @@ def test_result_order_by_compares_floats_by_value():
     # an AVG column: every value has integer part 4 or 5
     r = ResultSet(["g", "a"], [(1992, 5.0187), (1993, 4.9056),
                                (1994, 4.9810), (1995, 5.0010)])
-    desc = r.order_by([OrderKey("a", ascending=False)])
-    assert desc.column_values("a") == [5.0187, 5.0010, 4.9810, 4.9056]
-    assert desc.limited(2).column_values("g") == [1992, 1995]
-    asc = r.order_by([OrderKey("a")])
-    assert asc.column_values("a") == [4.9056, 4.9810, 5.0010, 5.0187]
+    for order_by in ORDERINGS:
+        desc = order_by(r, [OrderKey("a", ascending=False)])
+        assert desc.column_values("a") == [5.0187, 5.0010, 4.9810, 4.9056]
+        assert desc.limited(2).column_values("g") == [1992, 1995]
+        asc = order_by(r, [OrderKey("a")])
+        assert asc.column_values("a") == [4.9056, 4.9810, 5.0010, 5.0187]
 
 
 def test_result_sorted_rows_mix_ints_floats_and_strings():

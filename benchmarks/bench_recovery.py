@@ -13,12 +13,18 @@ the exactly-once contract:
 * **clean starts are free** — a never-written engine recovers as a
   no-op with ``journal_replay_pages``, ``recovered_batches``, and
   ``torn_tail_records`` all zero (the byte-identity guarantee for every
-  pre-existing ledger).
+  pre-existing ledger);
+* **replay is bounded by one cycle** — every cell crashes once after a
+  single write cycle and once after four (three history cycles that
+  insert, delete and move rows first), and recovery reads the same
+  number of journal pages both times: each durable move checkpoints the
+  journal and drops the prefix it covers.
 
 Replay cost is priced through the cost model (2008 hardware) from the
 recovery ledger; the artifact records pages scanned, batches replayed,
 torn-tail truncations, moves rolled forward, and simulated replay
-seconds per (engine × kill point) cell.
+seconds per (engine × kill point) cell, plus the pages replayed after
+four cycles.
 
 ``--check`` runs the same soak at a tiny scale factor and exits nonzero
 if any contract fails.  CI calls this via ``benchmarks/smoke_baseline.sh``
@@ -37,7 +43,8 @@ import json
 
 import numpy as np
 
-from repro.simio.faults import CRASH_POINTS, CrashPolicy
+from repro.plan.logical import ColumnRef, CompareOp, Comparison
+from repro.simio.faults import CRASH_POINTS, CRASH_PROFILES, CrashPolicy
 from repro.simio.stats import QueryStats
 from repro.ssb.cache import load_or_generate
 from repro.write.recovery import CrashHarness
@@ -48,6 +55,13 @@ SOAK_SEEDS = (0, 1, 2)
 
 NEW_COUNTERS = ("journal_replay_pages", "recovered_batches",
                 "torn_tail_records")
+
+#: write cycles before the crash in the long run of each cell
+LONG_CYCLES = 4
+
+#: ``orderkey`` of the rows history cycles insert (no generated row has
+#: it), so each cycle's delete removes exactly its own rows
+HISTORY_KEY = 2 ** 31 - 1
 
 
 def _snapshot_matches(harness: CrashHarness) -> bool:
@@ -64,20 +78,35 @@ def _snapshot_matches(harness: CrashHarness) -> bool:
     return True
 
 
-def soak_cell(kind: str, point: str, data, seed: int,
-              problems: list) -> dict:
-    """One crash → cold start → replay → audit cycle."""
-    tag = f"{kind}/{point}/seed{seed}"
+def _history(harness: CrashHarness, rows, cycles: int) -> None:
+    """``cycles`` crash-free write cycles that leave the data as it was:
+    insert tagged clones of ``rows``, delete them, move."""
+    tagged = [dict(row, orderkey=HISTORY_KEY) for row in rows]
+    tag = [Comparison(ColumnRef("lineorder", "orderkey"), CompareOp.EQ,
+                      HISTORY_KEY)]
+    for _ in range(cycles):
+        harness.insert("lineorder", tagged)
+        harness.delete("lineorder", tag)
+        harness.move()
+
+
+def crash_cycle(kind: str, point: str, data, seed: int, cycles: int,
+                tag: str, problems: list):
+    """``cycles - 1`` history cycles, then the workload with ``point``
+    armed, a crash, a cold start and the audit.  Returns the harness,
+    the recovery report and its ledger, or None if the point never
+    fired."""
     # the workload passes each journal point several times (seed-drawn
     # arrival) but runs exactly one move, so move points pin arrival 1
-    max_at = 1 if "move" in point else 2
-    harness = CrashHarness(
-        data, kind=kind, seed=seed,
-        crashes=[CrashPolicy(point, at=None, max_at=max_at)])
-    _drive_workload(harness, _clone_rows(data.lineorder, 8))
+    max_at = 1 if point in CRASH_PROFILES["move"] else 2
+    harness = CrashHarness(data, kind=kind, seed=seed)
+    rows = _clone_rows(data.lineorder, 8)
+    _history(harness, rows, cycles - 1)
+    harness.injector.crashes = (CrashPolicy(point, at=None, max_at=max_at),)
+    _drive_workload(harness, rows)
     if harness.crashed is None:
         problems.append(f"{tag}: kill point never fired")
-        return {"seed": seed, "fired": False}
+        return None
     stats = QueryStats()
     report = harness.crash_and_recover(stats=stats)
     if not _snapshot_matches(harness):
@@ -88,6 +117,25 @@ def soak_cell(kind: str, point: str, data, seed: int,
         problems.append(f"{tag}: recovered epoch "
                         f"{harness.engine._writes.epoch} != reference "
                         f"epoch {ref_epoch}")
+    return harness, report, stats
+
+
+def soak_cell(kind: str, point: str, data, seed: int,
+              problems: list) -> dict:
+    """One crash → cold start → replay → audit cycle after one write
+    cycle, and again after :data:`LONG_CYCLES`."""
+    tag = f"{kind}/{point}/seed{seed}"
+    first = crash_cycle(kind, point, data, seed, 1, tag, problems)
+    long = crash_cycle(kind, point, data, seed, LONG_CYCLES,
+                       f"{tag}/{LONG_CYCLES} cycles", problems)
+    if first is None or long is None:
+        return {"seed": seed, "fired": False}
+    harness, report, stats = first
+    long_pages = long[2].journal_replay_pages
+    if long_pages != stats.journal_replay_pages:
+        problems.append(f"{tag}: replay read {long_pages} journal pages "
+                        f"after {LONG_CYCLES} cycles but "
+                        f"{stats.journal_replay_pages} after one")
     return {
         "seed": seed,
         "fired": True,
@@ -98,6 +146,7 @@ def soak_cell(kind: str, point: str, data, seed: int,
         "moves_rolled_forward": report.moves_rolled_forward,
         "torn_tail_records": report.torn_tail_records,
         "journal_replay_pages": stats.journal_replay_pages,
+        f"journal_replay_pages_{LONG_CYCLES}_cycles": long_pages,
         "io_retries": stats.io_retries,
         "replay_seconds": harness.engine.cost_model.seconds(stats),
     }
@@ -156,9 +205,10 @@ def main(argv=None) -> int:
             return 1
         cells = sum(len(c) for e in engines
                     for c in e["crash_points"].values())
-        print(f"recovery check passed: {cells} crash cycle(s) across "
+        print(f"recovery check passed: {cells} crash cell(s) across "
               f"{len(CRASH_POINTS)} kill points x 2 engines; zero lost "
-              f"acked writes, clean-start counters all zero")
+              f"acked writes, clean-start counters all zero, replay "
+              f"pages equal after 1 and {LONG_CYCLES} cycles")
         return 0
 
     report = {
@@ -173,19 +223,22 @@ def main(argv=None) -> int:
         json.dump(report, handle, indent=2)
         handle.write("\n")
 
-    print(f"\n{'engine':7s} {'kill point':28s} {'scan':>5s} {'replay':>7s} "
-          f"{'torn':>5s} {'moves':>6s} {'replay ms':>10s}")
+    print(f"\n{'engine':7s} {'kill point':30s} {'scan':>5s} {'replay':>7s} "
+          f"{'torn':>5s} {'moves':>6s} {'pages':>6s} "
+          f"{f'@{LONG_CYCLES}':>5s} {'replay ms':>10s}")
     for cell in engines:
         for point, runs in cell["crash_points"].items():
             fired = [r for r in runs if r.get("fired")]
             if not fired:
                 continue
             mean = lambda key: sum(r[key] for r in fired) / len(fired)
-            print(f"{cell['engine']:7s} {point:28s} "
+            print(f"{cell['engine']:7s} {point:30s} "
                   f"{mean('records_scanned'):5.1f} "
                   f"{mean('recovered_batches'):7.1f} "
                   f"{mean('torn_tail_records'):5.1f} "
                   f"{mean('moves_rolled_forward'):6.1f} "
+                  f"{mean('journal_replay_pages'):6.1f} "
+                  f"{mean(f'journal_replay_pages_{LONG_CYCLES}_cycles'):5.1f} "
                   f"{mean('replay_seconds') * 1000:10.2f}")
     if problems:
         print(f"\nWARNING — {len(problems)} guarantee violation(s):")

@@ -6,15 +6,15 @@ engines here honour that literally: each subclass of
 :class:`EngineShell` carries its physical design and its planner, and
 this module owns — once — the policy around them:
 
-* **storage bring-up** — the simulated disk, the sf-scaled buffer pool,
-  the genesis tables cold-start recovery replays against;
+* **storage bring-up** — the simulated disk and the sf-scaled buffer
+  pool;
 * **read routing** — automatic tuple-mover policy → snapshot
   :class:`~repro.write.store.Visibility` → typed
   :class:`~repro.errors.WriteError` on a merge-blind read → WOS merge →
   shard scatter (with the per-shard deleted-mask slice) → base run;
 * **the write side** — ``insert`` / ``delete`` into the delta store, the
-  tuple mover with its three kill points, the retrying shadow rebuild,
-  and cold-start ``recover``.
+  tuple mover with its four kill points and its journal checkpoint, the
+  retrying shadow rebuild, and cold-start ``recover``.
 
 An engine plugs in three hooks: :meth:`EngineShell._run_base` (one
 single-stack execution under the engine's own call options),
@@ -42,6 +42,7 @@ from ..simio.buffer_pool import BufferPool, _backoff_us
 from ..simio.disk import SimulatedDisk
 from ..simio.faults import (
     CRASH_AFTER_MOVE_SWAP,
+    CRASH_BEFORE_JOURNAL_TRUNCATE,
     CRASH_BEFORE_MOVE_SWAP,
     CRASH_MID_MOVE_SHADOW,
     crash_point,
@@ -121,10 +122,6 @@ class EngineShell:
         #: write epoch the current base pages (and their zone-map
         #: sidecars) reflect; bumped by the tuple mover
         self._zm_epoch = 0
-        #: the tables this engine was opened with — cold-start replay
-        #: always re-applies the journal against these, never against a
-        #: possibly-moved current base, so recovery is idempotent
-        self._genesis_tables: Dict[str, Table] = dict(data.tables)
         self.disk = SimulatedDisk()
         # installed before any load so shadow rebuilds are fault-injectable
         self.disk.fault_injector = fault_injector
@@ -318,9 +315,11 @@ class EngineShell:
         cold-rebuild order, so post-move reads are byte-identical to a
         rebuild), retrying transient write faults with the journal's
         backoff schedule, then swaps it in atomically and advances the
-        merge horizon.  All shadow-build I/O is charged to ``stats``
-        under a ``tuple-move`` span.  On failure the serving store is
-        untouched.  Returns the number of rows merged.
+        merge horizon.  The moved tables then become the journal's
+        checkpoint, and every journal page up to the move record is
+        dropped.  All shadow-build I/O is charged to ``stats`` under a
+        ``tuple-move`` span.  On failure the serving store is untouched.
+        Returns the number of rows merged.
         """
         ws = self._writes
         if ws is None or not ws.has_pending():
@@ -342,6 +341,9 @@ class EngineShell:
             crash_point(injector, CRASH_AFTER_MOVE_SWAP)
             self._swap_in(shadow, ws.epoch)
             ws.complete_move(effective)
+            ws.journal.record_checkpoint(effective, ws.epoch)
+            crash_point(injector, CRASH_BEFORE_JOURNAL_TRUNCATE)
+            ws.journal.drop_covered()
             stats.moves += 1
         return moved
 
@@ -392,8 +394,8 @@ class EngineShell:
     def recover(self, journal=None, committed_lsn: Optional[int] = None,
                 stats: Optional[QueryStats] = None,
                 tracer: Optional[Tracer] = None) -> RecoveryReport:
-        """Cold-start crash recovery: replay the redo journal against the
-        genesis tables, roll a committed move forward, refresh stale
+        """Cold-start crash recovery: replay the redo journal's tail
+        onto its checkpoint, roll a committed move forward, refresh stale
         zone-map sidecars, and adopt the recovered write store.  See
         ``docs/writes.md`` ("Crash recovery")."""
         return recover_engine(self, journal, committed_lsn, stats, tracer)

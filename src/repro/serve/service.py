@@ -509,8 +509,9 @@ class QueryService:
     def recover(self) -> Dict[str, object]:
         """Cold-start crash recovery for every attached engine.
 
-        Replays each engine's redo journal against its genesis tables
-        (see ``docs/writes.md``, "Crash recovery") under the DML and
+        Replays the tail of each engine's redo journal onto its last
+        checkpoint — the base tables of the last durable move (see
+        ``docs/writes.md``, "Crash recovery") — under the DML and
         engine locks, so recovery never interleaves with a write or an
         executing query.  Each engine's replay runs on its own ledger
         under a ``recovery`` root span; the verified trace rides on the

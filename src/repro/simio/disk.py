@@ -48,10 +48,11 @@ class DiskFile:
         self.pages: List[bytes] = []
         #: per-page CRC32 recorded at write time, parallel to ``pages``
         self.checksums: List[int] = []
-        # page number -> (image, its CRC) for the image a write stored:
-        # exact ``bytes`` are immutable, so a read handed that very
-        # object again needs no second hash (see :meth:`crc_of`)
-        self._written: Dict[int, Tuple[bytes, int]] = {}
+        # the image each write stored, parallel to ``pages`` (None for a
+        # mutable image, which may change under us): exact ``bytes`` are
+        # immutable, so a read handed that very object again needs no
+        # second hash (see :meth:`crc_of`)
+        self._written: List[Optional[bytes]] = []
 
     @property
     def num_pages(self) -> int:
@@ -70,19 +71,33 @@ class DiskFile:
         stored image (fault injection, truncation, a direct assignment)
         puts a new object in ``pages``, which is hashed like any other.
         """
-        written = self._written.get(page_no)
-        if written is not None and written[0] is image:
-            return written[1]
+        if self._written[page_no] is image:
+            return self.checksums[page_no]
         return page_checksum(image)
 
-    def _store(self, page_no: int, payload: bytes) -> int:
-        """Record ``payload``'s write-time CRC for ``page_no``."""
-        crc = page_checksum(payload)
-        if type(payload) is bytes:
-            self._written[page_no] = (payload, crc)
-        else:  # a mutable image may change under us: never trusted
-            self._written.pop(page_no, None)
-        return crc
+    def _store(self, page_no: int, payload: bytes) -> None:
+        """Store ``payload`` as page ``page_no`` (one past the end
+        appends) with its write-time CRC."""
+        trusted = payload if type(payload) is bytes else None
+        if page_no == len(self.pages):
+            self.pages.append(payload)
+            self.checksums.append(page_checksum(payload))
+            self._written.append(trusted)
+        else:
+            self.pages[page_no] = payload
+            self.checksums[page_no] = page_checksum(payload)
+            self._written[page_no] = trusted
+
+    def truncate(self, start: int, stop: Optional[int] = None) -> None:
+        """Drop pages ``start..stop`` (to the end when ``stop`` is None).
+
+        A tail drop (``start > 0``) or a prefix drop (``start == 0``):
+        either way the pages, their CRCs and the remembered images move
+        together, so every later page is renumbered consistently.
+        """
+        del self.pages[start:stop]
+        del self.checksums[start:stop]
+        del self._written[start:stop]
 
 
 class SimulatedDisk:
@@ -173,8 +188,7 @@ class SimulatedDisk:
             # the failed attempt wrote nothing durable; the caller owns
             # the retry loop (and its backoff charges)
             raise TransientIOError(name, f.num_pages)
-        f.pages.append(payload)
-        f.checksums.append(f._store(f.num_pages - 1, payload))
+        f._store(f.num_pages, payload)
         self.stats.bytes_written += PAGE_SIZE
         return f.num_pages - 1
 
@@ -197,8 +211,7 @@ class SimulatedDisk:
             raise StorageError(
                 f"page {page_no} out of range for {name!r} ({f.num_pages} pages)"
             )
-        f.pages[page_no] = payload
-        f.checksums[page_no] = f._store(page_no, payload)
+        f._store(page_no, payload)
         if charge:
             self.stats.bytes_written += PAGE_SIZE
 
@@ -289,11 +302,11 @@ class SimulatedDisk:
     def verify_page(self, name: str, page_no: int,
                     payload: Optional[bytes] = None) -> bool:
         """Does the (given or stored) page image match its write-time CRC?"""
+        expected = self.expected_checksum(name, page_no)
         f = self.file(name)
         if payload is None:
             payload = f.pages[page_no]
-        return f.crc_of(page_no, payload) == self.expected_checksum(name,
-                                                                     page_no)
+        return f.crc_of(page_no, payload) == expected
 
     def quarantine(self, name: str, page_no: int) -> None:
         """Fence off a persistently corrupt page: all further reads fail

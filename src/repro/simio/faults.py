@@ -35,22 +35,25 @@ from ..errors import SimulatedCrashError, StorageError
 #: What :meth:`FaultInjector.install` returns: (file, page, fault kind).
 CorruptionLog = List[Tuple[str, int, str]]
 
-#: The five kill points the write path exposes (see ``docs/writes.md``,
+#: The six kill points the write path exposes (see ``docs/writes.md``,
 #: "Crash recovery").  Each sits on one side of a durability boundary:
 #: the journal-append pair brackets the only I/O that makes a batch
-#: durable, and the move trio brackets the shadow rebuild and the
-#: epoch-stamped move record that commits a swap.
+#: durable, the move trio brackets the shadow rebuild and the
+#: epoch-stamped move record that commits a swap, and the last sits
+#: between a move's checkpoint and the journal-prefix drop it allows.
 CRASH_BEFORE_JOURNAL_APPEND = "crash:before-journal-append"
 CRASH_AFTER_JOURNAL_APPEND = "crash:after-journal-append"
 CRASH_MID_MOVE_SHADOW = "crash:mid-move-shadow"
 CRASH_BEFORE_MOVE_SWAP = "crash:before-move-swap"
 CRASH_AFTER_MOVE_SWAP = "crash:after-move-swap"
+CRASH_BEFORE_JOURNAL_TRUNCATE = "crash:before-journal-truncate"
 CRASH_POINTS: Tuple[str, ...] = (
     CRASH_BEFORE_JOURNAL_APPEND,
     CRASH_AFTER_JOURNAL_APPEND,
     CRASH_MID_MOVE_SHADOW,
     CRASH_BEFORE_MOVE_SWAP,
     CRASH_AFTER_MOVE_SWAP,
+    CRASH_BEFORE_JOURNAL_TRUNCATE,
 )
 
 
@@ -365,14 +368,15 @@ def injector_from_profile(profile: str, seed: int = 0) -> FaultInjector:
 CRASH_PROFILES: Dict[str, Tuple[str, ...]] = {
     "journal": (CRASH_BEFORE_JOURNAL_APPEND, CRASH_AFTER_JOURNAL_APPEND),
     "move": (CRASH_MID_MOVE_SHADOW, CRASH_BEFORE_MOVE_SWAP,
-             CRASH_AFTER_MOVE_SWAP),
+             CRASH_AFTER_MOVE_SWAP, CRASH_BEFORE_JOURNAL_TRUNCATE),
     "all": CRASH_POINTS,
 }
 
 #: One-line description per crash profile (``--crash-profile list``).
 CRASH_PROFILE_NOTES: Dict[str, str] = {
     "journal": "kill on either side of a journal append (torn-tail model)",
-    "move": "kill mid-shadow-build or around the move-commit record",
+    "move": "kill mid-shadow-build, around the move-commit record, or "
+            "between the checkpoint and the journal-prefix drop",
     "all": "every kill point the write path exposes, one run each",
 }
 
@@ -399,4 +403,4 @@ __all__ = ["FaultPolicy", "FaultInjector", "PROFILES", "PROFILE_NOTES",
            "CRASH_POINTS", "CRASH_PROFILES", "CRASH_PROFILE_NOTES",
            "CRASH_BEFORE_JOURNAL_APPEND", "CRASH_AFTER_JOURNAL_APPEND",
            "CRASH_MID_MOVE_SHADOW", "CRASH_BEFORE_MOVE_SWAP",
-           "CRASH_AFTER_MOVE_SWAP"]
+           "CRASH_AFTER_MOVE_SWAP", "CRASH_BEFORE_JOURNAL_TRUNCATE"]

@@ -14,11 +14,21 @@ constants are imported, not copied, so the two schedules can never
 drift).  A page that keeps failing past the retry bound raises
 :class:`~repro.errors.WriteFaultError`; the caller is guaranteed that no
 write-store state was mutated.
+
+Every durable tuple move ends in a :class:`Checkpoint`: the moved base
+tables (which stand for the moved pages, since page images are a
+deterministic function of the tables), the epoch they were moved at and
+the absolute LSN of the move record.  Once recorded, every page up to
+and including that record is dropped in one step, so the journal holds
+only what happened since the last move; LSNs stay absolute across the
+drop.  A fresh journal is seeded with a checkpoint of the tables its
+write store was opened on.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..errors import TransientIOError, WriteFaultError
@@ -28,6 +38,7 @@ from ..simio.disk import PAGE_SIZE, SimulatedDisk
 from ..simio.faults import (CRASH_AFTER_JOURNAL_APPEND,
                             CRASH_BEFORE_JOURNAL_APPEND, crash_point)
 from ..simio.stats import QueryStats
+from ..storage.table import Table
 
 #: Write retries share the read path's bound — one knob, two paths.
 MAX_WRITE_RETRIES = MAX_READ_RETRIES
@@ -36,23 +47,33 @@ MAX_WRITE_RETRIES = MAX_READ_RETRIES
 JOURNAL_FILE = "journal.redo"
 
 
-class RedoJournal:
-    """An append-only JSON record log on its own simulated disk."""
+@dataclass(frozen=True)
+class Checkpoint:
+    """The base tables as of a durable move: recovery's starting point."""
 
-    def __init__(self) -> None:
+    tables: Dict[str, Table]
+    epoch: int  #: write epoch (and merge horizon) of ``tables``
+    lsn: int  #: absolute LSN of the last record ``tables`` cover
+
+
+class RedoJournal:
+    """An append-only JSON record log on its own simulated disk, cut
+    back to its last checkpoint after every durable move."""
+
+    def __init__(self, tables: Dict[str, Table]) -> None:
         self.disk = SimulatedDisk()
         self.disk.create(JOURNAL_FILE)
-        #: number of records appended (not pages; a record may span pages)
+        #: absolute LSN of the last record appended (a record may span
+        #: pages; records dropped behind a checkpoint still count)
         self.records = 0
+        self.checkpoint = Checkpoint(dict(tables), 0, 0)
+        # leading pages the checkpoint covers but a crash kept from
+        # being dropped (0 whenever no drop is pending)
+        self._covered_pages = 0
 
     @property
     def num_pages(self) -> int:
         return self.disk.file(JOURNAL_FILE).num_pages
-
-    @property
-    def lsn(self) -> int:
-        """The LSN of the last appended record (1-based record ordinal)."""
-        return self.records
 
     def append(self, record: Dict, stats: QueryStats,
                tracer: Optional[Tracer] = None) -> int:
@@ -94,9 +115,27 @@ class RedoJournal:
         of the same journal sees a clean end — truncation is what makes
         replay idempotent.
         """
-        f = self.disk.file(JOURNAL_FILE)
-        del f.pages[keep_pages:]
-        del f.checksums[keep_pages:]
+        self.disk.file(JOURNAL_FILE).truncate(keep_pages)
+
+    def record_checkpoint(self, tables: Dict[str, Table], epoch: int,
+                          lsn: Optional[int] = None,
+                          pages: Optional[int] = None) -> None:
+        """Make ``tables`` at ``epoch`` the recovery start: they cover
+        every record through ``lsn``, whose last page is page ``pages - 1``
+        (default: the last record appended, and every page held).
+
+        Records the checkpoint only; :meth:`drop_covered` then drops the
+        covered pages.  A crash between the two leaves them behind, and
+        recovery finishes the drop without reading them.
+        """
+        self.checkpoint = Checkpoint(
+            dict(tables), epoch, self.records if lsn is None else lsn)
+        self._covered_pages = self.num_pages if pages is None else pages
+
+    def drop_covered(self) -> None:
+        """Drop, in one step, every page the checkpoint covers."""
+        self.disk.file(JOURNAL_FILE).truncate(0, self._covered_pages)
+        self._covered_pages = 0
 
     def _append_with_retry(self, chunk: bytes, stats: QueryStats) -> None:
         for attempt in range(1, MAX_WRITE_RETRIES + 1):
@@ -113,4 +152,4 @@ class RedoJournal:
                     ) from exc
 
 
-__all__ = ["RedoJournal", "JOURNAL_FILE", "MAX_WRITE_RETRIES"]
+__all__ = ["Checkpoint", "RedoJournal", "JOURNAL_FILE", "MAX_WRITE_RETRIES"]

@@ -9,9 +9,10 @@ module closes the loop:
   schedule, and re-assembles records (a record is complete exactly when
   its accumulated pages parse as JSON — a strict JSON prefix never
   parses, so parse success delimits records without any framing bytes);
-* :func:`recover_store` replays the surviving records in LSN order
-  against the genesis base tables, truncates a torn/unacknowledged
-  tail, rolls a durable ``move`` record forward, and raises a typed
+* :func:`recover_store` starts from the journal's last checkpoint (the
+  base tables of the last durable move), replays the records after it
+  in LSN order, truncates a torn/unacknowledged tail, rolls a durable
+  ``move`` record forward into a new checkpoint, and raises a typed
   :class:`~repro.errors.JournalTornError` only when a *committed* LSN is
   missing — an acknowledged write would otherwise be silently lost;
 * :func:`recover_engine` (reached via ``CStore.recover()`` /
@@ -30,12 +31,14 @@ All replay I/O is priced through the cost model into three counters —
 that stay zero on clean starts, so every pre-existing ledger and trace
 remains byte-identical.
 
-The LSN is the 1-based record ordinal in the journal.  A caller that
-tracks acknowledgements (the harness, the durability verifier) passes
-the last acknowledged LSN as ``committed_lsn``; records beyond it are an
-unacknowledged tail and are truncated — except a durable ``move``
-record, whose journal append *is* the swap's commit point and is always
-rolled forward.
+The LSN is the 1-based record ordinal over the journal's whole life;
+it stays absolute when a checkpoint drops the journal's prefix.  A
+caller that tracks acknowledgements (the harness, the durability
+verifier) passes the last acknowledged LSN as ``committed_lsn``; records
+beyond it are an unacknowledged tail and are truncated — except a
+durable ``move`` record, whose journal append *is* the swap's commit
+point and is always rolled forward.  For the same reason the checkpoint
+itself always counts as committed.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from ..obs import Tracer, span_context
 from ..simio.buffer_pool import MAX_READ_RETRIES, _backoff_us
 from ..simio.faults import CrashPolicy, FaultInjector, FaultPolicy
 from ..simio.stats import QueryStats
-from ..storage.table import Table
 from .journal import JOURNAL_FILE, RedoJournal
 from .store import WriteStore
 
@@ -80,8 +82,11 @@ class RecoveryReport:
 
     @property
     def clean(self) -> bool:
-        """True when nothing needed replaying or truncating."""
-        return (self.records_scanned == 0 and self.torn_tail_records == 0
+        """True when recovery repaired nothing: no torn or unacknowledged
+        tail, no move to roll forward, no stale sidecar.  Replaying the
+        records after the checkpoint is an ordinary restart, so a second
+        recovery in a row is clean."""
+        return (self.torn_tail_records == 0 and self.moves_rolled_forward == 0
                 and self.stale_sidecars == 0)
 
     def render(self) -> str:
@@ -108,10 +113,11 @@ def scan_journal(journal: RedoJournal, stats: QueryStats,
     ``io_retries``/``retry_backoff_us``); a page that stays unreadable
     is treated as the start of the torn region, not an error — whether
     that loses anything *committed* is decided by the caller against its
-    ``committed_lsn``.
+    ``committed_lsn``.  Record LSNs continue from the checkpoint's.
     """
     disk = journal.disk
     f = disk.file(JOURNAL_FILE)
+    first_lsn = journal.checkpoint.lsn + 1
     records: List[JournalRecord] = []
     torn = False
     saved = disk.stats
@@ -138,7 +144,7 @@ def scan_journal(journal: RedoJournal, stats: QueryStats,
                     record = json.loads(buffer.decode("ascii"))
                 except (ValueError, UnicodeDecodeError):
                     continue  # record spans further pages
-                records.append(JournalRecord(lsn=len(records) + 1,
+                records.append(JournalRecord(lsn=first_lsn + len(records),
                                              end_page=page_no + 1,
                                              record=record))
                 buffer = b""
@@ -149,35 +155,42 @@ def scan_journal(journal: RedoJournal, stats: QueryStats,
     return records, torn
 
 
-def recover_store(base_tables: Dict[str, Table], journal: RedoJournal,
+def recover_store(journal: RedoJournal,
                   committed_lsn: Optional[int] = None,
                   stats: Optional[QueryStats] = None,
                   tracer: Optional[Tracer] = None
                   ) -> Tuple[WriteStore, RecoveryReport]:
-    """Rebuild a :class:`WriteStore` from genesis ``base_tables`` plus
-    the surviving ``journal``.
+    """Rebuild a :class:`WriteStore` from ``journal``: its checkpoint's
+    tables at the checkpoint epoch, plus the records after it.
 
-    Records up to ``committed_lsn`` (default: every fully-parsed record)
-    are replayed in order; a shorter journal raises
+    Pages the checkpoint covers but a crash kept from being dropped are
+    dropped first, unread.  Records up to ``committed_lsn`` (default:
+    every fully-parsed record; never less than the checkpoint) are
+    replayed in order; a shorter journal raises
     :class:`~repro.errors.JournalTornError` — an acknowledged write
     would be lost.  Beyond the committed prefix, durable ``move``
-    records roll forward (the move record is the swap's commit point);
-    everything after the first non-move tail record is truncated from
-    the journal, physically, so recovering twice is idempotent.
+    records roll forward (the move record is the swap's commit point)
+    and become the checkpoint; everything after the first non-move tail
+    record is truncated from the journal, physically, so recovering
+    twice is idempotent.
     """
     if stats is None:
         stats = QueryStats()
+    journal.drop_covered()
+    checkpoint = journal.checkpoint
     records, torn = scan_journal(journal, stats, tracer)
-    committed = len(records) if committed_lsn is None else committed_lsn
-    if len(records) < committed:
+    held = checkpoint.lsn + len(records)
+    committed = (held if committed_lsn is None
+                 else max(committed_lsn, checkpoint.lsn))
+    if held < committed:
         raise JournalTornError(
-            f"journal holds {len(records)} valid records but LSN "
+            f"journal holds records through LSN {held} but LSN "
             f"{committed} was acknowledged; refusing to silently lose a "
             f"committed write"
         )
-    kept = records[:committed]
+    kept = records[:committed - checkpoint.lsn]
     dropped = 0
-    for rec in records[committed:]:
+    for rec in records[committed - checkpoint.lsn:]:
         if rec.record.get("op") == "move" and dropped == 0:
             kept.append(rec)  # durable commit point: roll forward
         else:
@@ -186,19 +199,24 @@ def recover_store(base_tables: Dict[str, Table], journal: RedoJournal,
     keep_pages = kept[-1].end_page if kept else 0
     if journal.num_pages > keep_pages:
         journal.truncate_pages(keep_pages)
-    journal.records = len(kept)
+    journal.records = kept[-1].lsn if kept else checkpoint.lsn
 
-    ws = WriteStore(dict(base_tables), journal=journal)
+    ws = WriteStore(checkpoint.tables, journal=journal)
+    ws.epoch = ws.horizon = checkpoint.epoch
     report = RecoveryReport(records_scanned=len(records),
                             torn_tail_records=dropped + (1 if torn else 0))
     with span_context(tracer, "journal-apply"):
         for rec in kept:
             ws.apply_record(rec.record)
             if rec.record.get("op") == "move":
+                # the mover died before its checkpoint: take it here
+                journal.record_checkpoint(ws.effective_tables(), ws.epoch,
+                                          rec.lsn, rec.end_page)
                 report.moves_rolled_forward += 1
             else:
                 report.recovered_batches += 1
                 stats.recovered_batches += 1
+    journal.drop_covered()
     report.replay_pages = stats.journal_replay_pages
     report.epoch = ws.epoch
     report.horizon = ws.horizon
@@ -212,9 +230,8 @@ def recover_engine(engine, journal: Optional[RedoJournal] = None,
     """Cold-start recovery for one engine (CStore or SystemX).
 
     Replays ``journal`` (default: the engine's own, when it has ever
-    written) against the engine's *genesis* tables — never the current,
-    possibly-moved base, which is what makes recovering twice a no-op —
-    then:
+    written) from its checkpoint — the base of the last durable move,
+    which is what makes recovering twice a no-op — then:
 
     * adopts the recovered write store (pending rows serve as ordinary
       snapshot reads);
@@ -236,8 +253,7 @@ def recover_engine(engine, journal: Optional[RedoJournal] = None,
         journal = engine._writes.journal
     if journal is None:
         return RecoveryReport()  # never wrote: nothing to recover
-    ws, report = recover_store(dict(engine._genesis_tables), journal,
-                               committed_lsn, stats, tracer)
+    ws, report = recover_store(journal, committed_lsn, stats, tracer)
     ws.journal.disk.fault_injector = engine.disk.fault_injector
     engine._writes = ws
     if ws.horizon > 0 and engine._zm_epoch != ws.horizon:
@@ -289,7 +305,8 @@ class CrashHarness:
     acknowledged) and the harness remembers the crash.  A subsequent
     :meth:`crash_and_recover` throws away the entire engine — every
     in-memory structure — and re-opens from the simulated disk alone:
-    fresh engine over the genesis data, surviving redo journal, and a
+    fresh engine over the genesis data, surviving redo journal (its
+    checkpoint stands for the pages of the last durable move), and a
     replay bounded by the last *acknowledged* LSN.
 
     The restart injector keeps the fault policies (so replay itself can

@@ -41,14 +41,7 @@ from ..errors import (IntegrityError, SnapshotTooOldError,
                       WriteContentionError, WriteError)
 from ..obs import Tracer
 from ..plan.keys import KeyIndex
-from ..plan.logical import (
-    Comparison,
-    CompareOp,
-    InSet,
-    Predicate,
-    RangePredicate,
-    Value,
-)
+from ..plan.logical import Predicate, Value
 from ..reference.predicates import eval_predicate
 from ..simio.stats import QueryStats
 from ..ssb.schema import FACT_SORT_KEYS, FOREIGN_KEYS
@@ -132,8 +125,9 @@ class WriteStore:
         #: base position -> epoch that deleted it
         self._base_deleted: Dict[str, Dict[int, int]] = {n: {} for n in tables}
         #: an existing journal may be adopted (cold-start replay re-applies
-        #: a surviving journal against fresh base tables)
-        self.journal = journal if journal is not None else RedoJournal()
+        #: a surviving journal's tail to its checkpoint's tables)
+        self.journal = (journal if journal is not None
+                        else RedoJournal(tables))
         # projection-space deleted positions, keyed (epoch, sort keys)
         self._proj_cache: Dict[Tuple[int, Tuple[str, ...]], np.ndarray] = {}
         # the latest visibility: epoch E's snapshot never changes until a
@@ -244,11 +238,7 @@ class WriteStore:
         base_hits = [int(pos) for pos in np.flatnonzero(mask)
                      if int(pos) not in deleted_map]
         wos = self._wos[table]
-        wos_hits = [
-            idx for idx, row in enumerate(wos)
-            if row.delete_epoch is None
-            and all(_row_matches(row.values, p) for p in predicates)
-        ]
+        wos_hits = self._wos_hits(table, predicates)
         if not base_hits and not wos_hits:
             return 0
         if table != FACT_TABLE:
@@ -276,6 +266,22 @@ class WriteStore:
         self.epoch = new_epoch
         return len(base_hits) + len(wos_hits)
 
+    def _wos_hits(self, table: str, predicates: Sequence[Predicate]
+                  ) -> List[int]:
+        """Indices of the undeleted WOS rows of ``table`` that match every
+        conjunct, evaluated per column exactly as on the base side."""
+        wos = self._wos[table]
+        live = [idx for idx, row in enumerate(wos) if row.delete_epoch is None]
+        rows = [wos[idx] for idx in live]
+        base = self._base[table]
+        mask = np.ones(len(live), dtype=bool)
+        columns: Dict[str, Column] = {}
+        for p in predicates:
+            if p.column not in columns:
+                columns[p.column] = _wos_column(base.column(p.column), rows)
+            mask &= eval_predicate(columns[p.column], p)
+        return [live[i] for i in np.flatnonzero(mask)]
+
     # ------------------------------------------------------------------ #
     # replay (cold-start recovery)
     # ------------------------------------------------------------------ #
@@ -283,8 +289,8 @@ class WriteStore:
         """Re-apply one journaled record without re-journaling it.
 
         Used only by :mod:`repro.write.recovery`: records are replayed in
-        LSN order against the genesis base tables, so validation already
-        ran when the record was first accepted and is skipped here.
+        LSN order against the journal checkpoint's tables, so validation
+        already ran when the record was first accepted and is skipped.
         """
         op = record.get("op")
         epoch = int(record.get("epoch", -1))
@@ -318,19 +324,20 @@ class WriteStore:
             raise WriteError(f"journal replay: unknown op {op!r}")
 
     @classmethod
-    def recover(cls, tables: Dict[str, Table], journal: RedoJournal,
+    def recover(cls, journal: RedoJournal,
                 committed_lsn: Optional[int] = None,
                 stats: Optional[QueryStats] = None,
                 tracer: Optional[Tracer] = None) -> "WriteStore":
-        """Cold-start replay: rebuild a store from genesis ``tables`` and
-        a surviving ``journal`` (see :mod:`repro.write.recovery`).
+        """Cold-start replay: rebuild a store from a surviving
+        ``journal`` — its checkpoint plus the records after it (see
+        :mod:`repro.write.recovery`).
 
         Returns the recovered store; its :class:`RecoveryReport` is left
         on ``store.last_recovery``.
         """
         from .recovery import recover_store
-        store, report = recover_store(tables, journal, committed_lsn,
-                                      stats, tracer)
+        store, report = recover_store(journal, committed_lsn, stats,
+                                      tracer)
         store.last_recovery = report
         return store
 
@@ -579,8 +586,8 @@ class WriteStore:
         """Adopt the rebuilt base tables; advance the merge horizon.
 
         Called by an engine's tuple mover *after* its shadow rebuild
-        succeeded and was swapped in.  Epochs below the new horizon are
-        gone; the journal (its own disk) is untouched.
+        succeeded and was swapped in, before it checkpoints the journal.
+        Epochs below the new horizon are gone.
         """
         if set(tables) != set(self._base):
             raise WriteError(
@@ -603,19 +610,20 @@ class WriteStore:
         (fixed-domain) dictionaries.  None when ``rows`` is empty."""
         if not rows:
             return None
-        base = self._base[name]
-        columns: List[Column] = []
-        for col in base.columns():
-            if col.dictionary is not None:
-                data = np.asarray(
-                    [col.dictionary.code(r.values[col.name]) for r in rows],
-                    dtype=col.data.dtype,
-                )
-            else:
-                data = np.asarray([r.values[col.name] for r in rows],
-                                  dtype=col.data.dtype)
-            columns.append(Column(col.name, col.ctype, data, col.dictionary))
-        return Table(name, columns, SortOrder(()))
+        return Table(name, [_wos_column(col, rows)
+                            for col in self._base[name].columns()],
+                     SortOrder(()))
+
+
+def _wos_column(col: Column, rows: Sequence[WosRow]) -> Column:
+    """``rows``' values of ``col`` as a column of the same type (strings
+    as codes of its fixed-domain dictionary)."""
+    if col.dictionary is not None:
+        values = [col.dictionary.code(r.values[col.name]) for r in rows]
+    else:
+        values = [r.values[col.name] for r in rows]
+    return Column(col.name, col.ctype,
+                  np.asarray(values, dtype=col.data.dtype), col.dictionary)
 
 
 def _concat_tables(name: str, base: Table, kept: Table,
@@ -650,29 +658,6 @@ def projection_deleted_positions(table: Table, sort_keys: Sequence[str],
     inverse = np.empty(table.num_rows, dtype=np.int64)
     inverse[perm] = np.arange(table.num_rows, dtype=np.int64)
     return np.sort(inverse[deleted])
-
-
-def _row_matches(values: Dict[str, Value], pred: Predicate) -> bool:
-    """Evaluate one conjunct against a logical row (WOS side).
-
-    String comparisons are plain lexicographic — sound because the
-    column dictionaries are order-preserving, so this agrees exactly
-    with the code-domain evaluation used on base columns.
-    """
-    v = values[pred.column]
-    if isinstance(pred, Comparison):
-        return {
-            CompareOp.EQ: v == pred.value,
-            CompareOp.LT: v < pred.value,
-            CompareOp.LE: v <= pred.value,
-            CompareOp.GT: v > pred.value,
-            CompareOp.GE: v >= pred.value,
-        }[pred.op]
-    if isinstance(pred, RangePredicate):
-        return pred.low <= v <= pred.high
-    if isinstance(pred, InSet):
-        return v in pred.values
-    raise WriteError(f"unknown predicate type {type(pred).__name__}")
 
 
 __all__ = [

@@ -62,7 +62,8 @@ def test_recover_replays_every_engine(served, sdata):
 def test_recover_on_clean_service_is_noop(served):
     service, _cs, _rs = served
     reports = service.recover()
-    assert all(report.clean for report in reports.values())
+    assert all(report.clean and report.records_scanned == 0
+               for report in reports.values())
     assert service.stats.snapshot()["recoveries"] == 1
 
 

@@ -5,12 +5,14 @@
 history of a page — appended, rewritten, corrupted by the fault
 injector (bit flip or torn tail), replaced by direct assignment, turned
 into a ``bytearray`` and edited in place, truncated away with the
-journal and appended again — every verdict must be the one a fresh hash
-gives, on every read path: the buffer pool's miss loop, a morsel
-worker's trace pool, ``warm``, the scrubber's audit and the zone-map
-sidecar loader.  A twin disk that hashes on every verification replays
-the same operations as the reference for the ledger, the errors and the
-quarantine list.
+journal and appended again, renumbered by a prefix drop — every verdict
+must be the one a fresh hash gives, on every read path: the buffer
+pool's miss loop, a morsel worker's trace pool, ``warm``, the
+scrubber's audit and the zone-map sidecar loader.  A twin disk that
+hashes on every verification replays the same operations as the
+reference for the ledger, the errors and the quarantine list.  After
+every operation the remembered images line up with the pages: one per
+page, each the very object the last write to that page stored.
 """
 
 import warnings
@@ -42,7 +44,7 @@ class Side:
     """One disk, its pool and what the operations returned on it."""
 
     def __init__(self, raw: bool) -> None:
-        self.journal = RedoJournal()
+        self.journal = RedoJournal({})
         self.disk = self.journal.disk
         self.disk.fault_injector = FaultInjector(
             seed=SEED, policies=[FaultPolicy(transient_rate=0.3)])
@@ -119,6 +121,13 @@ def apply(op, side, model=None):
         if model is not None:
             for gone in range(page_no, n):
                 model.written.pop(gone, None)
+    elif kind == "drop_prefix":
+        cut = page_no + 1
+        side.disk.file(NAME).truncate(0, cut)
+        side.pool.invalidate(NAME)  # every later page was renumbered
+        if model is not None:
+            model.written = {page - cut: image for page, image
+                             in model.written.items() if page >= cut}
     elif kind in ("pool", "trace"):
         side.seen.append(side.read(kind, page_no))
     elif kind == "warm":
@@ -135,11 +144,22 @@ def apply(op, side, model=None):
 
 
 KINDS = ("append", "rewrite", "bitflip", "torn", "assign", "to_bytearray",
-         "poke", "truncate", "pool", "trace", "warm", "audit", "sidecar")
+         "poke", "truncate", "drop_prefix", "pool", "trace", "warm", "audit",
+         "sidecar")
 ops = st.lists(
     st.tuples(st.sampled_from(KINDS), st.integers(0, 63),
               st.binary(max_size=48)),
     max_size=30)
+
+
+def assert_cache_aligned(side, model):
+    """One remembered image per page, and it is the exact ``bytes``
+    object the last write to that page stored (None for a mutable one)."""
+    remembered = side.disk.file(NAME)._written
+    assert len(remembered) == len(side.pages)
+    for page_no, image in enumerate(remembered):
+        written = model.written[page_no]
+        assert image is (written if type(written) is bytes else None)
 
 
 def _start(side, model=None):
@@ -180,6 +200,7 @@ def test_verify_cache_verdicts_match_raw_crc(ops):
         _start(side, model)
         for op in ops:
             apply(op, side, model)
+            assert_cache_aligned(side, model)
         assert all(calls), "a CRC was computed when it was not needed, " \
             "or skipped when it was"
         assert side.seen == reference.seen

@@ -118,15 +118,15 @@ def test_insert_merge_delete_move_recover(wdata, kind):
     for run in driver.check_reads():
         assert run.stats.delta_rows_merged == 0
 
-    # cold-start recovery replays the journal against the genesis
-    # tables: moved rows and the un-moved tail both survive
+    # cold-start recovery replays only the journal's tail onto the last
+    # move's checkpoint: moved rows and the un-moved tail both survive
     assert engine.insert("lineorder", rows[60:]) == 30
     before = engine.snapshot_tables()["lineorder"].num_rows
     ledger = QueryStats()
     report = engine.recover(stats=ledger)
     assert ledger.journal_replay_pages == report.replay_pages > 0
-    assert report.recovered_batches == 4  # three inserts and a delete
-    assert report.moves_rolled_forward == 2
+    assert report.records_scanned == report.recovered_batches == 1
+    assert report.moves_rolled_forward == 0  # both moves checkpointed
     assert engine.pending_writes() == 30
     assert engine.snapshot_tables()["lineorder"].num_rows == before
     driver.check_reads()

@@ -60,7 +60,7 @@ def test_recover_on_empty_write_store_journal(wdata):
     # an armed write store whose journal holds zero records: replay is a
     # no-op but still walks the (empty) journal cleanly
     ws = WriteStore(dict(wdata.tables))
-    store, report = recover_store(dict(wdata.tables), ws.journal)
+    store, report = recover_store(ws.journal)
     assert report.clean
     assert store.epoch == 0
     assert not store.has_pending()
@@ -159,14 +159,14 @@ def test_missing_committed_record_raises_typed(wdata):
     # simulate losing the whole journal tail below an acknowledged LSN
     ws.journal.truncate_pages(0)
     with pytest.raises(JournalTornError, match="LSN 2 was acknowledged"):
-        recover_store(dict(wdata.tables), ws.journal, committed_lsn=2)
+        recover_store(ws.journal, committed_lsn=2)
 
 
 def test_write_store_recover_classmethod(wdata):
     ws = WriteStore(dict(wdata.tables))
     ws.insert("lineorder", clone_rows(wdata.lineorder, 4), QueryStats())
     ws.delete("lineorder", delete_predicates(), QueryStats())
-    recovered = WriteStore.recover(dict(wdata.tables), ws.journal)
+    recovered = WriteStore.recover(ws.journal)
     assert recovered.last_recovery.recovered_batches == 2
     assert recovered.epoch == ws.epoch
     assert _columns_equal(ws.effective_tables(),

@@ -12,6 +12,7 @@ with exactly the outcomes of checking per cell and rebuilding per read.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -154,8 +155,8 @@ def test_live_keys_follow_deletes_and_the_wos(wdata):
 # -------------------------------------------------------------------- #
 # the journal's bytes
 # -------------------------------------------------------------------- #
-#: sha256 over the journal pages of the sequence below, recorded when
-#: validation still ran once per cell (the bytes must never move)
+#: sha256 over the journal pages the sequence below appends, recorded
+#: when validation still ran once per cell (the bytes must never move)
 JOURNAL_SHA256 = \
     "90faf30a0c6b9d47d444cdf9696f47a768761a4770dedcb0058982bbf18ff376"
 JOURNAL_PAGES = 8
@@ -163,6 +164,17 @@ JOURNAL_PAGES = 8
 
 def test_journal_pages_are_byte_identical(wdata):
     engine = SystemX(wdata, designs=[DesignKind.TRADITIONAL], writes=True)
+    journal = engine._write_store().journal
+    # the move drops the journal's prefix, so collect pages as appended
+    appended = []
+    append_page = journal.disk.append_page
+
+    def recording(name, payload):
+        page_no = append_page(name, payload)
+        appended.append(payload)
+        return page_no
+
+    journal.disk.append_page = recording
     stats = QueryStats()
     engine.insert("lineorder", clone_rows(wdata.lineorder, 120), stats)
     engine.insert("supplier", _supplier(wdata, 10 ** 6), stats)
@@ -173,11 +185,14 @@ def test_journal_pages_are_byte_identical(wdata):
     engine.move(stats)
     engine.insert("lineorder",
                   clone_rows(wdata.lineorder, indices=range(200, 260)), stats)
-    journal = engine._writes.journal
-    digest = hashlib.sha256(b"".join(
-        journal.disk.peek_page(JOURNAL_FILE, page)
-        for page in range(journal.num_pages))).hexdigest()
-    assert (journal.num_pages, digest) == (JOURNAL_PAGES, JOURNAL_SHA256)
+    digest = hashlib.sha256(b"".join(appended)).hexdigest()
+    assert (len(appended), digest) == (JOURNAL_PAGES, JOURNAL_SHA256)
+    # afterwards the journal holds the post-move insert and nothing else
+    held = [journal.disk.peek_page(JOURNAL_FILE, page)
+            for page in range(journal.num_pages)]
+    assert held and held == appended[-len(held):]
+    assert json.loads(b"".join(held))["op"] == "insert"
+    assert (journal.checkpoint.lsn, journal.records) == (6, 7)
 
 
 # -------------------------------------------------------------------- #

@@ -11,10 +11,11 @@
 #
 # Finally benchmarks/bench_resilience.py --check asserts the service
 # resilience contract: under the persistent-corruption fault profile,
-# circuit breakers + degraded serving strictly reduce the error rate
-# and strictly raise availability, degraded answers match the healthy
-# engine's rows, and a fault-free service ledger stays byte-identical
-# to a direct engine call.
+# circuit breakers keep availability at least as high as breakers-off,
+# strictly cut the simulated seconds burned by failed queries, and
+# serve exact repeats degraded with the healthy engine's rows; and a
+# fault-free service ledger stays byte-identical to a direct engine
+# call.
 #
 # benchmarks/bench_sharding.py --check asserts the scatter-gather
 # contract: rows, merged ledgers, and traces identical at shards=4 vs

@@ -159,8 +159,6 @@ def serve_record(samples: List[Dict], service_stats: Dict, *,
             "simulated_seconds": sum(s["simulated_seconds"] for s in batch),
             "engine_runs": sum(1 for s in sources if s == "engine"),
             "exact_hits": sum(1 for s in sources if s == "cache-exact"),
-            "subsumption_hits": sum(
-                1 for s in sources if s == "cache-refilter"),
             "hit_rate": hits / len(batch) if batch else 0.0,
         })
     return {
@@ -235,8 +233,7 @@ def render_serve(record: Dict) -> str:
             f"  flight {flight['flight']}: "
             f"{flight['simulated_seconds']:.3f} simulated s, "
             f"{flight['engine_runs']} engine run(s), "
-            f"{flight['exact_hits']} exact + "
-            f"{flight['subsumption_hits']} subsumption hit(s) "
+            f"{flight['exact_hits']} exact hit(s) "
             f"(hit rate {flight['hit_rate']:.0%})")
     return "\n".join(lines)
 

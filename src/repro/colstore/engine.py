@@ -218,10 +218,7 @@ class CStore(EngineShell):
                 # ledger
                 trace = tracer.finish(stats)
                 return ColumnStoreRun(
-                    result, stats, self.cost_model.cost(stats), trace=trace,
-                    survivors=getattr(planner, "last_positions", None),
-                    projection_name=getattr(planner, "last_projection",
-                                            None))
+                    result, stats, self.cost_model.cost(stats), trace=trace)
         finally:
             self.disk.cancellation = saved_cancellation
 

@@ -291,10 +291,6 @@ class ColumnPlanner:
         # kept for EXPLAIN: the join's run-time decisions
         self.last_join = join
         self.last_survivors = survivors.count
-        # kept for the service layer's semantic cache: the surviving
-        # fact positions and the projection they index into
-        self.last_positions = survivors
-        self.last_projection = fact_proj.name
 
         out_of_order = not self.config.invisible_join
 
@@ -324,9 +320,7 @@ class ColumnPlanner:
 
         ``fetch(column)`` returns a fact column's values at those
         positions; ``gather(table, column)`` a dimension group-by
-        attribute aligned with them.  The planner passes its invisible
-        join's extraction; the service's cache re-filter passes a sorted
-        key-set gather over cached positions — both get identical rows.
+        attribute aligned with them, from the join's extraction.
         """
         agg_funcs = [a.func for a in query.aggregates]
         cells = reduction = None

@@ -85,7 +85,7 @@ class ExecutionConfig:
         if self.invisible_join and not self.late_materialization:
             raise PlanError(
                 "the invisible join requires late materialization "
-                "(early materialization implies row-style execution)"
+                "(early materialization means row-style execution)"
             )
         if self.workers < 1:
             raise PlanError(f"workers must be >= 1, got {self.workers}")

@@ -88,11 +88,6 @@ class EngineRun:
     trace: Optional[Trace] = None
     #: which shards ran / were eliminated (sharded executions only)
     shard_report: Optional[object] = None
-    #: column store, late-materialization plans only: the surviving fact
-    #: positions and the fact projection they index into — consumed by
-    #: the service layer's semantic cache
-    survivors: Optional[object] = None
-    projection_name: Optional[str] = None
 
     @property
     def seconds(self) -> float:

@@ -24,7 +24,7 @@ guarantee (worker leaves are recorded at the barrier, in morsel order).
 
 The serve layer adds its own span vocabulary on top of the engines':
 ``admission-wait``, ``breaker-check``, ``cache-lookup``,
-``cache-refilter``, ``cache-admit``, plus zero-cost marker leaves
+``cache-admit``, plus zero-cost marker leaves
 ``shed`` (a brownout rejection) and ``degraded-hit`` (a cache answer
 served while the scope's circuit breaker was open).
 Failed submissions finish their tracer too — the partial trace, still

@@ -5,8 +5,8 @@ some key equals it and at which row of ``keys``.  It is what a hash
 probe, a foreign-key-to-dimension-row resolution and a key-set
 membership test all reduce to, so the column store's invisible join and
 its late-materialized fallback, the row store's hash joins, the
-early-materialized row pipeline, the service's cache re-filter and
-denormalization all call this one class.
+early-materialized row pipeline and denormalization all call this one
+class.
 
 Two paths, chosen from the keys alone:
 

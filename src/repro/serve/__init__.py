@@ -9,18 +9,16 @@ flights.  This package puts a service in front of both engines:
 * :class:`~repro.serve.session.Session` — one logical client's engine
   choice, execution config, and running tallies;
 * :class:`~repro.serve.semcache.SemanticCache` — normalizes each query's
-  predicates and caches result tables plus surviving fact-position sets,
-  serving exact hits verbatim and *subsumed* hits (a cached predicate
-  implies the requested one) by re-filtering cached positions instead of
-  rescanning;
+  predicates and caches result tables, answering an exact structural
+  repeat verbatim; anything else runs on the engine;
 * :mod:`~repro.serve.resilience` — per-scope circuit breakers on a
   deterministic simulated clock, cooperative cancellation tokens for
   deadline propagation, and the primitives behind priority-aware load
-  shedding and degraded (cache-only) serving.
+  shedding and degraded (exact-hit-only) serving.
 
-See ``docs/serving.md`` for the admission, keying, and subsumption
-rules, and ``docs/robustness.md`` ("service resilience") for breakers,
-shedding, and degraded-mode honesty.
+See ``docs/serving.md`` for the admission and keying rules, and
+``docs/robustness.md`` ("service resilience") for breakers, shedding,
+and degraded-mode honesty.
 """
 
 from ..errors import (

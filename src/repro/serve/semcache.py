@@ -1,43 +1,29 @@
-"""Predicate normalization, subsumption, and the semantic cache.
+"""Predicate normalization and the semantic result cache.
 
-The cache stores two kinds of entries, both keyed on *normalized*
-predicates rather than query text:
-
-* **result entries** — the final :class:`~repro.result.ResultSet` of a
-  query, keyed on the query's full structural identity (predicates,
-  group-by, aggregates, ordering).  Served verbatim on an exact repeat.
-* **position entries** — the surviving fact-table positions of a query,
-  keyed on its :class:`PredicateSignature` within one engine scope.  A
-  later query whose predicates are *implied* by a cached entry's
-  (``d.year BETWEEN 1992 AND 1997`` covers ``d.year = 1993``) is served
-  by re-filtering the cached positions instead of rescanning the fact
-  table — the paper's Section 5.4 between-predicate rewriting lifted
-  from one query to a whole workload.
+The cache stores the final :class:`~repro.result.ResultSet` of a query,
+keyed on the query's full structural identity rather than its text:
+predicates (normalized), grouping, aggregates, ordering and limit.  An
+exact structural repeat is served verbatim; anything else is a miss and
+runs on the engine.
 
 Normalization folds each table's conjunctive predicates into one
 constraint per column: an :class:`Interval` (possibly half-bounded) or a
-:class:`ValueSet`.  Implication between two constraints on the same
-column is decided symbolically; when a cached dimension constraint names
-a *different column* than the requested one (``s.nation = 'UNITED
-STATES'`` under a cached ``s.region = 'AMERICA'``), symbolic reasoning
-cannot decide, and the service falls back to comparing the dimensions'
-surviving *key sets* — cached entries carry them — which is exact.
+:class:`ValueSet`.  Texts that differ only in how they spell the same
+constraints (``lo.quantity < 25 AND lo.quantity < 30`` and
+``lo.quantity < 25``, or predicates in another order) share an entry.
 
 Admission is cost-aware (only queries whose priced simulated-seconds
-exceed a threshold are worth remembering) and eviction is byte-budget
-LRU.  The cache itself never touches the simulated disk; all lookup-time
-I/O (key-set probes, re-filters) is charged by the service to the
-requesting query's ledger.
+reach a threshold are worth remembering) and eviction is byte-budget
+LRU.  The cache never touches the simulated disk: a lookup costs the
+requesting query nothing on its ledger but the lookup counters.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from ..plan.logical import (
     BinOp,
@@ -92,15 +78,8 @@ class ValueSet:
 
     values: Tuple[object, ...]
 
-    def is_empty(self) -> bool:
-        return not self.values
-
 
 Constraint = Union[Interval, ValueSet]
-
-#: matches every value; folding a column's predicates starts from here
-TOP = Interval()
-
 
 def constraint_of(pred: Predicate) -> Constraint:
     """The single-column constraint a predicate expresses."""
@@ -143,67 +122,16 @@ def intersect(a: Constraint, b: Constraint) -> Constraint:
     return merged
 
 
-def implies(a: Constraint, b: Constraint) -> bool:
-    """True when every value satisfying ``a`` also satisfies ``b``
-    (both constraints are on the same column).  Conservative: value
-    types that do not compare cleanly yield ``False``, never a wrong
-    ``True``."""
-    try:
-        return _implies(a, b)
-    except TypeError:
-        return False
-
-
-def _implies(a: Constraint, b: Constraint) -> bool:
-    if isinstance(a, ValueSet):
-        if a.is_empty():
-            return True
-        if isinstance(b, ValueSet):
-            return set(a.values) <= set(b.values)
-        return all(b.contains(v) for v in a.values)
-    if a.is_empty():
-        return True
-    if isinstance(b, ValueSet):
-        # an interval only fits inside an explicit set when it is a
-        # single closed point (wider membership cannot be proven
-        # without knowing the column's value domain)
-        return (a.low is not None and a.low == a.high
-                and not a.low_open and not a.high_open
-                and a.low in set(b.values))
-    if b.low is not None:
-        if a.low is None:
-            return False
-        if a.low < b.low:
-            return False
-        if a.low == b.low and b.low_open and not a.low_open:
-            return False
-    if b.high is not None:
-        if a.high is None:
-            return False
-        if a.high > b.high:
-            return False
-        if a.high == b.high and b.high_open and not a.high_open:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------- #
 # query signatures
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class PredicateSignature:
     """A query's normalized predicates: one constraint per (table,
-    column), sorted — the canonical key the position cache matches on."""
+    column), sorted — the predicate part of :func:`query_key`."""
 
     fact_table: str
     constraints: Tuple[Tuple[str, str, Constraint], ...]
-
-    def by_column(self) -> Dict[Tuple[str, str], Constraint]:
-        return {(t, c): k for t, c, k in self.constraints}
-
-    def tables(self) -> FrozenSet[str]:
-        return frozenset({self.fact_table}
-                         | {t for t, _c, _k in self.constraints})
 
 
 def normalize_query(query: StarQuery) -> PredicateSignature:
@@ -249,38 +177,6 @@ def query_key(query: StarQuery) -> Tuple:
     )
 
 
-def subsumption_gaps(requested: PredicateSignature,
-                     cached: PredicateSignature) -> Optional[List[str]]:
-    """Decide symbolically whether ``cached``'s positions can serve
-    ``requested``.
-
-    Returns ``None`` when they definitely cannot (a cached *fact*
-    constraint is not implied, or the fact tables differ); otherwise the
-    list of dimension tables whose cached constraints could not be
-    proven symbolically and need the exact key-set containment check
-    (empty list: fully proven, every requested row is among the cached
-    positions)."""
-    if requested.fact_table != cached.fact_table:
-        return None
-    return _gaps(requested.by_column(), cached)
-
-
-def _gaps(req: Dict[Tuple[str, str], Constraint],
-          cached: PredicateSignature) -> Optional[List[str]]:
-    """:func:`subsumption_gaps` over the requested signature's
-    ``by_column()`` (same fact table), so a lookup builds it once."""
-    gaps: List[str] = []
-    for table, column, cached_constraint in cached.constraints:
-        mine = req.get((table, column))
-        if mine is not None and implies(mine, cached_constraint):
-            continue
-        if table == cached.fact_table:
-            return None
-        if table not in gaps:
-            gaps.append(table)
-    return gaps
-
-
 # ---------------------------------------------------------------------- #
 # entries
 # ---------------------------------------------------------------------- #
@@ -296,26 +192,6 @@ class ResultEntry:
 
 
 @dataclass
-class PositionEntry:
-    """A cached set of surviving fact positions within one engine scope.
-
-    ``payload`` is engine-specific (column-store position lists naming
-    their projection, row-store rid arrays); ``key_sets`` holds each
-    predicated dimension's surviving keys — primary keys, so strictly
-    ascending once sorted — for the exact containment fallback, which
-    relies on that order."""
-
-    key: Tuple
-    scope: Tuple
-    signature: PredicateSignature
-    payload: object
-    key_sets: Dict[str, np.ndarray]
-    seconds: float
-    tables: FrozenSet[str]
-    nbytes: int
-
-
-@dataclass
 class CacheCounters:
     """Storage-side tallies (hit/miss counters live on each query's
     :class:`~repro.simio.stats.QueryStats` and in the service stats)."""
@@ -324,22 +200,17 @@ class CacheCounters:
     rejected_cheap: int = 0
     evictions: int = 0
     invalidations: int = 0
-    #: position entries ``find_subsuming`` ran the subsumption test on
-    candidates_inspected: int = 0
 
 
 class SemanticCache:
-    """Thread-safe byte-budget LRU over result and position entries."""
+    """Thread-safe byte-budget LRU over result entries."""
 
     def __init__(self, budget_bytes: int = 64 << 20,
                  admit_seconds: float = 1e-3) -> None:
         self.budget_bytes = budget_bytes
         self.admit_seconds = admit_seconds
         self._lock = threading.RLock()
-        self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
-        #: scope -> signature -> position entry: the position entries of
-        #: ``_entries``, each scope's in the same relative LRU order
-        self._positions: Dict[Tuple, "OrderedDict"] = {}
+        self._entries: "OrderedDict[Tuple, ResultEntry]" = OrderedDict()
         self._bytes = 0
         self.counters = CacheCounters()
 
@@ -358,80 +229,12 @@ class SemanticCache:
             return ResultSet(list(entry.result.columns),
                              list(entry.result.rows))
 
-    def find_subsuming(
-        self,
-        scope: Tuple,
-        requested: PredicateSignature,
-        keyset_fn: Optional[Callable[[str], np.ndarray]],
-        dimensions: Optional[FrozenSet[str]] = None,
-    ) -> Optional[PositionEntry]:
-        """The position entry in ``scope`` with ``requested``'s own
-        signature if there is one, else the oldest in LRU order whose
-        predicates imply ``requested``'s.
-
-        ``keyset_fn(dim)`` must return the *requested* query's surviving
-        keys for dimension ``dim`` (strictly ascending int64); it is
-        called at most once per dimension, only for dimensions symbolic
-        reasoning could not decide, and any I/O it performs is the
-        caller's to charge.  ``keyset_fn=None`` forbids
-        key-set probes entirely: only *symbolically proven* entries (no
-        gaps) match — degraded-mode serving uses this so a cache answer
-        never depends on reading possibly-corrupt dimension columns.
-        ``dimensions`` names the dimensions the requested query joins: a
-        key-set check against a dimension outside it cannot be
-        evaluated, so those candidates are skipped."""
-        with self._lock:
-            bucket = self._positions.get(scope)
-            if not bucket:
-                return None
-            # prefer an exact signature match: its re-filter is a no-op scan
-            exact = bucket.get(requested)
-            candidates = [e for e in bucket.values() if e is not exact]
-        if exact is not None:
-            candidates.insert(0, exact)
-        req = requested.by_column()
-        requested_keys: Dict[str, np.ndarray] = {}
-        #: (dim, the entry's constraints on dim) -> contained?  Equal
-        #: constraints in one scope select equal key sets.
-        verdicts: Dict[Tuple, bool] = {}
-
-        def contained(entry: PositionEntry, dim: str) -> bool:
-            cached_keys = entry.key_sets.get(dim)
-            if cached_keys is None:
-                return False
-            memo = (dim, tuple(c for c in entry.signature.constraints
-                               if c[0] == dim))
-            verdict = verdicts.get(memo)
-            if verdict is None:
-                keys = requested_keys.get(dim)
-                if keys is None:
-                    keys = requested_keys[dim] = keyset_fn(dim)
-                verdict = verdicts[memo] = _ascending_subset(keys,
-                                                             cached_keys)
-            return verdict
-
-        found, inspected = None, 0
-        for entry in candidates:
-            if entry.signature.fact_table != requested.fact_table:
-                continue
-            inspected += 1
-            gaps = _gaps(req, entry.signature)
-            if gaps is None:
-                continue
-            if keyset_fn is None and gaps:
-                continue
-            if dimensions is not None \
-                    and not set(gaps) <= set(dimensions):
-                continue
-            if all(contained(entry, dim) for dim in gaps):
-                found = entry
-                break
-        with self._lock:
-            self.counters.candidates_inspected += inspected
-            if found is not None and found.key in self._entries:
-                self._entries.move_to_end(found.key)
-                self._positions[scope].move_to_end(found.signature)
-        return found
+    def find_subsuming(self, *args, **kwargs) -> None:
+        """Always None: the cache keeps no position sets to subsume from.
+        Kept only as a patch point of the end-to-end benchmark's tracer
+        (``benchmarks/e2e/tracing.py``); the ``[benchmark]`` change of
+        ROADMAP item 0(f) retires it."""
+        return None
 
     # -------------------------------------------------------------- #
     # admission / eviction
@@ -459,55 +262,28 @@ class SemanticCache:
         self._insert(entry)
         return True
 
-    def admit_positions(self, scope: Tuple, signature: PredicateSignature,
-                        payload: object, key_sets: Dict[str, np.ndarray],
-                        seconds: float, nbytes: int) -> bool:
-        if not self.worth_admitting(seconds):
-            with self._lock:
-                self.counters.rejected_cheap += 1
-            return False
-        entry = PositionEntry(
-            key=("positions", scope, signature),
-            scope=scope,
-            signature=signature,
-            payload=payload,
-            key_sets=key_sets,
-            seconds=seconds,
-            tables=signature.tables(),
-            nbytes=nbytes + sum(int(a.nbytes) for a in key_sets.values()),
-        )
-        self._insert(entry)
-        return True
+    def admit_positions(self, *args, **kwargs) -> bool:
+        """Always False: nothing but results is admitted.  Kept only as a
+        patch point of the end-to-end benchmark's tracer; the
+        ``[benchmark]`` change of ROADMAP item 0(f) retires it."""
+        return False
 
-    def _insert(self, entry) -> None:
+    def _insert(self, entry: ResultEntry) -> None:
         with self._lock:
             old = self._entries.pop(entry.key, None)
             if old is not None:
                 self._bytes -= old.nbytes
-                self._unindex(old)
             self._entries[entry.key] = entry
-            if isinstance(entry, PositionEntry):
-                self._positions.setdefault(entry.scope, OrderedDict())[
-                    entry.signature] = entry
             self._bytes += entry.nbytes
             self.counters.admitted += 1
             removed = old is not None
             while self._bytes > self.budget_bytes and len(self._entries) > 1:
                 _key, evicted = self._entries.popitem(last=False)
                 self._bytes -= evicted.nbytes
-                self._unindex(evicted)
                 self.counters.evictions += 1
                 removed = True
             if removed:
                 self._check_bytes()
-
-    def _unindex(self, entry) -> None:
-        """Drop a removed entry from the position index (lock held)."""
-        if isinstance(entry, PositionEntry):
-            bucket = self._positions[entry.scope]
-            del bucket[entry.signature]
-            if not bucket:
-                del self._positions[entry.scope]
 
     def _check_bytes(self) -> None:
         """Assert the byte gauge against ground truth (caller holds the
@@ -526,12 +302,11 @@ class SemanticCache:
     # invalidation
     # -------------------------------------------------------------- #
     def discard(self, key: Tuple) -> None:
-        """Drop one entry (e.g. after its projection went bad)."""
+        """Drop one entry."""
         with self._lock:
             entry = self._entries.pop(key, None)
             if entry is not None:
                 self._bytes -= entry.nbytes
-                self._unindex(entry)
             self._check_bytes()
 
     def invalidate(self, table: Optional[str] = None) -> int:
@@ -544,7 +319,6 @@ class SemanticCache:
             if table is None:
                 dropped = len(self._entries)
                 self._entries.clear()
-                self._positions.clear()
                 self._bytes = 0
             else:
                 victims = [k for k, e in self._entries.items()
@@ -552,7 +326,6 @@ class SemanticCache:
                 for key in victims:
                     entry = self._entries.pop(key)
                     self._bytes -= entry.nbytes
-                    self._unindex(entry)
                 dropped = len(victims)
             self.counters.invalidations += dropped
             self._check_bytes()
@@ -576,31 +349,15 @@ class SemanticCache:
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
             self._check_bytes()
-            positions = sum(len(b) for b in self._positions.values())
             return {
                 "entries": len(self._entries),
-                "result_entries": len(self._entries) - positions,
-                "position_entries": positions,
                 "bytes": self._bytes,
                 "budget_bytes": self.budget_bytes,
                 "admitted": self.counters.admitted,
                 "rejected_cheap": self.counters.rejected_cheap,
                 "evictions": self.counters.evictions,
                 "invalidations": self.counters.invalidations,
-                "candidates_inspected": self.counters.candidates_inspected,
             }
-
-
-def _ascending_subset(keys: np.ndarray, within: np.ndarray) -> bool:
-    """Is every element of ``keys`` in ``within``?  Both are strictly
-    ascending, so size and end points reject most pairs before the one
-    binary-search pass."""
-    if keys.size == 0:
-        return True
-    if keys.size > within.size or keys[0] < within[0] \
-            or keys[-1] > within[-1]:
-        return False
-    return bool((within[np.searchsorted(within, keys)] == keys).all())
 
 
 def _result_nbytes(result: ResultSet) -> int:
@@ -619,12 +376,9 @@ __all__ = [
     "Constraint",
     "constraint_of",
     "intersect",
-    "implies",
     "PredicateSignature",
     "normalize_query",
     "query_key",
-    "subsumption_gaps",
     "ResultEntry",
-    "PositionEntry",
     "SemanticCache",
 ]

@@ -1,4 +1,4 @@
-"""The query service: admission control, dispatch, semantic caching.
+"""The query service: admission control, dispatch, result caching.
 
 :class:`QueryService` fronts one :class:`~repro.colstore.engine.CStore`
 and/or one :class:`~repro.rowstore.engine.SystemX`.  Clients hold
@@ -9,28 +9,29 @@ and/or one :class:`~repro.rowstore.engine.SystemX`.  Clients hold
    in a FIFO queue with an optional queue timeout and per-query
    deadline, failing fast with typed
    :class:`~repro.errors.AdmissionError` / ``DeadlineError``;
-2. **looks up** — the semantic cache first (exact result hits, then
-   subsumed position entries re-filtered into fresh results);
+2. **looks up** — the semantic cache: an exact structural repeat of a
+   cached query is answered with its cached result, anything else is a
+   miss;
 3. **protects** — a per-(engine, fact-table) circuit breaker opens
-   after repeated persistent faults; while open, queries are answered
-   **degraded** from the cache when honesty allows (exact hits, or
-   symbolically-proven subsumption — never key-set guesses) and refused
-   with typed :class:`~repro.errors.BreakerOpenError` otherwise.
+   after repeated persistent faults; while open, an exact repeat is
+   still answered from the cache, stamped **degraded**, and every other
+   query is refused with typed :class:`~repro.errors.BreakerOpenError`.
    Deadlines propagate into engine execution as cooperative
    cancellation tokens checked at page/morsel boundaries, and an
    optional brownout policy sheds low-priority queued work
    (:class:`~repro.errors.ShedError`) when estimated wait exceeds a
    threshold;
-4. **executes** — on a miss, under the target engine's lock;
+4. **executes** — on a miss, exactly one engine run under the target
+   engine's lock;
 5. **accounts** — every step runs under the requesting query's own
    :class:`~repro.simio.stats.QueryStats` ledger and span tracer
    (``admission-wait``, ``breaker-check``, ``cache-lookup``,
-   ``cache-refilter``, ``cache-admit``, plus ``shed`` and
-   ``degraded-hit`` markers), and the finished trace is verified
-   to sum exactly to the flat ledger — on error paths too, where the
-   partial trace rides on the raised exception as ``error.trace``.
-   With the cache disabled and no faults, a service run's ledger is
-   byte-identical to a direct engine call.
+   ``cache-admit``, plus ``shed`` and ``degraded-hit`` markers), and
+   the finished trace is verified to sum exactly to the flat ledger —
+   on error paths too, where the partial trace rides on the raised
+   exception as ``error.trace``.  With no faults, a service run that
+   reaches the engine has the ledger of a direct engine call; a cache
+   miss adds only its ``cache_lookups`` / ``cache_misses`` counts.
 
 Writes go through :meth:`QueryService.insert` / ``delete`` / ``move``
 (or ``execute_sql``): each mutation lands on every attached engine
@@ -50,9 +51,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import (
     AdmissionError,
@@ -80,7 +80,7 @@ from .resilience import (
     OPEN,
     ServiceClock,
 )
-from .semcache import SemanticCache, normalize_query
+from .semcache import SemanticCache
 from .session import Session
 
 #: bound SELECT texts one service remembers (least recently used out)
@@ -99,13 +99,12 @@ class ServiceConfig:
     max_in_flight: int = 4          #: queries allowed past admission at once
     queue_limit: int = 64           #: waiters beyond which admission refuses
     queue_timeout: Optional[float] = 30.0  #: default max queue wait (wall s)
-    cache: bool = True              #: semantic cache on/off
+    cache: bool = True              #: result cache on/off
     cache_budget_bytes: int = 64 << 20
     cache_admit_seconds: float = 1e-3  #: cost-aware admission threshold
     breakers: bool = True           #: per-scope circuit breakers on/off
     breaker_threshold: int = 3      #: consecutive faults before opening
     breaker_cooldown: float = 0.05  #: simulated seconds open before half-open
-    degraded_serving: bool = True   #: answer from cache while breaker is open
     shed_threshold: Optional[float] = None  #: brownout: est. wait (sim s)
     deadline: Optional[float] = None        #: default wall deadline per query
     sim_deadline: Optional[float] = None    #: default simulated-seconds budget
@@ -117,13 +116,13 @@ class ServiceRun:
     """Outcome of one query served by the service.
 
     ``stats``/``cost``/``trace`` cover everything done on the query's
-    behalf — admission bookkeeping, cache probes, re-filtering, and (on
-    a miss) the engine execution itself."""
+    behalf — admission bookkeeping, the cache lookup, and (on a miss)
+    the engine execution itself."""
 
     query_name: str
     session_name: str
     engine: str
-    source: str                     #: "engine" | "cache-exact" | "cache-refilter"
+    source: str                     #: "engine" | "cache-exact"
     result: ResultSet
     stats: QueryStats
     cost: CostBreakdown
@@ -327,6 +326,8 @@ class ServiceStats:
     deadline_misses: int = 0
     engine_runs: int = 0
     exact_hits: int = 0
+    #: always 0 (the cache answers exact repeats only); read by the
+    #: end-to-end benchmark's ``note_service`` until ROADMAP item 0(f)
     subsumption_hits: int = 0
     shed: int = 0                   #: brownout / displacement sheds
     cancelled: int = 0              #: cooperative mid-execution cancels
@@ -648,9 +649,9 @@ class QueryService:
                 f"engine {session.engine!r} is not attached to this service")
         use_cache = self.config.cache and session.cached \
             if cached is None else bool(cached) and self.config.cache
-        # every cache path — exact hits, key-set probes, re-filters,
-        # position recording — reads base pages only and would be blind
-        # to a pending delta; bypass until the tuple mover drains it
+        # a cached result was computed from base pages only and is blind
+        # to a pending delta; bypass the cache until the tuple mover
+        # drains it
         if use_cache and adapter.engine.pending_writes():
             use_cache = False
         if deadline is None:
@@ -722,9 +723,7 @@ class QueryService:
                         wall_seconds=run.wall_seconds,
                         degraded_hits=int(run.degraded),
                         **{{"engine": "engine_runs",
-                            "cache-exact": "exact_hits",
-                            "cache-refilter": "subsumption_hits",
-                            }[run.source]: 1})
+                            "cache-exact": "exact_hits"}[run.source]: 1})
         session.note_result(run.source, run.seconds, run.wall_seconds)
         return run
 
@@ -747,9 +746,8 @@ class QueryService:
         """Gate one query through its scope's breaker, then serve it.
 
         The breaker records at most one verdict per serve: a qualifying
-        fault (``BREAKER_FAULTS``) counts as a failure, any completed
-        engine touch (full run or re-filter) as a success, and a pure
-        result-cache hit as neither."""
+        fault (``BREAKER_FAULTS``) counts as a failure, a completed
+        engine run as a success, and a cache hit as neither."""
         if request.deadline_at is not None \
                 and time.monotonic() >= request.deadline_at:
             raise DeadlineError("deadline expired before execution started")
@@ -765,14 +763,12 @@ class QueryService:
                 verdict = self.breakers.admit(breaker_scope,
                                               self.clock.now())
             if verdict == OPEN:
-                if self.config.degraded_serving and request.use_cache \
-                        and self._serve_cached(
-                            adapter, request, {},
-                            degraded_scope=breaker_scope) is not None:
+                if request.use_cache and self._serve_cached(
+                        adapter, request, degraded=True):
                     return
                 raise BreakerOpenError(
                     breaker_scope,
-                    detail="no honest cache answer available while open")
+                    detail="no cached result for this query while open")
             trial = verdict == HALF_OPEN
 
         saved_token = engine.disk.cancellation
@@ -798,92 +794,35 @@ class QueryService:
             elif trial:
                 self.breakers.abandon_trial(breaker_scope)
 
-    def _serve_cached(self, adapter, request: _Request, dim_cache: Dict,
-                      degraded_scope: Optional[Tuple] = None
-                      ) -> Optional[bool]:
-        """The cache half of serving: an exact result hit, else a
-        subsuming position entry re-filtered into a fresh result.
-
-        Returns None on a miss (nothing served), else whether the engine
-        was touched — False for a pure exact hit, True for a re-filter.
-
-        ``degraded_scope`` names the open breaker this answer is served
-        under, and switches on the honesty rules of degraded serving: a
-        position entry serves only when subsumption is *symbolically
-        proven* (no key-set probes, which would touch the fenced-off
-        engine's dimension columns and could themselves fault); results
-        are stamped ``degraded=True``; and a re-filter that cannot
-        complete raises :class:`BreakerOpenError` without discarding the
-        entry — the engine is fenced off, not the entry, and it may
-        still serve other variants.  On the healthy path such a
-        re-filter (e.g. the cached projection went bad) discards the
-        entry and reports a miss, so the caller falls back to a full
-        run."""
-        query, session = request.query, request.session
-        stats, tracer = request.stats, request.tracer
-        engine = adapter.engine
-        degraded = degraded_scope is not None
-        scope = adapter.scope(session)
-        keyset_fn = None if degraded else (
-            lambda dim: adapter.dim_key_set(query, session, dim, dim_cache))
-        entry = None
-        with tracer.span("cache-lookup"):
+    def _serve_cached(self, adapter, request: _Request,
+                      degraded: bool = False) -> bool:
+        """Answer from an exact result hit; False on a miss (nothing
+        served).  ``degraded`` marks an answer given under an open
+        breaker."""
+        stats = request.stats
+        with request.tracer.span("cache-lookup"):
             stats.cache_lookups += 1
-            result = self.cache.lookup_result(scope, query)
-            if result is not None:
-                stats.cache_exact_hits += 1
-            else:
-                # key-set probes read dimension columns: charge them to
-                # this query's ledger
-                with _charged_to(engine, stats):
-                    entry = self.cache.find_subsuming(
-                        scope, normalize_query(query), keyset_fn,
-                        dimensions=frozenset(query.joins.values()))
-                if entry is None:
-                    stats.cache_misses += 1
-        if result is not None:
-            request.run = self._finish(request, result, "cache-exact",
-                                       degraded)
-            return False
-        if entry is None:
-            return None
-        try:
-            with _charged_to(engine, stats), tracer.span("cache-refilter"):
-                result = adapter.refilter(query, session, entry, dim_cache)
-        except ReproError as error:
-            if degraded:
-                raise BreakerOpenError(
-                    degraded_scope,
-                    detail=f"degraded re-filter failed: {error}") from error
-            self.cache.discard(entry.key)
-            stats.cache_misses += 1
-            return None
-        stats.cache_subsumption_hits += 1
-        request.run = self._finish(request, result, "cache-refilter",
-                                   degraded)
+            result = self.cache.lookup_result(adapter.scope(request.session),
+                                              request.query)
+            if result is None:
+                stats.cache_misses += 1
+                return False
+            stats.cache_exact_hits += 1
+        request.run = self._finish(request, result, "cache-exact", degraded)
         return True
 
     def _serve_body(self, adapter, request: _Request) -> bool:
-        """Serve via cache/engine; returns True if the engine was
-        touched (re-filter or full run), False on a pure exact hit."""
+        """Serve from the cache, else by exactly one engine run (whose
+        result is admitted when it cost enough to be worth keeping);
+        returns True if the engine ran."""
+        if request.use_cache and self._serve_cached(adapter, request):
+            return False
         query, session = request.query, request.session
         stats, tracer = request.stats, request.tracer
         engine = adapter.engine
-        dim_cache: Dict = {}
-        if request.use_cache:
-            touched = self._serve_cached(adapter, request, dim_cache)
-            if touched is not None:
-                return touched
-
-        # miss (or cache off): run the engine
         before = engine.disk.stats
         try:
-            if request.use_cache and adapter.recordable(session):
-                run, payload, key_sets = adapter.execute_recording(
-                    query, session)
-            else:
-                run, payload, key_sets = \
-                    adapter.execute(query, session), None, None
+            run = adapter.execute(query, session)
         except BaseException:
             # an aborted run still burned simulated work: the engine
             # installed a fresh ledger for this query (identity
@@ -899,18 +838,10 @@ class QueryService:
         tracer.attach_span(run.trace.root)
 
         if request.use_cache and self.cache.worth_admitting(run.seconds):
-            scope = adapter.scope(session)
             with tracer.span("cache-admit"):
-                self.cache.admit_result(scope, query, run.result,
-                                        run.seconds, _tables_of(query))
-                if payload is not None:
-                    if key_sets is None:
-                        with _charged_to(engine, stats):
-                            key_sets = adapter.key_sets(query, session,
-                                                        dim_cache)
-                    self.cache.admit_positions(
-                        scope, normalize_query(query), payload, key_sets,
-                        run.seconds, payload.nbytes)
+                self.cache.admit_result(adapter.scope(session), query,
+                                        run.result, run.seconds,
+                                        _tables_of(query))
         request.run = self._finish(request, run.result, "engine")
         return True
 
@@ -931,19 +862,6 @@ class QueryService:
             wall_seconds=time.perf_counter() - request.started,
             degraded=degraded,
         )
-
-
-@contextmanager
-def _charged_to(engine, stats: QueryStats):
-    """Aim ``engine``'s simulated disk at ``stats`` for the duration, so
-    cache-side reads (key-set probes, re-filters) are priced on the
-    requesting query's ledger."""
-    saved = engine.disk.stats
-    engine.disk.stats = stats
-    try:
-        yield
-    finally:
-        engine.disk.stats = saved
 
 
 def _tables_of(query: StarQuery) -> frozenset:

@@ -28,7 +28,6 @@ class SessionStats:
     completed: int = 0
     errors: int = 0
     exact_hits: int = 0
-    subsumption_hits: int = 0
     engine_runs: int = 0
     simulated_seconds: float = 0.0
     wall_seconds: float = 0.0
@@ -92,8 +91,6 @@ class Session:
             self.stats.completed += 1
             if source == "cache-exact":
                 self.stats.exact_hits += 1
-            elif source == "cache-refilter":
-                self.stats.subsumption_hits += 1
             else:
                 self.stats.engine_runs += 1
             self.stats.simulated_seconds += simulated_seconds

@@ -67,7 +67,7 @@ class DiskFile:
         """``page_checksum(image)``, hashed only when ``image`` is not the
         object the last write to ``page_no`` stored.
 
-        Exact: identity implies equal bytes, and anything that alters a
+        Exact: the same object holds the same bytes, and anything that alters a
         stored image (fault injection, truncation, a direct assignment)
         puts a new object in ``pages``, which is hashed like any other.
         """

@@ -110,11 +110,7 @@ class QueryStats:
     # existence of the service layer) ---
     cache_lookups: int = 0       #: semantic-cache probes performed
     cache_exact_hits: int = 0    #: results served verbatim from the cache
-    cache_subsumption_hits: int = 0  #: results rebuilt from a subsuming entry
     cache_misses: int = 0        #: probes that fell through to the engine
-    cache_refiltered_positions: int = 0  #: cached positions re-examined on a
-    #: subsumption hit (bookkeeping, like ``recoveries``: the re-filter
-    #: work itself is charged to the ordinary counters above)
 
     def stripe_bytes(self) -> List[int]:
         """Per-disk bytes transferred, in stripe order."""

@@ -20,6 +20,7 @@ from repro.colstore.engine import CStore
 from repro.core.config import ExecutionConfig
 from repro.rowstore.designs import DesignKind
 from repro.rowstore.engine import SystemX
+from repro.serve import QueryService, ServiceConfig
 from repro.ssb.generator import generate
 from repro.ssb.queries import query_by_name
 from repro.storage.colfile import CompressionLevel
@@ -117,3 +118,25 @@ def test_journal_pages_private_read(tiny_data, kind):
     assert engine._writes is None
     engine.insert("lineorder", clone_rows(tiny_data.lineorder, 1))
     assert engine._writes.journal.num_pages > 0
+
+
+def test_service_stats_keys_note_service_reads(tiny_data):
+    """``workloads.py``'s ``note_service`` copies these ``serve_stats()``
+    entries into every served workload's counts."""
+    engine = CStore(tiny_data, levels=(CompressionLevel.MAX,))
+    with QueryService(cstore=engine,
+                      config=ServiceConfig(cache_admit_seconds=0.0)
+                      ) as service:
+        session = service.session("cs", engine="cs",
+                                  config=ExecutionConfig.from_label("tICL"))
+        session.execute(Q1_1)
+        session.execute(Q1_1)
+        snapshot = service.serve_stats()
+    counts = {name: snapshot["service"][name]
+              for name in ("completed", "engine_runs", "exact_hits",
+                           "subsumption_hits")}
+    assert counts == {"completed": 2, "engine_runs": 1, "exact_hits": 1,
+                      "subsumption_hits": 0}
+    for name in ("bytes", "evictions", "invalidations", "budget_bytes"):
+        assert isinstance(snapshot["cache"][name], int), name
+    assert snapshot["cache"]["bytes"] > 0

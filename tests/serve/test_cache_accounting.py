@@ -8,24 +8,20 @@ negative; plus the serve-layer rule that differently-sharded stacks
 never share cache entries.
 """
 
+from collections import OrderedDict
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.core.config import ExecutionConfig
 from repro.result import ResultSet
-from repro.serve.semcache import (
-    PredicateSignature,
-    SemanticCache,
-    ValueSet,
-    normalize_query,
-)
+from repro.serve.semcache import SemanticCache, ValueSet, normalize_query
 from repro.serve.service import QueryService
 from repro.sql import parse_query
 from repro.ssb.queries import ALL_QUERIES
 
 SCOPE = ("cs", "tICL", "max", "", "sh1")
+OTHER_SCOPE = ("rs", "T", "", "sh1")
 
 
 def _query(n: int):
@@ -36,10 +32,6 @@ def _query(n: int):
 
 def _result(rows: int) -> ResultSet:
     return ResultSet(["r"], [(i,) for i in range(rows)])
-
-
-def _signature(n: int) -> PredicateSignature:
-    return normalize_query(_query(n))
 
 
 def _assert_consistent(cache: SemanticCache) -> None:
@@ -62,12 +54,6 @@ def test_accounting_survives_mixed_mutations():
             cache.admit_result(SCOPE, _query(n), _result(n % 7 + 1),
                                seconds=1.0, tables=frozenset({"lineorder"}))
             _assert_consistent(cache)
-        cache.admit_positions(
-            SCOPE, _signature(50),
-            payload=np.arange(100, dtype=np.int64),
-            key_sets={"date": np.arange(10, dtype=np.int64)},
-            seconds=1.0, nbytes=800)
-        _assert_consistent(cache)
         dropped = cache.invalidate("lineorder")
         assert dropped > 0
         _assert_consistent(cache)
@@ -128,13 +114,62 @@ def test_drift_is_caught_not_silent():
 
 
 def test_empty_valueset_signature_admits_cleanly():
-    # degenerate signature (empty constraint) must not upset accounting
+    # contradictory predicates fold to an empty constraint; the
+    # degenerate key must not upset accounting
+    query = parse_query(
+        "SELECT sum(lo.revenue) AS r FROM lineorder AS lo "
+        "WHERE lo.quantity = 3 AND lo.quantity = 4")
+    assert normalize_query(query).constraints == \
+        (("lineorder", "quantity", ValueSet(())),)
     cache = SemanticCache(budget_bytes=1 << 20, admit_seconds=0.0)
-    sig = PredicateSignature("lineorder",
-                             (("lineorder", "quantity", ValueSet(())),))
-    cache.admit_positions(SCOPE, sig, payload=np.array([], dtype=np.int64),
-                          key_sets={}, seconds=1.0, nbytes=0)
+    cache.admit_result(SCOPE, query, _result(0), seconds=1.0,
+                       tables=frozenset({"lineorder"}))
     _assert_consistent(cache)
+    assert cache.lookup_result(SCOPE, query).rows == []
+
+
+class _CountingEntries(OrderedDict):
+    """An entry map that counts full passes over itself."""
+
+    passes = 0
+
+    def values(self):
+        self.passes += 1
+        return super().values()
+
+    def items(self):
+        self.passes += 1
+        return super().items()
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_plain_insert_makes_no_pass_over_the_entries():
+    """Admission is O(1): the gauge is incremental, and its ground-truth
+    audit runs only on paths that remove entries."""
+    cache = SemanticCache(admit_seconds=0.0)
+    for n in range(300):
+        cache.admit_result(SCOPE, _query(n), _result(1), seconds=1.0,
+                           tables=frozenset({"lineorder"}))
+    cache._entries = entries = _CountingEntries(cache._entries)
+    cache.admit_result(OTHER_SCOPE, _query(1), _result(1), seconds=1.0,
+                       tables=frozenset({"lineorder", "date"}))
+    assert entries.passes == 0
+    assert cache.current_bytes == sum(e.nbytes for e in entries.values())
+    # every path that removes entries still audits the gauge
+    for remove in (lambda: cache.discard(next(reversed(entries))),
+                   lambda: cache.invalidate("date"),
+                   cache.snapshot):
+        before = entries.passes
+        remove()
+        assert entries.passes > before
+    cache.budget_bytes = cache.current_bytes  # the next insert evicts
+    before = entries.passes
+    cache.admit_result(OTHER_SCOPE, _query(2), _result(1), seconds=1.0,
+                       tables=frozenset({"lineorder"}))
+    assert cache.counters.evictions > 0 and entries.passes > before
 
 
 # --------------------------------------------------------------------- #

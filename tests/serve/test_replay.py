@@ -2,14 +2,11 @@
 
 All 13 SSB queries are replayed twice through the service at several
 (morsel workers x service concurrency) combinations, on both engines.
-Every answer — engine run, exact hit, or subsumption re-filter — must be
-row-identical to an uncached serial baseline, the second flight must
-contain at least one exact hit AND at least one subsumption hit, and its
-priced simulated seconds must be strictly lower than the first flight's.
-
-Flight 1 goes out in two waves (the subsuming queries Q4.1/Q3.3 first)
-so that even at concurrency 8 the subsumed queries find their subsumers
-already cached; flight 2 is fully concurrent in a seeded shuffle.
+Every answer — engine run or exact hit — must be row-identical to an
+uncached serial baseline, the second flight must contain at least one
+exact hit, and its priced simulated seconds must be strictly lower than
+the first flight's.  Both flights are fully concurrent, the second in a
+seeded shuffle.
 """
 
 import random
@@ -22,8 +19,6 @@ from repro.core.config import ExecutionConfig
 from repro.rowstore.designs import DesignKind
 from repro.serve import QueryService, ServiceConfig
 from repro.ssb.queries import ALL_QUERIES
-
-SUBSUMED = {"Q4.2", "Q4.3", "Q3.4"}
 
 
 @pytest.fixture(scope="module")
@@ -79,10 +74,7 @@ def test_double_replay_row_identical_and_cheaper(
             config=replace(ExecutionConfig.baseline(), workers=workers)
             if engine == "cs" else None)
 
-        wave_a = [q for q in ALL_QUERIES if q.name not in SUBSUMED]
-        wave_b = [q for q in ALL_QUERIES if q.name in SUBSUMED]
-        flight1 = _run_wave(session, wave_a)
-        flight1.update(_run_wave(session, wave_b))
+        flight1 = _run_wave(session, ALL_QUERIES)
 
         shuffled = list(ALL_QUERIES)
         random.Random(20080609).shuffle(shuffled)
@@ -96,8 +88,6 @@ def test_double_replay_row_identical_and_cheaper(
 
         sources2 = {name: run.source for name, run in flight2.items()}
         assert any(s == "cache-exact" for s in sources2.values()), sources2
-        assert any(s == "cache-refilter"
-                   for s in sources2.values()), sources2
 
         cost1 = sum(run.seconds for run in flight1.values())
         cost2 = sum(run.seconds for run in flight2.values())

@@ -347,9 +347,10 @@ def test_breaker_opens_and_serves_exact_hits_degraded(cstore, system_x):
                 disk.unquarantine(name, 0)
 
 
-def test_degraded_subsumption_serves_from_proven_entry(cstore, system_x):
-    """While the breaker is open, a *symbolically proven* subsumed entry
-    still serves (re-filtered from clean pages) — key-set guesses don't."""
+def test_degraded_serving_answers_exact_repeats_only(cstore, system_x):
+    """While the breaker is open, an exact repeat of a cached query is
+    served degraded; a narrower variant of the same cached query is
+    refused — the cache keeps results, not positions to re-filter."""
     def fact_query(name, predicates):
         return StarQuery(
             name=name, fact_table="lineorder", joins={},
@@ -372,8 +373,7 @@ def test_degraded_subsumption_serves_from_proven_entry(cstore, system_x):
     with QueryService(cstore=cstore, system_x=system_x,
                       config=config) as service:
         session = service.session(engine="cs")
-        session.execute(broad)  # seeds the position entry
-        expected = cstore.execute(narrow).result
+        healthy = session.execute(broad)  # seeds the result entry
         try:
             for name in victims:
                 disk.quarantine(name, 0)
@@ -381,11 +381,18 @@ def test_degraded_subsumption_serves_from_proven_entry(cstore, system_x):
                 with pytest.raises(CorruptPageError):
                     session.execute(Q1_2, cached=False)
             assert service.breakers.state_of(SERVICE_SCOPE) == OPEN
-            run = session.execute(narrow)
+            run = session.execute(broad)
             assert run.degraded
-            assert run.source == "cache-refilter"
-            assert run.result.same_rows(expected)
+            assert run.source == "cache-exact"
+            assert run.result.same_rows(healthy.result)
             run.trace.verify(run.stats)
+            with pytest.raises(BreakerOpenError) as info:
+                session.execute(narrow)
+            assert info.value.scope == SERVICE_SCOPE
+            info.value.trace.verify(info.value.stats)
+            snap = service.stats.snapshot()
+            assert snap["degraded_hits"] == 1
+            assert snap["breaker_rejections"] == 1
         finally:
             for name in victims:
                 disk.unquarantine(name, 0)
@@ -439,7 +446,7 @@ def test_resilience_counters_stay_zero_on_healthy_runs(cstore, system_x):
 
 
 def test_breakers_off_preserves_plain_failure_semantics(cstore, system_x):
-    config = ServiceConfig(breakers=False, degraded_serving=False)
+    config = ServiceConfig(breakers=False)
     disk = cstore.disk
     victims = _quantity_files(cstore)
     with QueryService(cstore=cstore, system_x=system_x,

@@ -1,10 +1,10 @@
-"""Unit and property tests for the semantic cache's constraint algebra.
+"""Unit and property tests for the semantic cache's constraint algebra,
+query keys and result-cache mechanics.
 
-The load-bearing guarantee is one-sided: ``implies(a, b) == True`` must
-mean every value satisfying ``a`` satisfies ``b``.  False negatives only
-cost cache hits; a false positive would serve wrong rows.  The
-randomized tests brute-force that containment over a small integer
-domain.
+The result key folds each column's predicates with ``intersect``.  A
+wrong fold could give two different queries one key and serve one of
+them the other's rows, so the randomized test brute-forces the
+conjunction over a small integer domain.
 """
 
 import random
@@ -21,28 +21,13 @@ from repro.plan.logical import (
 from repro.serve.semcache import (
     Interval,
     SemanticCache,
-    TOP,
     ValueSet,
     constraint_of,
-    implies,
     intersect,
     normalize_query,
     query_key,
-    subsumption_gaps,
 )
-from repro.ssb.queries import (
-    ALL_QUERIES,
-    Q1_1,
-    Q1_2,
-    Q2_1,
-    Q2_2,
-    Q3_3,
-    Q3_4,
-    Q4_1,
-    Q4_2,
-    Q4_3,
-    query_by_name,
-)
+from repro.ssb.queries import ALL_QUERIES, Q1_1, Q1_2, Q2_1, query_by_name
 
 DOMAIN = list(range(-2, 13))
 
@@ -82,53 +67,6 @@ def test_constraint_of_each_predicate_shape():
         InSet(year, (1998, 1997))) == ValueSet((1997, 1998))
 
 
-def test_implies_basic_containments():
-    assert implies(ValueSet((1993,)), Interval(low=1992, high=1997))
-    assert not implies(Interval(low=1992, high=1997), ValueSet((1993,)))
-    assert implies(Interval(low=2, high=3), Interval(low=1, high=3))
-    assert not implies(Interval(low=1, high=3), Interval(low=2, high=3))
-    assert implies(ValueSet((1, 2)), ValueSet((1, 2, 3)))
-    assert not implies(ValueSet((1, 4)), ValueSet((1, 2, 3)))
-    # a closed single-point interval is a value; a half-open one is
-    # empty and therefore implies anything
-    assert implies(Interval(low=5, high=5), ValueSet((4, 5)))
-    assert implies(Interval(low=5, high=5, low_open=True),
-                   ValueSet((1,)))
-    # a genuinely wider interval cannot be proven inside a value set
-    assert not implies(Interval(low=4, high=5), ValueSet((4, 5)))
-    # everything implies TOP; empty implies everything
-    assert implies(ValueSet(()), ValueSet((9,)))
-    assert implies(Interval(low=3), TOP)
-
-
-def test_implies_open_endpoints():
-    assert implies(Interval(low=1, low_open=True), Interval(low=1))
-    assert not implies(Interval(low=1), Interval(low=1, low_open=True))
-    assert implies(Interval(high=9, high_open=True), Interval(high=9))
-    assert not implies(Interval(high=9), Interval(high=9, high_open=True))
-
-
-def test_implies_is_conservative_on_mixed_types():
-    # incomparable value types must yield False, never raise
-    assert not implies(Interval(low="ASIA"), Interval(low=3))
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_implies_matches_brute_force(seed):
-    rng = random.Random(20080609 + seed)
-    for _ in range(400):
-        a, b = _random_constraint(rng), _random_constraint(rng)
-        claimed = implies(a, b)
-        actual = _satisfying(a) <= _satisfying(b)
-        if claimed:
-            assert actual, f"false positive: {a} => {b}"
-        elif not actual:
-            assert not claimed
-        # unbounded intervals extend beyond DOMAIN, so a brute-force
-        # containment inside DOMAIN may still be a legitimate False —
-        # only the claimed=True direction is load-bearing
-
-
 @pytest.mark.parametrize("seed", range(3))
 def test_intersect_matches_brute_force(seed):
     rng = random.Random(77 + seed)
@@ -143,7 +81,7 @@ def test_intersect_matches_brute_force(seed):
 # -------------------------------------------------------------------- #
 def test_normalize_folds_same_column_predicates():
     sig = normalize_query(Q1_1)
-    by_col = sig.by_column()
+    by_col = {(t, c): k for t, c, k in sig.constraints}
     assert by_col[("lineorder", "quantity")] == Interval(
         high=25, high_open=True)
     assert by_col[("lineorder", "discount")] == Interval(low=1, high=3)
@@ -167,42 +105,6 @@ def test_query_key_is_structural_not_nominal():
 def test_all_13_query_keys_distinct():
     keys = {query_key(q) for q in ALL_QUERIES}
     assert len(keys) == len(ALL_QUERIES)
-
-
-# -------------------------------------------------------------------- #
-# subsumption over the real SSB flight
-# -------------------------------------------------------------------- #
-def test_q42_subsumed_by_q41_symbolically():
-    gaps = subsumption_gaps(normalize_query(Q4_2), normalize_query(Q4_1))
-    assert gaps == []  # fully proven, no key-set check needed
-
-
-def test_q43_needs_keyset_checks_on_part_and_supplier():
-    gaps = subsumption_gaps(normalize_query(Q4_3), normalize_query(Q4_1))
-    assert gaps is not None
-    assert set(gaps) == {"part", "supplier"}
-
-
-def test_q34_needs_keyset_check_on_date():
-    gaps = subsumption_gaps(normalize_query(Q3_4), normalize_query(Q3_3))
-    assert gaps == ["date"]
-
-
-def test_fact_predicate_mismatch_is_rejected_outright():
-    # Q1.2's discount/quantity ranges are not inside Q1.1's: fact-side
-    # failure, no dimension check can rescue it
-    assert subsumption_gaps(
-        normalize_query(Q1_2), normalize_query(Q1_1)) is None
-    assert subsumption_gaps(
-        normalize_query(Q1_1), normalize_query(Q1_2)) is None
-
-
-def test_q22_not_served_by_q21_after_keyset_check():
-    # symbolic gaps exist (different part/supplier constraints) but the
-    # key sets cannot contain each other: ASIA suppliers are not a
-    # subset of AMERICA suppliers
-    gaps = subsumption_gaps(normalize_query(Q2_2), normalize_query(Q2_1))
-    assert gaps is None or "supplier" in gaps
 
 
 # -------------------------------------------------------------------- #

@@ -1,7 +1,7 @@
 """Service-layer writes: every attached engine mutates in lockstep,
-cached entries for the written table (exact AND subsumption donors) are
-evicted, the cache is bypassed while a delta is pending, and SQL DML
-dispatches through ``execute_sql``."""
+cached results touching the written table are evicted, the cache is
+bypassed while a delta is pending, and SQL DML dispatches through
+``execute_sql``."""
 
 import pytest
 
@@ -20,8 +20,6 @@ SERVE_SF = 0.004
 
 Q1_1 = query_by_name("Q1.1")
 Q3_1 = query_by_name("Q3.1")
-Q4_1 = query_by_name("Q4.1")
-Q4_2 = query_by_name("Q4.2")
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +74,8 @@ def test_invalidate_evicts_written_table_only(served, sdata):
     service.insert("customer",
                    clone_rows(sdata.customer, 1, custkey=900001))
     after = service.cache.snapshot()
-    # every entry touching customer fell (Q3.1's result and its
-    # recorded positions); the Q1.1 entries were left alone
+    # every entry touching customer fell (Q3.1's result); the Q1.1
+    # entry was left alone
     victims = after["invalidations"] - before["invalidations"]
     assert victims > 0
     assert after["entries"] == before["entries"] - victims
@@ -88,18 +86,6 @@ def test_invalidate_evicts_written_table_only(served, sdata):
     assert s_cs.execute(Q3_1).source == "engine"
     # the surviving entry's hit counter kept counting across the write
     assert service.stats.snapshot()["exact_hits"] >= 2
-
-
-def test_invalidate_kills_subsumption_donors(served, sdata):
-    service, _cs, _rs = served
-    s_cs, _s_rs = _sessions(service)
-    s_cs.execute(Q4_1)
-    assert s_cs.execute(Q4_2).source == "cache-refilter"
-    service.insert("part", clone_rows(sdata.part, 1, partkey=900001))
-    service.move()
-    # the Q4.1 donor entry touched ``part`` and was evicted, so Q4.2
-    # can no longer be answered by re-filtering it
-    assert s_cs.execute(Q4_2).source == "engine"
 
 
 def test_cache_bypassed_while_delta_pending(served, sdata):

@@ -12,7 +12,7 @@ order instead, ``tICL``/``tIcL`` grouped under wrong city labels,
 spanning key 900001 counted every fact row in between.
 
 Every case runs through every legal configuration label and through the
-service (engine, exact-cache and re-filter paths), against the oracle.
+service (engine and exact-cache paths), against the oracle.
 """
 
 from dataclasses import replace
@@ -148,14 +148,10 @@ def test_service_paths_match_the_oracle(wdata, dim, which):
         for session in sessions:
             sources = []
             # the group-by twice (engine, then the exact cache), then
-            # narrower queries its recorded positions subsume: re-filtered
-            # wherever a run records positions (late materialization,
-            # the row store)
+            # two narrower queries: not exact repeats, so engine runs
             for query, rows in expected[:1] + expected:
                 answer = session.execute(query)
                 assert answer.result.rows == rows, (session.name, query.name)
                 sources.append(answer.source)
-            narrower = ("cache-refilter" if session.name[-1] in "Ls"
-                        else "engine")
-            assert sources == ["engine", "cache-exact"] + [narrower] * 2, \
+            assert sources == ["engine", "cache-exact", "engine", "engine"], \
                 session.name

@@ -68,10 +68,6 @@ def main(argv=None) -> int:
                         help="scale factor (default: REPRO_SF env or 0.05)")
     parser.add_argument("--verify", action="store_true",
                         help="check every result against the oracle")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="morsel workers for column-store runs "
-                             "(default 1 = serial; simulated seconds are "
-                             "identical either way, only wall-clock moves)")
     parser.add_argument("--zone-maps", default=None, choices=["on", "off"],
                         help="consult per-block min/max synopses before "
                              "scans on both engines (default off; results "
@@ -126,11 +122,9 @@ def main(argv=None) -> int:
                              "as a repro-baseline-v1 artifact")
     parser.add_argument("--check-baseline", default=None, metavar="PATH",
                         help="re-run the artifact's figure at its scale "
-                             "factor/workers and exit 1 if any query "
+                             "factor and exit 1 if any query "
                              "regresses by more than 2%% simulated seconds")
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
     if args.shards < 1:
         parser.error(f"--shards must be >= 1, got {args.shards}")
 
@@ -151,7 +145,6 @@ def main(argv=None) -> int:
 
     harness = Harness(scale_factor=args.sf,
                       verify_against_reference=args.verify,
-                      workers=args.workers,
                       fault_profile=args.fault_profile,
                       fault_seed=args.fault_seed,
                       zone_maps=args.zone_maps == "on",
@@ -228,7 +221,6 @@ def main(argv=None) -> int:
                     write_baseline(args.write_baseline, grid,
                                    figure=target,
                                    scale_factor=harness.scale_factor,
-                                   workers=harness.workers,
                                    zone_maps=harness.zone_maps,
                                    shards=harness.shards,
                                    writes=harness.writes)
@@ -311,14 +303,13 @@ def _run_check_baseline(parser: argparse.ArgumentParser, args) -> int:
                      f"baseline's setting {baseline_writes}")
     harness = Harness(scale_factor=baseline["scale_factor"],
                       verify_against_reference=args.verify,
-                      workers=baseline["workers"],
                       fault_profile=args.fault_profile,
                       fault_seed=args.fault_seed,
                       zone_maps=baseline.get("zone_maps", False),
                       shards=baseline_shards,
                       writes=baseline_writes)
     print(f"checking {figure} against {args.check_baseline} "
-          f"(sf {harness.scale_factor}, {harness.workers} worker(s)"
+          f"(sf {harness.scale_factor}"
           + (", zone maps on" if harness.zone_maps else "")
           + (f", {harness.shards} shards" if harness.shards > 1 else "")
           + (", writes on" if harness.writes else "")

@@ -31,15 +31,14 @@ DEFAULT_TOLERANCE = 0.02
 
 
 def baseline_record(grid: RunGrid, *, figure: str, scale_factor: float,
-                    workers: int, zone_maps: bool = False,
-                    shards: int = 1, writes: bool = False) -> Dict:
+                    zone_maps: bool = False, shards: int = 1,
+                    writes: bool = False) -> Dict:
     """The grid as a JSON-ready dict (stable key order)."""
     grid.validate_aligned()
     return {
         "schema": BASELINE_SCHEMA,
         "figure": figure,
         "scale_factor": scale_factor,
-        "workers": workers,
         "zone_maps": zone_maps,
         "shards": shards,
         "writes": writes,
@@ -51,11 +50,10 @@ def baseline_record(grid: RunGrid, *, figure: str, scale_factor: float,
 
 
 def write_baseline(path: str, grid: RunGrid, *, figure: str,
-                   scale_factor: float, workers: int,
-                   zone_maps: bool = False, shards: int = 1,
-                   writes: bool = False) -> None:
+                   scale_factor: float, zone_maps: bool = False,
+                   shards: int = 1, writes: bool = False) -> None:
     record = baseline_record(grid, figure=figure,
-                             scale_factor=scale_factor, workers=workers,
+                             scale_factor=scale_factor,
                              zone_maps=zone_maps, shards=shards,
                              writes=writes)
     with open(path, "w") as handle:
@@ -74,9 +72,11 @@ def load_baseline(path: str) -> Dict:
         raise BenchmarkError(
             f"{path!r} is not a {BASELINE_SCHEMA} artifact "
             f"(schema tag: {record.get('schema') if isinstance(record, dict) else None!r})")
-    for key in ("figure", "scale_factor", "workers", "series"):
+    for key in ("figure", "scale_factor", "series"):
         if key not in record:
             raise BenchmarkError(f"baseline {path!r} is missing {key!r}")
+    # Older artifacts also carry a "workers" key; it is ignored (every
+    # run is serial, and the simulated seconds never depended on it).
     # "zone_maps" is optional — pre-synopsis artifacts omit it and are
     # interpreted as zone-maps-off (which is what they measured).
     # "shards" likewise: pre-sharding artifacts read as shards=1, and

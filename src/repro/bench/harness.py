@@ -107,7 +107,6 @@ class Harness:
     def __init__(self, scale_factor: Optional[float] = None,
                  seed: int = DEFAULT_SEED,
                  verify_against_reference: bool = False,
-                 workers: int = 1,
                  fault_profile: Optional[str] = None,
                  fault_seed: int = 0,
                  zone_maps: bool = False,
@@ -117,9 +116,6 @@ class Harness:
                              else scale_factor_from_env())
         self.seed = seed
         self.verify = verify_against_reference
-        #: morsel workers for column-store runs (1 = serial).  Parallel
-        #: runs charge the same simulated ledger — only wall-clock moves.
-        self.workers = workers
         #: consult zone-map synopses on both engines' scan paths (results
         #: are invariant; only pages touched and the skip counters move)
         self.zone_maps = zone_maps
@@ -222,8 +218,7 @@ class Harness:
 
         self.trace_sink(trace_record(
             run.trace, figure=self.trace_figure, series=series,
-            query=query, engine=engine, scale_factor=self.scale_factor,
-            workers=self.workers))
+            query=query, engine=engine, scale_factor=self.scale_factor))
 
     def run_row_design(self, query: StarQuery, design: DesignKind,
                        prune_partitions: bool = True) -> float:
@@ -235,8 +230,6 @@ class Harness:
 
     def run_column_config(self, query: StarQuery,
                           config: ExecutionConfig) -> float:
-        if self.workers > 1 and config.workers != self.workers:
-            config = replace(config, workers=self.workers)
         if self.zone_maps and not config.zone_maps:
             config = replace(config, zone_maps=True)
         if self.shards > 1 and config.shards != self.shards:

@@ -153,7 +153,7 @@ class CStore(EngineShell):
         paper's Section 6.1 measurement protocol).
         ``cancellation`` installs a cooperative
         :class:`~repro.serve.resilience.CancellationToken` for the run:
-        page and morsel boundaries check it, and an expired deadline or
+        every page access checks it, and an expired deadline or
         budget surfaces as :class:`~repro.errors.QueryCancelledError`.
 
         Degrades gracefully under persistent corruption: when a read

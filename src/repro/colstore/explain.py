@@ -60,11 +60,6 @@ def explain(
             f"{stats.checksum_failures} checksum failure(s), "
             f"{stats.pages_quarantined} page(s) quarantined, "
             f"{stats.recoveries} projection failover(s)")
-    if config.workers > 1:
-        lines.append(
-            f"  morsel parallelism: {config.workers} worker(s)"
-            + (f", {config.morsel_rows} row(s) per morsel"
-               if config.morsel_rows else ""))
     lines.append(f"  => {len(result)} result row(s)")
     lines.append("  span tree (simulated seconds):")
     lines.extend(

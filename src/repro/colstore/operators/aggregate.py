@@ -14,7 +14,7 @@ import numpy as np
 
 from ...errors import ExecutionError
 from ...plan import aggregates as agg_semantics
-from ...plan.aggregates import GroupReduction, merge_group_reductions
+from ...plan.aggregates import GroupReduction
 from ...plan.logical import BinOp, ColumnRef, Expr, Literal
 from ...simio.stats import QueryStats
 from ...core.config import ExecutionConfig
@@ -107,40 +107,8 @@ def grouped_aggregate(
     return uniq, reduced
 
 
-def partial_scalar_aggregate(
-    values_list: Sequence[np.ndarray],
-    stats: QueryStats,
-    config: ExecutionConfig,
-    funcs: Sequence[str],
-) -> List[Tuple[int, Optional[int]]]:
-    """One morsel's share of :func:`scalar_aggregate`: reduce to raw
-    (primary, secondary) accumulators without finalizing, so partials
-    from different morsels stay mergeable."""
-    out: List[Tuple[int, Optional[int]]] = []
-    for func, values in zip(funcs, values_list):
-        _charge(stats, config, len(values))
-        out.append(agg_semantics.reduce_scalar(func, values))
-    return out
-
-
-def merge_scalar_reductions(
-    funcs: Sequence[str],
-    parts: Sequence[List[Tuple[int, Optional[int]]]],
-) -> List:
-    """Fold per-morsel scalar accumulators and finalize each aggregate."""
-    merged = [agg_semantics.empty_accumulator(func) for func in funcs]
-    for part in parts:
-        merged = [agg_semantics.merge(func, acc, cell)
-                  for func, acc, cell in zip(funcs, merged, part)]
-    return [agg_semantics.finalize(func, primary, secondary)
-            for func, (primary, secondary) in zip(funcs, merged)]
-
-
 __all__ = [
     "eval_fact_expr",
     "scalar_aggregate",
     "grouped_aggregate",
-    "merge_group_reductions",
-    "partial_scalar_aggregate",
-    "merge_scalar_reductions",
 ]

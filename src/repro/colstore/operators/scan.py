@@ -102,12 +102,9 @@ def _succ_bytes(value: bytes, width: int) -> bytes:
     return value + b"\x00" if len(value) < width else value + b"\x00"
 
 
-def block_window(colfile: ColumnFile, restrict: Optional[Tuple[int, int]]
-                 ) -> Tuple[int, int, int, int]:
-    """(first_block, last_block, lo_position, hi_position) to scan.
-
-    Public because the morsel layer uses the same window computation to
-    carve a scan into block-aligned horizontal partitions."""
+def _block_window(colfile: ColumnFile, restrict: Optional[Tuple[int, int]]
+                  ) -> Tuple[int, int, int, int]:
+    """(first_block, last_block, lo_position, hi_position) to scan."""
     if colfile.num_values == 0:
         return 0, -1, 0, 0
     if restrict is None:
@@ -199,7 +196,7 @@ def predicate_positions(
         comparisons = 2
         if bounds[0] > bounds[1]:
             return EMPTY
-    first, last, lo_pos, hi_pos = block_window(colfile, restrict)
+    first, last, lo_pos, hi_pos = _block_window(colfile, restrict)
     if last < first:
         return EMPTY
     span = hi_pos - lo_pos
@@ -248,7 +245,7 @@ def probe_positions(
     """
     stats = pool.stats
     keys = np.sort(np.asarray(key_set))
-    first, last, lo_pos, hi_pos = block_window(colfile, restrict)
+    first, last, lo_pos, hi_pos = _block_window(colfile, restrict)
     if last < first or len(keys) == 0:
         return EMPTY
     index = KeyIndex(keys)
@@ -283,7 +280,7 @@ def probe_positions(
 
 
 __all__ = ["predicate_positions", "probe_positions", "stored_bounds",
-           "sorted_predicate_positions", "block_window"]
+           "sorted_predicate_positions"]
 
 
 def sorted_predicate_positions(

@@ -48,7 +48,6 @@ from .operators.aggregate import (
     grouped_aggregate,
     scalar_aggregate,
 )
-from .parallel import MorselEngine, make_engine
 from .operators.fetch import fetch_values, read_column
 from .operators.join import gather_attribute
 from .operators.materialize import (
@@ -151,9 +150,6 @@ class ColumnPlanner:
         #: read with pending deletes patches base-scan positions; None
         #: (every read-only run) leaves all plan paths untouched
         self.visibility = visibility
-        #: morsel engine of the execution in flight (see :meth:`run`);
-        #: None keeps every operator on its serial path
-        self.engine: Optional[MorselEngine] = None
 
     def _deleted_positions(self, query: StarQuery,
                            fact_proj: Projection) -> Optional[np.ndarray]:
@@ -182,28 +178,9 @@ class ColumnPlanner:
 
     # ------------------------------------------------------------------ #
     def run(self, query: StarQuery) -> ResultSet:
-        # One morsel engine per execution (None when workers == 1, which
-        # leaves every serial code path untouched).  Early materialization
-        # stays serial by design: its row pipeline is a deliberate
-        # reproduction of tuple-at-a-time execution, and parallelizing it
-        # would change nothing the paper measures.
         if self.config.late_materialization:
-            self.engine = make_engine(self.pool, self.config,
-                                      tracer=self.tracer)
-        try:
-            if self.config.late_materialization:
-                return self._run_late(query)
-            return self._run_early(query)
-        finally:
-            if self.engine is not None:
-                self.engine.close()
-                self.engine = None
-
-    def _fetch(self, colfile, positions) -> np.ndarray:
-        """Value fetch, morsel-parallel when an engine is active."""
-        if self.engine is not None:
-            return self.engine.fetch(colfile, positions)
-        return fetch_values(colfile, self.pool, positions, self.config)
+            return self._run_late(query)
+        return self._run_early(query)
 
     # ------------------------------------------------------------------ #
     # shared helpers
@@ -273,8 +250,7 @@ class ColumnPlanner:
         join_cls = InvisibleJoin if self.config.invisible_join \
             else LateMaterializedJoin
         join = join_cls(self.pool, self.config, fact_proj, dims, query,
-                        self.level, fact_catalog, engine=self.engine,
-                        tracer=self.tracer)
+                        self.level, fact_catalog, tracer=self.tracer)
         survivors, dim_rows = join.run()
         deleted = self._deleted_positions(query, fact_proj)
         if deleted is not None and len(deleted):
@@ -303,8 +279,8 @@ class ColumnPlanner:
 
         return self.aggregate_positions(
             query, survivors.count,
-            lambda column: self._fetch(fact_proj.column_file(column),
-                                       survivors),
+            lambda column: fetch_values(fact_proj.column_file(column),
+                                        self.pool, survivors, self.config),
             gather)
 
     def aggregate_positions(
@@ -341,24 +317,17 @@ class ColumnPlanner:
                 for a in query.aggregates
             ]
             if not query.group_by:
-                if self.engine is not None:
-                    cells = self.engine.scalar(agg_arrays, funcs=agg_funcs)
-                else:
-                    cells = scalar_aggregate(agg_arrays, self.stats,
-                                             self.config, funcs=agg_funcs)
+                cells = scalar_aggregate(agg_arrays, self.stats,
+                                         self.config, funcs=agg_funcs)
             else:
                 group_arrays, vocabularies = self._group_codes([
                     fetch(g.column) if g.table == query.fact_table
                     else gather(g.table, g.column)
                     for g in query.group_by
                 ])
-                if self.engine is not None:
-                    reduction = self.engine.grouped(group_arrays, agg_arrays,
-                                                    funcs=agg_funcs)
-                else:
-                    reduction = grouped_aggregate(group_arrays, agg_arrays,
-                                                  self.stats, self.config,
-                                                  funcs=agg_funcs)
+                reduction = grouped_aggregate(group_arrays, agg_arrays,
+                                              self.stats, self.config,
+                                              funcs=agg_funcs)
         return self._result(query, cells, reduction, vocabularies)
 
     # ------------------------------------------------------------------ #

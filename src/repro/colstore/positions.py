@@ -16,7 +16,7 @@ performed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -172,57 +172,6 @@ def intersect(a: Positions, b: Positions, stats: QueryStats) -> Positions:
     return ArrayPositions(common)
 
 
-def slice_window(positions: Positions, lo: int, hi: int) -> Positions:
-    """The sub-list of ``positions`` falling inside [lo, hi).
-
-    Used by the morsel layer to hand each worker its share of a
-    position list.  This is a physical split of disjoint windows, not a
-    predicate evaluation, so no ``position_ops`` are charged.
-    """
-    if hi <= lo or positions.count == 0:
-        return EMPTY
-    if isinstance(positions, RangePositions):
-        start, stop = max(positions.start, lo), min(positions.stop, hi)
-        return RangePositions(start, stop) if stop > start else EMPTY
-    if isinstance(positions, BitmapPositions):
-        clipped = _clip_bitmap(positions, lo, hi)
-        if len(clipped.bits) == 0:
-            return EMPTY
-        return from_bitmap_maybe_range(clipped.offset, clipped.bits)
-    arr = positions.positions
-    a = int(np.searchsorted(arr, lo, side="left"))
-    b = int(np.searchsorted(arr, hi, side="left"))
-    return ArrayPositions(arr[a:b]) if b > a else EMPTY
-
-
-def concat_windows(parts: Sequence[Positions], lo: int, hi: int) -> Positions:
-    """Reassemble per-window position lists back into one list over
-    [lo, hi).
-
-    The windows must be disjoint and ascending (the morsel invariant).
-    The result is exactly what a serial scan of the whole window would
-    have produced — including the bitmap-to-range collapse — so parallel
-    and serial plans hand identical representations downstream.
-    """
-    live = [p for p in parts if p.count != 0]
-    if not live:
-        return EMPTY
-    if hi <= lo:
-        raise ExecutionError(f"invalid concat window [{lo}, {hi})")
-    if len(live) == 1 and isinstance(live[0], RangePositions):
-        return live[0]
-    bits = np.zeros(hi - lo, dtype=bool)
-    for part in live:
-        if isinstance(part, RangePositions):
-            bits[part.start - lo:part.stop - lo] = True
-        elif isinstance(part, BitmapPositions):
-            off = part.offset - lo
-            bits[off:off + len(part.bits)] = part.bits
-        else:
-            bits[part.positions - lo] = True
-    return from_bitmap_maybe_range(lo, bits)
-
-
 def intersect_all(lists, stats: QueryStats) -> Positions:
     """Fold :func:`intersect` over a sequence, cheapest-first."""
     items = sorted(lists, key=lambda p: p.count)
@@ -245,6 +194,4 @@ __all__ = [
     "intersect",
     "intersect_all",
     "from_bitmap_maybe_range",
-    "slice_window",
-    "concat_windows",
 ]

@@ -44,17 +44,11 @@ class ExecutionConfig:
     #: second predicate must be applied".  True (default) pipelines;
     #: False applies every predicate over the full column and ANDs.
     pipelined_predicates: bool = True
-    #: morsel parallelism: number of worker threads evaluating scans,
-    #: fetches and aggregation in horizontal partitions.  1 (default)
-    #: takes the unchanged serial code path, so every paper ablation is
-    #: bit-for-bit what it was before this knob existed.  Not part of
-    #: the four-letter label: it changes wall-clock, never the plan,
-    #: the results, or the simulated I/O ledger.
+    #: inert: nothing reads it, and every value runs the one serial
+    #: plan.  It stays settable (still checked ``>= 1``) only because
+    #: the end-to-end benchmark's ``tIcL.w2`` series sets it; ROADMAP
+    #: item 0(f) deletes the field together with that series.
     workers: int = 1
-    #: override the morsel size (rows per horizontal partition).  None
-    #: splits each operator's position space evenly across ``workers``;
-    #: explicit sizes are snapped up to storage block boundaries.
-    morsel_rows: Optional[int] = None
     #: extension (off by default — the paper's C-Store scans): consult
     #: per-block min/max synopses (zone maps) before reading, skipping
     #: blocks that cannot satisfy the predicate.  Not part of the
@@ -64,8 +58,8 @@ class ExecutionConfig:
     #: scatter-gather sharding: number of fact-table shards, each a
     #: self-contained storage stack (see ``docs/sharding.md``).  1
     #: (default) takes the unchanged single-stack code path.  Not part
-    #: of the four-letter label: like ``workers``, it never changes the
-    #: rows — only how the work is partitioned and eliminated.
+    #: of the four-letter label: it never changes the rows — only how
+    #: the work is partitioned and eliminated.
     shards: int = 1
     #: MVCC snapshot reads over the write store's delta (see
     #: ``docs/writes.md``).  False (default) takes the unchanged
@@ -89,18 +83,9 @@ class ExecutionConfig:
             )
         if self.workers < 1:
             raise PlanError(f"workers must be >= 1, got {self.workers}")
-        if self.morsel_rows is not None and self.morsel_rows < 1:
-            raise PlanError(
-                f"morsel_rows must be >= 1, got {self.morsel_rows}"
-            )
         if self.shards < 1:
             raise PlanError(f"shards must be >= 1, got {self.shards}")
-        if self.move_threshold_rows is not None \
-                and self.move_threshold_rows < 1:
-            raise PlanError(
-                f"move_threshold_rows must be >= 1, got "
-                f"{self.move_threshold_rows}"
-            )
+        check_move_threshold(self.move_threshold_rows, self.writes)
 
     @property
     def label(self) -> str:
@@ -136,6 +121,20 @@ class ExecutionConfig:
         row-store" (Section 6.3.2)."""
         return cls(block_iteration=False, invisible_join=False,
                    compression=False, late_materialization=False)
+
+
+def check_move_threshold(move_threshold_rows: Optional[int],
+                         writes: bool) -> None:
+    """Reject an automatic tuple-mover policy that could never run:
+    a threshold below one row, or one set without ``writes`` (reads
+    that refuse pending writes never consult it)."""
+    if move_threshold_rows is None:
+        return
+    if move_threshold_rows < 1:
+        raise PlanError(
+            f"move_threshold_rows must be >= 1, got {move_threshold_rows}")
+    if not writes:
+        raise PlanError("move_threshold_rows requires writes=True")
 
 
 #: Figure 7's seven configurations, most to least optimized.

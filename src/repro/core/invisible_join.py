@@ -68,7 +68,6 @@ from .config import ExecutionConfig
 from ..obs import span_context
 
 if TYPE_CHECKING:  # avoid an import at module load; only used for typing
-    from ..colstore.parallel import MorselEngine
     from ..obs import Tracer
 
 
@@ -121,7 +120,6 @@ class _JoinBase:
         dims: Dict[str, DimensionSide],
         query: StarQuery,
         level: CompressionLevel,
-        engine: Optional["MorselEngine"] = None,
         tracer: Optional["Tracer"] = None,
     ) -> None:
         self.pool = pool
@@ -130,10 +128,6 @@ class _JoinBase:
         self.dims = dims
         self.query = query
         self.level = level
-        #: morsel engine for fact-table scans and fetches (None = serial).
-        #: Dimension-side work stays serial: dimension tables are small
-        #: and phase 1 is never the bottleneck.
-        self.engine = engine
         #: optional span tracer; the three join phases open one span each
         self.tracer = tracer
 
@@ -143,28 +137,6 @@ class _JoinBase:
     @property
     def stats(self) -> QueryStats:
         return self.pool.stats
-
-    # ------------------------------------------------------------------ #
-    # fact-side operator dispatch (serial or morsel-parallel)
-    # ------------------------------------------------------------------ #
-    def _fact_predicate_scan(self, colfile, domain, restrict) -> Positions:
-        if self.engine is not None:
-            return self.engine.predicate_scan(colfile, domain,
-                                              restrict=restrict)
-        return predicate_positions(colfile, self.pool, domain, self.config,
-                                   restrict=restrict)
-
-    def _fact_probe_scan(self, colfile, key_set, restrict) -> Positions:
-        if self.engine is not None:
-            return self.engine.probe_scan(colfile, key_set,
-                                          restrict=restrict)
-        return probe_positions(colfile, self.pool, key_set, self.config,
-                               restrict=restrict)
-
-    def _fact_fetch(self, colfile, positions: Positions) -> np.ndarray:
-        if self.engine is not None:
-            return self.engine.fetch(colfile, positions)
-        return fetch_values(colfile, self.pool, positions, self.config)
 
     # ------------------------------------------------------------------ #
     # phase 1: dimension filtering
@@ -259,16 +231,18 @@ class _JoinBase:
             colfile = self.fact.column_file(column)
             if dim_filter is not None and \
                     dim_filter.strategy is JoinStrategy.HASH:
-                plist = self._fact_probe_scan(colfile, dim_filter.key_set,
-                                              restrict)
+                plist = probe_positions(colfile, self.pool,
+                                        dim_filter.key_set, self.config,
+                                        restrict=restrict)
             elif (self.config.sorted_binary_search
                   and self.fact.sorted_on(column) == 0
                   and isinstance(domain, tuple)):
-                # O(log #blocks) page reads; nothing to parallelize
+                # O(log #blocks) page reads
                 plist = sorted_predicate_positions(colfile, self.pool,
                                                    domain, self.config)
             else:
-                plist = self._fact_predicate_scan(colfile, domain, restrict)
+                plist = predicate_positions(colfile, self.pool, domain,
+                                            self.config, restrict=restrict)
             acc = intersect(acc, plist, self.stats)
             if pipelined and acc.count == 0:
                 return EMPTY
@@ -281,10 +255,9 @@ class InvisibleJoin(_JoinBase):
     def __init__(self, pool, config, fact_projection, dims, query, level,
                  fact_catalog: Dict[str, Column],
                  allow_between: bool = True,
-                 engine: Optional["MorselEngine"] = None,
                  tracer: Optional["Tracer"] = None) -> None:
         super().__init__(pool, config, fact_projection, dims, query, level,
-                         engine=engine, tracer=tracer)
+                         tracer=tracer)
         self.fact_catalog = fact_catalog
         self.allow_between = (allow_between and config.invisible_join
                               and config.between_rewriting)
@@ -341,8 +314,8 @@ class InvisibleJoin(_JoinBase):
             for dim_name in sorted(group_dims):
                 dim = self.dims[dim_name]
                 fk_file = self.fact.column_file(query.fk_of(dim_name))
-                fk_values = self._fact_fetch(fk_file,
-                                             survivors).astype(np.int64)
+                fk_values = fetch_values(fk_file, self.pool, survivors,
+                                         self.config).astype(np.int64)
                 index = None
                 if dim.contiguous_from is None:
                     index = self._key_index(dim)
@@ -364,10 +337,9 @@ class LateMaterializedJoin(_JoinBase):
 
     def __init__(self, pool, config, fact_projection, dims, query, level,
                  fact_catalog: Dict[str, Column],
-                 engine: Optional["MorselEngine"] = None,
                  tracer: Optional["Tracer"] = None) -> None:
         super().__init__(pool, config, fact_projection, dims, query, level,
-                         engine=engine, tracer=tracer)
+                         tracer=tracer)
         self.fact_catalog = fact_catalog
         self.filters: Dict[str, DimensionFilter] = {}
 
@@ -406,8 +378,8 @@ class LateMaterializedJoin(_JoinBase):
             for dim_name in sorted(group_dims):
                 dim = self.dims[dim_name]
                 fk_file = self.fact.column_file(query.fk_of(dim_name))
-                fk_values = self._fact_fetch(fk_file,
-                                             survivors).astype(np.int64)
+                fk_values = fetch_values(fk_file, self.pool, survivors,
+                                         self.config).astype(np.int64)
                 # the LM join resolves dimension rows by hash lookup even
                 # for contiguous keys — it has no key/position
                 # equivalence notion

@@ -149,7 +149,7 @@ class ShedError(ServeError):
 class QueryCancelledError(ServeError):
     """A query was cooperatively cancelled mid-execution.
 
-    Raised at page/morsel boundaries by the cancellation token the
+    Raised at a page access by the cancellation token the
     service propagates into engine execution — when the query's wall
     deadline passed, its simulated-seconds budget ran out, or the token
     was cancelled explicitly.  The partial ledger up to the cancellation

@@ -19,8 +19,7 @@ counted.
 
 Tracing is passive: spans only *snapshot* the live ledger at open/close,
 so a traced run charges byte-for-byte the same flat ledger as an
-untraced one, and the morsel-parallel path keeps PR 1's bit-identical
-guarantee (worker leaves are recorded at the barrier, in morsel order).
+untraced one.
 
 The serve layer adds its own span vocabulary on top of the engines':
 ``admission-wait``, ``breaker-check``, ``cache-lookup``,
@@ -183,10 +182,8 @@ class Tracer:
     The tracer never charges anything: entering a span snapshots the
     ledger, exiting diffs against the snapshot, so the flat ledger is
     byte-identical with or without a tracer attached.  Spans follow
-    stack discipline and must be opened/closed on the coordinating
-    thread only — morsel workers charge private ledgers that the
-    barrier merges (in morsel order) while the enclosing span is open,
-    then records as leaf spans via :meth:`leaf`.
+    stack discipline and must be opened/closed on the thread that
+    executes the query.
     """
 
     def __init__(self, stats: QueryStats,
@@ -215,9 +212,8 @@ class Tracer:
     def leaf(self, name: str, stats: QueryStats) -> None:
         """Record a childless span from an already-computed ledger.
 
-        Used by the morsel barrier: each worker's private ledger (plus
-        its replayed I/O) becomes one leaf under the currently open
-        span, appended in morsel order so traces are deterministic.
+        The service records its zero-cost ``shed`` and ``degraded-hit``
+        markers this way, under the currently open span.
         """
         self._attach(Span(name, stats, self._model.cost(stats)))
 
@@ -299,7 +295,7 @@ def render_trace(trace: Trace, indent: str = "  ") -> str:
 
 
 def trace_record(trace: Trace, *, figure: str, series: str, query: str,
-                 engine: str, scale_factor: float, workers: int) -> Dict:
+                 engine: str, scale_factor: float) -> Dict:
     """One ``--trace-json`` JSON-lines record (stable key order; the
     schema is documented in ``docs/observability.md``)."""
     return {
@@ -309,7 +305,6 @@ def trace_record(trace: Trace, *, figure: str, series: str, query: str,
         "query": query,
         "engine": engine,
         "scale_factor": scale_factor,
-        "workers": workers,
         "total_seconds": trace.root.cost.total_seconds,
         "io_seconds": trace.root.cost.io_seconds,
         "cpu_seconds": trace.root.cost.cpu_seconds,

@@ -22,6 +22,7 @@ from ..plan.logical import StarQuery
 from ..result import ResultSet
 from ..simio.stats import CostModel, PAPER_2008, QueryStats
 from ..ssb.generator import SsbData
+from ..core.config import check_move_threshold
 from ..core.lifecycle import (
     PAPER_BUFFER_POOL_BYTES,
     EngineRun,
@@ -102,10 +103,7 @@ class SystemX(EngineShell):
     ) -> None:
         if shards < 1:
             raise PlanError(f"shards must be >= 1, got {shards}")
-        if move_threshold_rows is not None and move_threshold_rows < 1:
-            raise PlanError(
-                f"move_threshold_rows must be >= 1, got {move_threshold_rows}"
-            )
+        check_move_threshold(move_threshold_rows, writes)
         super().__init__(data, cost_model, buffer_pool_bytes, fault_injector)
         self.zone_maps = zone_maps
         self.shards = shards

@@ -7,8 +7,8 @@ on the submission order and the cost model — never on wall time, thread
 scheduling, or host speed.
 
 * :class:`ServiceClock` — a logical clock in simulated seconds.
-* :class:`CancellationToken` — cooperative cancellation checked at page
-  and morsel boundaries.  Carries an optional wall deadline and an
+* :class:`CancellationToken` — cooperative cancellation checked at every
+  page access.  Carries an optional wall deadline and an
   optional simulated-seconds budget; either (or an explicit
   :meth:`~CancellationToken.cancel`) turns the next boundary check into
   a typed :class:`~repro.errors.QueryCancelledError`.
@@ -62,9 +62,9 @@ class CancellationToken:
     The service installs the token on the engine's simulated disk for
     the duration of the query (engine executions are serialized per
     engine, so the slot is single-writer); the disk and buffer pool call
-    :meth:`check` before every page access, and the morsel engine calls
-    it at every morsel barrier.  Checks never touch the ledger they are
-    given — cancellation is observable only as the typed error.
+    :meth:`check` before every page access.  Checks never touch the
+    ledger they are given — cancellation is observable only as the
+    typed error.
     """
 
     def __init__(self, deadline_at: Optional[float] = None,

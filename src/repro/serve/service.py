@@ -17,7 +17,7 @@ and/or one :class:`~repro.rowstore.engine.SystemX`.  Clients hold
    still answered from the cache, stamped **degraded**, and every other
    query is refused with typed :class:`~repro.errors.BreakerOpenError`.
    Deadlines propagate into engine execution as cooperative
-   cancellation tokens checked at page/morsel boundaries, and an
+   cancellation tokens checked at every page access, and an
    optional brownout policy sheds low-priority queued work
    (:class:`~repro.errors.ShedError`) when estimated wait exceeds a
    threshold;

@@ -4,8 +4,8 @@ The executor is engine-neutral: it rewrites a :class:`StarQuery` into a
 per-shard query whose aggregates are *mergeable*, eliminates shards
 whose synopses prove they hold no qualifying rows, runs the surviving
 shards through a caller-supplied ``execute_one`` callback (each shard is
-a complete engine stack — its own disk array, buffer pool, and morsel
-pool), and merges the partial results, the simulated-I/O ledgers, and
+a complete engine stack — its own disk array and buffer pool), and
+merges the partial results, the simulated-I/O ledgers, and
 the span trees.
 
 Three invariants, all test-enforced:

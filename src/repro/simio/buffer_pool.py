@@ -41,22 +41,17 @@ def _backoff_us(attempt: int) -> int:
 
 
 def fill_page(disk: SimulatedDisk, name: str, page_no: int,
-              stats: QueryStats, charge: bool = True) -> Tuple[bytes, int]:
+              stats: QueryStats) -> bytes:
     """Read one page from ``disk`` with retry, backoff, and verification.
 
-    This is the single fault-aware read loop shared by the buffer pool's
-    miss path and the parallel trace pool.  Returns ``(payload,
-    attempts)`` where ``attempts`` counts every physical read performed
-    (1 on a clean first read).  Raises:
+    This is the buffer pool's fault-aware miss path.  Every physical
+    read attempt is charged by the disk; retries add ``io_retries`` and
+    ``retry_backoff_us`` to ``stats``.  Raises:
 
     * :class:`TransientIOError` once transient retries are exhausted;
     * :class:`ChecksumError` when the page image persistently fails CRC
       verification — the page is quarantined first, so later reads fail
       fast without re-reading garbage.
-
-    ``charge=False`` performs charge-free reads (the morsel workers'
-    mode); retry bookkeeping still lands on ``stats``, which in that mode
-    is the worker's private ledger, merged at the barrier.
     """
     if disk.is_quarantined(name, page_no):
         raise ChecksumError(name, page_no, stripe_of(page_no),
@@ -65,10 +60,7 @@ def fill_page(disk: SimulatedDisk, name: str, page_no: int,
     while True:
         attempts += 1
         try:
-            if charge:
-                payload = disk.read_page(name, page_no)
-            else:
-                payload = disk.peek_page(name, page_no)
+            payload = disk.read_page(name, page_no)
         except TransientIOError:
             if attempts > MAX_READ_RETRIES:
                 raise
@@ -76,7 +68,7 @@ def fill_page(disk: SimulatedDisk, name: str, page_no: int,
             stats.retry_backoff_us += _backoff_us(attempts)
             continue
         if disk.verify_page(name, page_no, payload):
-            return payload, attempts
+            return payload
         stats.checksum_failures += 1
         if attempts > MAX_READ_RETRIES:
             disk.quarantine(name, page_no)
@@ -147,26 +139,12 @@ class BufferPool:
             self.stats.buffer_hits += times
             self.hits += times
             return cached
-        payload, _ = fill_page(self.disk, name, page_no, self.stats)
+        payload = fill_page(self.disk, name, page_no, self.stats)
         self._insert(key, payload)
         self.misses += 1
         self.stats.buffer_hits += times - 1
         self.hits += times - 1
         return payload
-
-    def replay_read(self, name: str, page_no: int, attempts: int = 1) -> bytes:
-        """Re-account a read a morsel worker already performed charge-free.
-
-        The first ``attempts - 1`` physical reads failed (transiently or
-        on CRC) and are billed as plain failed reads; the final one goes
-        through :meth:`read_page` so the pool's hit/miss behaviour is
-        identical to a serial run.  The worker's retry bookkeeping
-        (``io_retries``/``retry_backoff_us``) was recorded on its private
-        ledger and merged separately.
-        """
-        for _ in range(max(attempts, 1) - 1):
-            self.disk.charge_failed_read(name, page_no)
-        return self.read_page(name, page_no)
 
     def scan_pages(
         self, name: str, start: int = 0, stop: Optional[int] = None

@@ -230,36 +230,6 @@ class SimulatedDisk:
             raise TransientIOError(name, page_no)
         return f.pages[page_no]
 
-    def peek_page(self, name: str, page_no: int) -> bytes:
-        """Read one page without touching the ledger, but still subject
-        to fault injection.
-
-        The morsel workers of the parallel read path use this: their
-        reads are charge-free (the coordinator replays the trace through
-        the buffer pool for the canonical ledger) yet must see the same
-        faults a charged read would.
-        """
-        if self.cancellation is not None:
-            self.cancellation.check(self.stats)
-        f = self.file(name)
-        if not 0 <= page_no < f.num_pages:
-            raise StorageError(
-                f"page {page_no} out of range for {name!r} ({f.num_pages} pages)"
-            )
-        inj = self.fault_injector
-        if inj is not None and inj.take_transient(name, page_no):
-            raise TransientIOError(name, page_no)
-        return f.pages[page_no]
-
-    def charge_failed_read(self, name: str, page_no: int) -> None:
-        """Bill one failed read attempt (transfer + possible seek).
-
-        A read that errors still moved the arm and the bytes; the
-        trace-replay path uses this to account retries a worker already
-        performed.
-        """
-        self._charge(name, page_no)
-
     def scan_pages(
         self, name: str, start: int = 0, stop: Optional[int] = None
     ) -> Iterator[bytes]:

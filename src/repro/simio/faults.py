@@ -154,9 +154,12 @@ class FaultInjector:
     """A seeded, policy-driven fault schedule over one simulated disk.
 
     Install with :meth:`install`; uninstall by setting the disk's
-    ``fault_injector`` back to ``None``.  Thread-safe: the morsel workers
-    of the parallel read path consume transient-failure budgets through
-    the same injector.
+    ``fault_injector`` back to ``None``.  Thread-safe: one injector may
+    serve several disks (an engine's data and journal disks, the shadow
+    stack a move builds, or disks of several engines it was installed
+    on), and a :class:`~repro.serve.QueryService` runs different
+    engines' work on concurrent client threads, so every fault check
+    updates the shared per-page budgets under the lock.
     """
 
     def __init__(self, seed: int = 0,

@@ -108,7 +108,7 @@ class QueryStats:
     # --- serving / semantic cache (maintained by repro.serve; all zero
     # on a direct engine call, so engine ledgers are unchanged by the
     # existence of the service layer) ---
-    cache_lookups: int = 0       #: semantic-cache probes performed
+    cache_lookups: int = 0       #: exact-key result-cache probes
     cache_exact_hits: int = 0    #: results served verbatim from the cache
     cache_misses: int = 0        #: probes that fell through to the engine
 
@@ -254,8 +254,8 @@ class CostModel:
     agg_update_seconds: float = 25e-9
     sort_compare_seconds: float = 50e-9
     dict_lookup_seconds: float = 10e-9
-    #: one semantic-cache probe: a key hash plus a handful of candidate
-    #: signature comparisons against an in-memory map
+    #: one result-cache probe: hashing the query's normalized key and
+    #: one exact-key lookup in an in-memory map
     cache_lookup_seconds: float = 2e-6
     #: one zone-map entry check: two comparisons against cached min/max
     #: arrays (the sidecar itself is decoded once and cached, so no I/O)

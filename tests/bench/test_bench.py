@@ -168,12 +168,12 @@ def test_baseline_record_stamps_writes(tmp_path):
 
     grid = RunGrid("t")
     grid.add("a", "Q1.1", 1.0)
-    record = baseline_record(grid, figure="f", scale_factor=0.004,
-                             workers=1)
+    record = baseline_record(grid, figure="f", scale_factor=0.004)
     assert record["writes"] is False  # read-only is the default stamp
+    assert "workers" not in record
     path = tmp_path / "baseline.json"
     write_baseline(str(path), grid, figure="f", scale_factor=0.004,
-                   workers=1, writes=True)
+                   writes=True)
     assert load_baseline(str(path))["writes"] is True
     # a pre-write-store artifact omits the key and loads fine: callers
     # read the absent stamp as writes-off

@@ -37,22 +37,6 @@ def test_colstore_all_queries_span_invariant(cstore, workers):
                 "aggregate", "sort"} <= names
 
 
-def test_colstore_parallel_run_has_morsel_leaves(cstore):
-    config = dataclasses.replace(ExecutionConfig.baseline(), workers=4)
-    run = cstore.execute(query_by_name("Q2.1"), config)
-    morsels = [n for n in run.trace.span_names()
-               if n.startswith("morsel:")]
-    assert morsels, "parallel runs should record per-morsel leaf spans"
-    # deterministic: each parallel operation's leaves appear in morsel
-    # order under their parent span; a span running several parallel
-    # operations gets several runs, each restarting at morsel:0
-    for span in run.trace.root.walk():
-        numbers = [int(c.name.split(":")[1]) for c in span.children
-                   if c.name.startswith("morsel:")]
-        for previous, current in zip([-1] + numbers, numbers):
-            assert current == 0 or current == previous + 1
-
-
 def test_colstore_early_materialization_spans(cstore):
     run = cstore.execute(query_by_name("Q2.1"),
                          ExecutionConfig.row_store_like())
@@ -102,16 +86,14 @@ def test_colstore_tracing_is_passive(cstore):
     ledger as the (always traced) engine execution."""
     from repro.colstore.planner import ColumnPlanner
 
-    for workers in (1, 4):
-        config = dataclasses.replace(ExecutionConfig.baseline(),
-                                     workers=workers)
-        query = query_by_name("Q4.2")
-        traced = cstore.execute(query, config).stats.snapshot()
-        untraced = QueryStats()
-        cstore.disk.stats = untraced
-        cstore.pool.clear()
-        ColumnPlanner(cstore._context(), config).run(query)
-        assert untraced.snapshot() == traced
+    config = ExecutionConfig.baseline()
+    query = query_by_name("Q4.2")
+    traced = cstore.execute(query, config).stats.snapshot()
+    untraced = QueryStats()
+    cstore.disk.stats = untraced
+    cstore.pool.clear()
+    ColumnPlanner(cstore._context(), config).run(query)
+    assert untraced.snapshot() == traced
 
 
 def test_rowstore_tracing_is_passive(system_x):

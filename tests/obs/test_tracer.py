@@ -112,15 +112,15 @@ def test_leaf_spans_record_in_order():
     stats = QueryStats()
     tracer = Tracer(stats)
     with tracer.span("scan"):
-        for morsel_no in range(3):
+        for part_no in range(3):
             part = QueryStats()
-            part.pages_read = morsel_no + 1
+            part.pages_read = part_no + 1
             stats.merge(part)
-            tracer.leaf(f"morsel:{morsel_no}", part)
+            tracer.leaf(f"part:{part_no}", part)
     trace = tracer.finish(stats)
     scan = trace.find("scan")
     assert [s.name for s in scan.children] == [
-        "morsel:0", "morsel:1", "morsel:2"]
+        "part:0", "part:1", "part:2"]
     assert scan.stats.pages_read == 6
     assert scan.self_stats().pages_read == 0
 
@@ -160,10 +160,10 @@ def test_trace_record_schema_and_key_order():
     trace = tracer.finish(stats)
     record = trace_record(trace, figure="figure7", series="tICL",
                           query="Q2.1", engine="colstore",
-                          scale_factor=0.01, workers=4)
+                          scale_factor=0.01)
     assert list(record) == [
         "schema", "figure", "series", "query", "engine", "scale_factor",
-        "workers", "total_seconds", "io_seconds", "cpu_seconds", "spans",
+        "total_seconds", "io_seconds", "cpu_seconds", "spans",
     ]
     assert record["schema"] == TRACE_SCHEMA
     spans = record["spans"]

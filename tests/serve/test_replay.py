@@ -1,7 +1,8 @@
 """Acceptance: cache-enabled double replay is row-identical to cold runs.
 
 All 13 SSB queries are replayed twice through the service at several
-(morsel workers x service concurrency) combinations, on both engines.
+service concurrencies, on both engines (one column-store session also
+sets the inert ``ExecutionConfig.workers`` field).
 Every answer — engine run or exact hit — must be row-identical to an
 uncached serial baseline, the second flight must contain at least one
 exact hit, and its priced simulated seconds must be strictly lower than

@@ -10,7 +10,7 @@ import pytest
 
 from repro.colstore.engine import CStore
 from repro.core.config import ExecutionConfig
-from repro.errors import WriteContentionError
+from repro.errors import PlanError, WriteContentionError
 from repro.reference import execute as reference_execute
 from repro.rowstore.designs import DesignKind
 from repro.rowstore.engine import SystemX
@@ -100,6 +100,20 @@ def test_auto_move_rowstore_engine_kwarg(sdata):
     run = rs.execute(Q1_1, DesignKind.TRADITIONAL)
     assert rs.pending_writes() == 0
     assert run.result.rows == expected
+
+
+def test_auto_move_without_writes_is_rejected_on_cs():
+    # a read that refuses pending writes would never consult the policy
+    with pytest.raises(PlanError, match="requires writes"):
+        ExecutionConfig(writes=False, move_threshold_rows=4)
+    with pytest.raises(PlanError, match=">= 1"):
+        ExecutionConfig(writes=True, move_threshold_rows=0)
+
+
+def test_auto_move_without_writes_is_rejected_on_rs(sdata):
+    with pytest.raises(PlanError, match="requires writes"):
+        SystemX(sdata, designs=[DesignKind.TRADITIONAL], writes=False,
+                move_threshold_rows=1)
 
 
 # -------------------------------------------------------------------- #

@@ -7,8 +7,8 @@ injector (bit flip or torn tail), replaced by direct assignment, turned
 into a ``bytearray`` and edited in place, truncated away with the
 journal and appended again, renumbered by a prefix drop — every verdict
 must be the one a fresh hash gives, on every read path: the buffer
-pool's miss loop, a morsel worker's trace pool, ``warm``, the
-scrubber's audit and the zone-map sidecar loader.  A twin disk that
+pool's miss loop, ``warm``, the scrubber's audit and the zone-map
+sidecar loader.  A twin disk that
 hashes on every verification replays the same operations as the
 reference for the ledger, the errors and the quarantine list.  After
 every operation the remembered images line up with the pages: one per
@@ -23,7 +23,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import synopsis
-from repro.colstore.parallel import TracePool
 from repro.errors import ChecksumError, TransientIOError
 from repro.scrub import audit_disk
 from repro.simio import disk as disk_module
@@ -62,13 +61,9 @@ class Side:
     def pages(self):
         return self.disk.file(NAME).pages
 
-    def read(self, via, page_no):
+    def read(self, page_no):
         try:
-            if via == "pool":
-                return bytes(self.pool.read_page(NAME, page_no))
-            trace = TracePool(self.pool)
-            payload = bytes(trace.read_page(NAME, page_no))
-            return payload, trace.trace, trace.stats.snapshot()
+            return bytes(self.pool.read_page(NAME, page_no))
         except (ChecksumError, TransientIOError) as exc:
             return type(exc).__name__, str(exc)
 
@@ -128,8 +123,8 @@ def apply(op, side, model=None):
         if model is not None:
             model.written = {page - cut: image for page, image
                              in model.written.items() if page >= cut}
-    elif kind in ("pool", "trace"):
-        side.seen.append(side.read(kind, page_no))
+    elif kind == "pool":
+        side.seen.append(side.read(page_no))
     elif kind == "warm":
         side.pool.warm(NAME)
         side.seen.append(list(side.pool._pages))
@@ -144,7 +139,7 @@ def apply(op, side, model=None):
 
 
 KINDS = ("append", "rewrite", "bitflip", "torn", "assign", "to_bytearray",
-         "poke", "truncate", "drop_prefix", "pool", "trace", "warm", "audit",
+         "poke", "truncate", "drop_prefix", "pool", "warm", "audit",
          "sidecar")
 ops = st.lists(
     st.tuples(st.sampled_from(KINDS), st.integers(0, 63),

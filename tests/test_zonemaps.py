@@ -2,9 +2,9 @@
 
 Three contracts:
 
-* **Invisibility** — every SSB query, compression on and off, serial and
-  morsel-parallel, returns identical rows and an identical flat ledger
-  modulo the two skip counters; zone maps never read *more* pages; the
+* **Invisibility** — every SSB query, compression on and off, returns
+  identical rows and an identical flat ledger modulo the two skip
+  counters; zone maps never read *more* pages; the
   span tree still sums exactly to the flat ledger.
 * **Fallback** — a corrupted sidecar produces a typed
   :class:`SynopsisWarning` and a full scan with unchanged results, never
@@ -33,15 +33,6 @@ from repro.synopsis import (
 )
 
 SKIP_COUNTERS = ("synopsis_probes", "blocks_skipped")
-
-#: the serial == parallel replay contract (tests/colstore/test_parallel
-#: .py) plus the new skip counters: workers prune per-window, but the
-#: sums must equal the serial run exactly
-_PARALLEL_FIELDS = (
-    "pages_read", "bytes_read", "seeks", "buffer_hits",
-    "stripe0_bytes", "stripe1_bytes", "stripe2_bytes", "stripe3_bytes",
-    "stripe0_seeks", "stripe1_seeks", "stripe2_seeks", "stripe3_seeks",
-) + SKIP_COUNTERS
 
 
 def _ledger_mod_skips(stats):
@@ -73,14 +64,6 @@ def test_pruning_is_invisible(cstore, query):
         assert off.stats.synopsis_probes == 0
         assert off.stats.blocks_skipped == 0
         on.trace.verify(on.stats)
-
-        parallel = cstore.execute(
-            query, dataclasses.replace(on_config, workers=4))
-        assert parallel.result.same_rows(on.result)
-        for field in _PARALLEL_FIELDS:
-            assert getattr(parallel.stats, field) == \
-                getattr(on.stats, field), field
-        parallel.trace.verify(parallel.stats)
 
 
 @pytest.mark.parametrize("design",

@@ -117,9 +117,7 @@ def _run(wdata, table, rows, deletes, check_hits):
             outcomes.append(ws.delete(table, predicates, QueryStats()))
         except IntegrityError as exc:  # a referenced dimension row
             outcomes.append(str(exc))
-    disk = ws.journal.disk
-    pages = [disk.peek_page(JOURNAL_FILE, page)
-             for page in range(ws.journal.num_pages)]
+    pages = list(ws.journal.disk.file(JOURNAL_FILE).pages)
     epochs = [row.delete_epoch for row in ws._wos[table]]
     return outcomes, pages, epochs
 

@@ -1,8 +1,9 @@
 """The MVCC acceptance bar: after an interleaved insert/delete mix,
-all 13 SSBM queries on both engines — at shards 1 and 4, workers 1 and
-4 — return rows identical to the reference engine over the effective
-tables, both before the tuple mover runs (snapshot merge reads) and
-after it drains the WOS (rebuilt base pages)."""
+all 13 SSBM queries on both engines — at shards 1 and 4, and with the
+inert ``workers`` field at 1 and 4 — return rows identical to the
+reference engine over the effective tables, both before the tuple mover
+runs (snapshot merge reads) and after it drains the WOS (rebuilt base
+pages)."""
 
 from dataclasses import replace
 

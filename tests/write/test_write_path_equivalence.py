@@ -188,8 +188,7 @@ def test_journal_pages_are_byte_identical(wdata):
     digest = hashlib.sha256(b"".join(appended)).hexdigest()
     assert (len(appended), digest) == (JOURNAL_PAGES, JOURNAL_SHA256)
     # afterwards the journal holds the post-move insert and nothing else
-    held = [journal.disk.peek_page(JOURNAL_FILE, page)
-            for page in range(journal.num_pages)]
+    held = list(journal.disk.file(JOURNAL_FILE).pages)
     assert held and held == appended[-len(held):]
     assert json.loads(b"".join(held))["op"] == "insert"
     assert (journal.checkpoint.lsn, journal.records) == (6, 7)

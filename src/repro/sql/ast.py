@@ -99,11 +99,12 @@ class SelectStatement:
 
 @dataclass(frozen=True)
 class InsertStatement:
-    """``INSERT INTO table (cols...) VALUES (...), (...)``."""
+    """``INSERT INTO table (cols...) VALUES (...), (...)``, column-major:
+    ``values[i]`` holds the literals of ``columns[i]``, one per row."""
 
     table: str
     columns: Tuple[str, ...]
-    rows: Tuple[Tuple[SqlExpr, ...], ...]
+    values: Tuple[Tuple[Union[int, str], ...], ...]
 
 
 @dataclass(frozen=True)

@@ -203,6 +203,11 @@ def _bind_condition(
     if not isinstance(cond, ast.ComparisonCond):  # pragma: no cover
         raise SqlBindError(f"unsupported condition {cond!r}")
 
+    if isinstance(cond.left, ast.Arith) or isinstance(cond.right, ast.Arith):
+        raise SqlBindError(
+            "a predicate must compare a plain column to a literal, not an "
+            "arithmetic expression"
+        )
     left_is_col = isinstance(cond.left, ast.Ident)
     right_is_col = isinstance(cond.right, ast.Ident)
     if left_is_col and right_is_col:
@@ -255,10 +260,13 @@ def bind_insert(statement: ast.InsertStatement,
     """Bind an INSERT into ``(table, rows)`` where each row is the
     column->value dict :meth:`repro.write.WriteStore.insert` accepts.
 
-    Every named column is checked against the schema and every literal
-    against its column's type (ints for integer columns, strings for
-    string columns); missing/extra columns are left to the write store's
-    own row validation, which has the authoritative error messages.
+    ``statement.values`` is column-major (one tuple of literals per
+    named column).  Every named column is checked against the schema,
+    and each column's literals against its type once (ints for integer
+    columns, strings for string columns); the error names the first
+    mismatching cell in row order.  Missing/extra columns are left to
+    the write store's own row validation, which has the authoritative
+    error messages.
     """
     catalog = dict(SCHEMAS) if schemas is None else schemas
     schema = catalog.get(statement.table)
@@ -274,20 +282,25 @@ def bind_insert(statement: ast.InsertStatement,
         if column in seen:
             raise SqlBindError(f"column {column!r} listed twice")
         seen.add(column)
-    rows = []
-    for row in statement.rows:
-        bound = {}
-        for column, expr in zip(statement.columns, row):
-            value = _literal_value(expr)
-            ctype = types[column]
-            if ctype.is_string != isinstance(value, str):
-                want = "a string" if ctype.is_string else "an integer"
-                raise SqlBindError(
-                    f"column {statement.table}.{column} needs {want}, "
-                    f"got {value!r}"
-                )
-            bound[column] = value
-        rows.append(bound)
+    mismatches = []
+    for index, (column, cells) in enumerate(zip(statement.columns,
+                                                 statement.values)):
+        want = str if types[column].is_string else int
+        if set(map(type, cells)) - {want}:
+            row = next((row for row, value in enumerate(cells)
+                        if isinstance(value, str) != (want is str)), None)
+            if row is not None:
+                mismatches.append((row, index))
+    if mismatches:
+        row, index = min(mismatches)
+        column = statement.columns[index]
+        want = "a string" if types[column].is_string else "an integer"
+        raise SqlBindError(
+            f"column {statement.table}.{column} needs {want}, got "
+            f"{statement.values[index][row]!r}"
+        )
+    rows = [dict(zip(statement.columns, cells))
+            for cells in zip(*statement.values)]
     return statement.table, rows
 
 

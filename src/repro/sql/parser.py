@@ -14,6 +14,7 @@ confusing one):
     insert     := INSERT INTO ident '(' ident (',' ident)* ')'
                   VALUES row (',' row)* [';']
     row        := '(' literal (',' literal)* ')'
+    literal    := ['-'] NUMBER | STRING
     delete     := DELETE FROM ident
                   [WHERE condition (AND condition)*] [';']
     item       := (SUM|COUNT|MIN|MAX|AVG) '(' (expr|'*') ')' [AS ident]
@@ -25,15 +26,86 @@ confusing one):
                 | operand IN '(' literal (',' literal)* ')'
                 | operand ('='|'<'|'<='|'>'|'>=') operand
     order_key  := ident [ASC|DESC]
+
+An INSERT is read column-major: its ``VALUES`` block becomes one tuple
+of values per named column.  A block of plain literals (``-?[0-9]+`` or
+a quoted string, every row as wide as the column list) is read without
+tokens; any other text takes the token path, which yields the same
+statement or the typed error.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import functools
+import re
+from typing import List, Optional, Sequence
 
 from ..errors import SqlParseError
 from . import ast
-from .lexer import Token, TokenKind, tokenize
+from .lexer import KEYWORDS, Token, TokenKind, tokenize
+
+# ASCII names and whitespace only, no comments: the token path takes the rest
+_INSERT_HEAD = re.compile(
+    r"\s*INSERT\s+INTO\s+([A-Za-z_]\w*)\s*"
+    r"\(\s*([A-Za-z_]\w*(?:\s*,\s*[A-Za-z_]\w*)*)\s*\)\s*VALUES\s*",
+    re.ASCII | re.IGNORECASE)
+_CELL = r"-?[0-9]+|'[^']*(?:''[^']*)*'"
+_NAME_SEPARATOR = re.compile(r"\s*,\s*", re.ASCII)
+
+
+@functools.lru_cache(maxsize=64)
+def _values_patterns(width: int):
+    """For rows of ``width`` literals: the whole block, ending in an
+    optional ``;``, and one row with a group per cell."""
+    def row(cell: str) -> str:
+        return r"\(\s*" + r"\s*,\s*".join([cell] * width) + r"\s*\)"
+    plain = row(f"(?:{_CELL})")
+    return (re.compile(rf"{plain}(?:\s*,\s*{plain})*\s*;?\s*", re.ASCII),
+            re.compile(row(f"({_CELL})"), re.ASCII))
+
+
+def _int_literal(digits: str, position: int) -> int:
+    """``int(digits)``, or a typed error for a literal too long for
+    ``int()`` (Python caps the digits it converts)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise SqlParseError(
+            f"integer literal of {len(digits)} digits is too long at offset "
+            f"{position}"
+        ) from None
+
+
+def _cell_values(cells: Sequence[str]) -> tuple:
+    """One column's literal texts as values: ints, unquoted strings."""
+    try:
+        return tuple(map(int, cells))
+    except ValueError:
+        return tuple(cell[1:-1].replace("''", "'") if cell[0] == "'"
+                     else int(cell) for cell in cells)
+
+
+def _scan_insert(sql: str) -> Optional[ast.InsertStatement]:
+    """The INSERT in ``sql`` read column by column, or None when the
+    text is not a plain-literal INSERT (the token path decides it)."""
+    head = _INSERT_HEAD.match(sql)
+    if head is None:
+        return None
+    table = head[1]
+    columns = tuple(_NAME_SEPARATOR.split(head[2]))
+    if any(name.upper() in KEYWORDS for name in (table,) + columns):
+        return None
+    block, row = _values_patterns(len(columns))
+    if block.fullmatch(sql, head.end()) is None:
+        return None
+    rows = row.findall(sql, head.end())
+    # with one group, findall yields each row's cell, not a 1-tuple
+    cells = zip(*rows) if len(columns) > 1 else (rows,)
+    try:
+        values = tuple(map(_cell_values, cells))
+    except ValueError:  # a literal too long for int(): typed by the tokens
+        return None
+    return ast.InsertStatement(table, columns, values)
 
 
 class _Parser:
@@ -118,7 +190,8 @@ class _Parser:
         while self.accept_symbol(","):
             rows.append(self._parse_value_row(len(columns)))
         self._finish()
-        return ast.InsertStatement(table.text, tuple(columns), tuple(rows))
+        return ast.InsertStatement(table.text, tuple(columns),
+                                   tuple(zip(*rows)))
 
     def _plain_ident(self) -> str:
         token = self.advance()
@@ -130,9 +203,8 @@ class _Parser:
         return token.text
 
     def _parse_value_row(self, width: int) -> tuple:
-        """One ``(literal, ...)`` row, a literal being ``['-'] NUMBER``
-        or ``STRING``.  The cells are read in one local loop over the
-        token list: a bulk INSERT spends most of its parse here."""
+        """One ``(literal, ...)`` row as its values, read in one local
+        loop over the token list."""
         self.expect_symbol("(")
         tokens, pos = self.tokens, self.pos
         number, string, symbol = (TokenKind.NUMBER, TokenKind.STRING,
@@ -146,10 +218,10 @@ class _Parser:
                 kind, text, position = tokens[pos]
             pos += 1
             if kind is number:
-                values.append(ast.NumberLit(-int(text) if negative
-                                            else int(text)))
+                value = _int_literal(text, position)
+                values.append(-value if negative else value)
             elif kind is string and not negative:
-                values.append(ast.StringLit(text))
+                values.append(text)
             else:
                 raise SqlParseError(
                     f"expected a literal, got {text!r} at offset {position}"
@@ -231,7 +303,8 @@ class _Parser:
                 raise SqlParseError(
                     f"expected a number after LIMIT, got {number.text!r}"
                 )
-            limit = -int(number.text) if negative else int(number.text)
+            limit = _int_literal(number.text, number.position)
+            limit = -limit if negative else limit
             if limit <= 0:
                 raise SqlParseError(
                     f"LIMIT must be a positive integer, got {limit}"
@@ -317,7 +390,7 @@ class _Parser:
             return inner
         if token.kind is TokenKind.NUMBER:
             self.advance()
-            return ast.NumberLit(int(token.text))
+            return ast.NumberLit(_int_literal(token.text, token.position))
         if token.kind is TokenKind.STRING:
             self.advance()
             return ast.StringLit(token.text)
@@ -392,6 +465,9 @@ def parse(sql: str) -> ast.SelectStatement:
 
 def parse_statement(sql: str) -> ast.Statement:
     """Parse one statement: SELECT, INSERT, or DELETE."""
+    statement = _scan_insert(sql)
+    if statement is not None:
+        return statement
     return _Parser(tokenize(sql)).parse_statement()
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -347,55 +348,49 @@ class WriteStore:
     def _validate_rows(self, table: str, base: Table,
                        rows: Sequence[Dict[str, Value]]
                        ) -> List[Dict[str, Value]]:
-        """Check every row against the schema, in row then column order;
-        the column set and per-column plan are built once per batch."""
-        expected = set(base.column_names)
-        plan = []
-        for col in base.columns():
-            if col.dictionary is not None:
-                plan.append((col.name, col.dictionary, 0, 0))
-            else:
-                info = np.iinfo(col.data.dtype)
-                plan.append((col.name, None, int(info.min), int(info.max)))
-        checked: List[Dict[str, Value]] = []
-        for row in rows:
-            if row.keys() != expected:
-                got = set(row)
-                missing, extra = expected - got, got - expected
-                raise IntegrityError(
-                    f"insert into {table!r}: row must supply exactly the "
-                    f"schema columns (missing {sorted(missing)}, "
-                    f"unexpected {sorted(extra)})"
-                )
-            out: Dict[str, Value] = {}
-            for name, dictionary, low, high in plan:
-                value = row[name]
-                if dictionary is not None:
-                    if not isinstance(value, str):
-                        raise IntegrityError(
-                            f"insert into {table!r}.{name}: expected a "
-                            f"string, got {value!r}"
-                        )
-                    if value not in dictionary:
-                        raise IntegrityError(
-                            f"insert into {table!r}.{name}: {value!r} is "
-                            f"outside the column's fixed string domain"
-                        )
-                    out[name] = value
-                else:
-                    if isinstance(value, bool) or not isinstance(value, int):
-                        raise IntegrityError(
-                            f"insert into {table!r}.{name}: expected an "
-                            f"integer, got {value!r}"
-                        )
-                    if not low <= value <= high:
-                        raise IntegrityError(
-                            f"insert into {table!r}.{name}: {value} does "
-                            f"not fit the stored width"
-                        )
-                    out[name] = int(value)
-            checked.append(out)
-        return checked
+        """Check ``rows`` against the schema one column at a time and
+        return copies of them.  A failure reports what a walk in row
+        then column order meets first: a row's column set before its
+        cells, its cells in schema order."""
+        names = base.column_names
+        expected = set(names)
+        try:
+            columns = [list(map(itemgetter(name), rows)) for name in names]
+            shaped = set(map(len, rows)) <= {len(names)}
+        except KeyError:
+            shaped = False
+        if not shaped:  # check the cells of the rows before the bad one
+            limit = next(i for i, row in enumerate(rows)
+                         if row.keys() != expected)
+            columns = [list(map(itemgetter(name), rows[:limit]))
+                       for name in names]
+        failures, converted = [], False
+        for index, (col, values) in enumerate(zip(base.columns(), columns)):
+            if _column_fits(col, values):
+                continue
+            failure = next(((row, index, problem)
+                            for row, value in enumerate(values)
+                            if (problem := _cell_problem(col, value))),
+                           None)
+            if failure is not None:
+                failures.append(failure)
+            elif col.dictionary is None:  # int subclasses, stored as int
+                columns[index] = list(map(int, values))
+                converted = True
+        if failures:
+            _row, index, problem = min(failures)
+            raise IntegrityError(
+                f"insert into {table!r}.{names[index]}: {problem}")
+        if not shaped:
+            got = set(rows[limit])
+            raise IntegrityError(
+                f"insert into {table!r}: row must supply exactly the "
+                f"schema columns (missing {sorted(expected - got)}, "
+                f"unexpected {sorted(got - expected)})"
+            )
+        if converted:
+            return [dict(zip(names, cells)) for cells in zip(*columns)]
+        return list(map(dict, rows))
 
     def _missing_keys(self, dim: str, key_column: str,
                       keys: Sequence[int]) -> np.ndarray:
@@ -613,6 +608,33 @@ class WriteStore:
         return Table(name, [_wos_column(col, rows)
                             for col in self._base[name].columns()],
                      SortOrder(()))
+
+
+def _column_fits(col: Column, values: List[Value]) -> bool:
+    """Every value has exactly ``col``'s type and fits its domain or
+    width: a few whole-column passes, no per-cell Python."""
+    if col.dictionary is not None:
+        return (set(map(type, values)) <= {str}
+                and all(map(col.dictionary.__contains__, set(values))))
+    info = np.iinfo(col.data.dtype)
+    return set(map(type, values)) <= {int} and (
+        not values or info.min <= min(values) and max(values) <= info.max)
+
+
+def _cell_problem(col: Column, value: Value) -> Optional[str]:
+    """Why ``value`` cannot be stored in ``col``, or None if it can."""
+    if col.dictionary is not None:
+        if not isinstance(value, str):
+            return f"expected a string, got {value!r}"
+        if value not in col.dictionary:
+            return f"{value!r} is outside the column's fixed string domain"
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        return f"expected an integer, got {value!r}"
+    info = np.iinfo(col.data.dtype)
+    if not info.min <= value <= info.max:
+        return f"{value} does not fit the stored width"
+    return None
 
 
 def _wos_column(col: Column, rows: Sequence[WosRow]) -> Column:

@@ -7,13 +7,15 @@ import pytest
 
 from repro.colstore.engine import CStore
 from repro.core.config import ExecutionConfig
-from repro.errors import ReproError
+from repro.errors import ReproError, SqlParseError
 from repro.reference import execute as reference_execute
 from repro.rowstore.designs import DesignKind
 from repro.rowstore.engine import SystemX
 from repro.serve import QueryService, ServiceConfig
+from repro.sql import parser
 from repro.ssb.generator import generate
 from repro.ssb.queries import query_by_name
+from repro.write.journal import JOURNAL_FILE
 from tests.write.dml import clone_rows, delete_predicates
 
 SERVE_SF = 0.004
@@ -136,3 +138,36 @@ def test_execute_sql_dispatches_dml(served, sdata):
     assert run.source == "engine" and run.result.rows
     snap = service.stats.snapshot()
     assert snap["writes"] == 2 and snap["moves"] == 1
+
+
+def _journal_pages(engine):
+    journal = engine._write_store().journal
+    return list(journal.disk.file(JOURNAL_FILE).pages)
+
+
+def test_sql_insert_journals_the_token_path_bytes(sdata, monkeypatch):
+    rows = clone_rows(sdata.lineorder, 100)
+    columns = ", ".join(rows[0])
+    sql = f"INSERT INTO lineorder ({columns}) VALUES " + ", ".join(
+        "(" + ", ".join(str(v) if isinstance(v, int) else f"'{v}'"
+                        for v in row.values()) + ")"
+        for row in rows) + ";"
+    pages = []
+    for scan in (parser._scan_insert, lambda _sql: None):
+        monkeypatch.setattr(parser, "_scan_insert", scan)
+        cs = CStore(sdata)
+        rs = SystemX(sdata, designs=[DesignKind.TRADITIONAL], writes=True)
+        with QueryService(cs, rs) as service:
+            assert service.execute_sql(sql) == 100
+        pages.append((_journal_pages(cs), _journal_pages(rs)))
+    assert pages[0][0] and pages[0][0] == pages[0][1]
+    assert pages[0] == pages[1]
+
+
+def test_over_long_integer_literal_is_typed_through_execute_sql(served):
+    service, cs, rs = served
+    with pytest.raises(SqlParseError,
+                       match="integer literal of 5000 digits is too long"):
+        service.execute_sql(
+            "INSERT INTO part (partkey) VALUES (" + "9" * 5000 + ");")
+    assert cs.pending_writes() == rs.pending_writes() == 0

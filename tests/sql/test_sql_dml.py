@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import SqlBindError, SqlParseError
 from repro.plan.logical import CompareOp
-from repro.sql import bind_delete, bind_insert, parse_statement
+from repro.sql import bind, bind_delete, bind_insert, parse_statement
 from repro.sql.ast import DeleteStatement, InsertStatement, SelectStatement
 
 
@@ -89,3 +89,22 @@ def test_delete_rejects_column_to_column_comparison():
     with pytest.raises(SqlBindError):
         bind_delete(parse_statement(
             "DELETE FROM lineorder WHERE quantity = orderkey"))
+
+
+ARITH_MESSAGE = ("a predicate must compare a plain column to a literal, "
+                 "not an arithmetic expression")
+
+
+def test_delete_expression_condition_names_the_expression():
+    with pytest.raises(SqlBindError) as caught:
+        bind_delete(parse_statement(
+            "DELETE FROM lineorder WHERE quantity + 1 < 3"))
+    assert str(caught.value) == ARITH_MESSAGE
+
+
+def test_select_expression_condition_names_the_expression():
+    with pytest.raises(SqlBindError) as caught:
+        bind(parse_statement(
+            "SELECT sum(lo.revenue) AS r FROM lineorder AS lo "
+            "WHERE lo.quantity + 1 < 3"))
+    assert str(caught.value) == ARITH_MESSAGE

@@ -17,13 +17,6 @@
 # fault-free service ledger stays byte-identical to a direct engine
 # call.
 #
-# benchmarks/bench_sharding.py --check asserts the scatter-gather
-# contract: rows, merged ledgers, and traces identical at shards=4 vs
-# shards=1, and shard elimination strictly reducing pages read on the
-# Q1.x scans.  It runs at SF 0.01 (not the smoke SF): below that the
-# fact shards are so small that the per-shard dimension replicas
-# dominate the page counts and the strict win is not expected.
-#
 # benchmarks/bench_writes.py --check asserts the delta-store contract:
 # read-only ledgers byte-identical with the write path present,
 # pre-move merge reads row-identical to the reference over the
@@ -59,9 +52,8 @@ done
 
 PYTHONPATH=src python benchmarks/bench_zonemaps.py --check --sf "$SF"
 PYTHONPATH=src python benchmarks/bench_resilience.py --check --sf "$SF"
-PYTHONPATH=src python benchmarks/bench_sharding.py --check --sf 0.01
 PYTHONPATH=src python benchmarks/bench_writes.py --check --sf 0.01
 PYTHONPATH=src python benchmarks/bench_recovery.py --check --sf 0.01
 PYTHONPATH=src python benchmarks/e2e/run.py --smoke
 echo "smoke_baseline: OK (sf $SF, zone maps off+on, resilience," \
-     "sharding, writes, recovery checks, e2e smoke)"
+     "writes, recovery checks, e2e smoke)"

@@ -73,11 +73,6 @@ def main(argv=None) -> int:
                              "scans on both engines (default off; results "
                              "never change, only pages read — see "
                              "docs/synopses.md)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="scatter-gather shard count on both engines "
-                             "(default 1 = single stack; results never "
-                             "change, only how work is partitioned and "
-                             "eliminated — see docs/sharding.md)")
     parser.add_argument("--writes", default=None, choices=["on", "off"],
                         help="build write-capable engines with MVCC "
                              "snapshot reads opted in (default off; with "
@@ -125,8 +120,6 @@ def main(argv=None) -> int:
                              "factor and exit 1 if any query "
                              "regresses by more than 2%% simulated seconds")
     args = parser.parse_args(argv)
-    if args.shards < 1:
-        parser.error(f"--shards must be >= 1, got {args.shards}")
 
     # informational exits: print to stdout, return 0 — scripts pipe these
     if args.fault_profile == "list":
@@ -148,13 +141,11 @@ def main(argv=None) -> int:
                       fault_profile=args.fault_profile,
                       fault_seed=args.fault_seed,
                       zone_maps=args.zone_maps == "on",
-                      shards=args.shards,
                       writes=args.writes == "on")
     print(f"scale factor {harness.scale_factor} "
           f"({int(6_000_000 * harness.scale_factor)} fact rows), "
           f"seed {harness.seed}"
           + (", zone maps on" if harness.zone_maps else "")
-          + (f", {harness.shards} shards" if harness.shards > 1 else "")
           + (", writes on" if harness.writes else ""))
 
     if args.target == "breakdown":
@@ -222,7 +213,6 @@ def main(argv=None) -> int:
                                    figure=target,
                                    scale_factor=harness.scale_factor,
                                    zone_maps=harness.zone_maps,
-                                   shards=harness.shards,
                                    writes=harness.writes)
                     print(f"\nwrote baseline {args.write_baseline}")
             print(f"\n[{target} regenerated in "
@@ -253,7 +243,6 @@ def _run_serve(parser: argparse.ArgumentParser, args) -> int:
                       fault_profile=args.fault_profile,
                       fault_seed=args.fault_seed,
                       zone_maps=args.zone_maps == "on",
-                      shards=args.shards,
                       writes=args.writes == "on")
     print(f"scale factor {harness.scale_factor} "
           f"({int(6_000_000 * harness.scale_factor)} fact rows), "
@@ -290,11 +279,6 @@ def _run_check_baseline(parser: argparse.ArgumentParser, args) -> int:
         parser.error(f"--zone-maps {args.zone_maps} conflicts with the "
                      f"baseline's setting "
                      f"{baseline.get('zone_maps', False)}")
-    # pre-sharding artifacts read as shards=1 (the PR 5 zone-map rule)
-    baseline_shards = baseline.get("shards", 1)
-    if args.shards != 1 and args.shards != baseline_shards:
-        parser.error(f"--shards {args.shards} conflicts with the "
-                     f"baseline's setting {baseline_shards}")
     # pre-write-store artifacts read as writes-off (same rule)
     baseline_writes = baseline.get("writes", False)
     if args.writes is not None and \
@@ -306,12 +290,10 @@ def _run_check_baseline(parser: argparse.ArgumentParser, args) -> int:
                       fault_profile=args.fault_profile,
                       fault_seed=args.fault_seed,
                       zone_maps=baseline.get("zone_maps", False),
-                      shards=baseline_shards,
                       writes=baseline_writes)
     print(f"checking {figure} against {args.check_baseline} "
           f"(sf {harness.scale_factor}"
           + (", zone maps on" if harness.zone_maps else "")
-          + (f", {harness.shards} shards" if harness.shards > 1 else "")
           + (", writes on" if harness.writes else "")
           + ")")
     grid = _FIGURES[figure][0](harness)

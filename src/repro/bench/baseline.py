@@ -8,8 +8,8 @@ and byte-stable across hosts (unlike wall clock).  The workflow:
     # ... later, after changes ...
     python -m repro.bench --check-baseline baseline.json
 
-``check`` re-runs the figure at the artifact's scale factor and worker
-count and fails (exit 1) if any cell regresses by more than the
+``check`` re-runs the figure at the artifact's scale factor and
+settings and fails (exit 1) if any cell regresses by more than the
 tolerance (default 2 %).  Coverage mismatches — a series or query in one
 side but not the other — are a typed :class:`BenchmarkError`, never a
 silent skip.
@@ -31,7 +31,7 @@ DEFAULT_TOLERANCE = 0.02
 
 
 def baseline_record(grid: RunGrid, *, figure: str, scale_factor: float,
-                    zone_maps: bool = False, shards: int = 1,
+                    zone_maps: bool = False,
                     writes: bool = False) -> Dict:
     """The grid as a JSON-ready dict (stable key order)."""
     grid.validate_aligned()
@@ -40,7 +40,6 @@ def baseline_record(grid: RunGrid, *, figure: str, scale_factor: float,
         "figure": figure,
         "scale_factor": scale_factor,
         "zone_maps": zone_maps,
-        "shards": shards,
         "writes": writes,
         "series": {
             label: {q: seconds for q, seconds in sorted(values.items())}
@@ -51,11 +50,10 @@ def baseline_record(grid: RunGrid, *, figure: str, scale_factor: float,
 
 def write_baseline(path: str, grid: RunGrid, *, figure: str,
                    scale_factor: float, zone_maps: bool = False,
-                   shards: int = 1, writes: bool = False) -> None:
+                   writes: bool = False) -> None:
     record = baseline_record(grid, figure=figure,
                              scale_factor=scale_factor,
-                             zone_maps=zone_maps, shards=shards,
-                             writes=writes)
+                             zone_maps=zone_maps, writes=writes)
     with open(path, "w") as handle:
         json.dump(record, handle, indent=2)
         handle.write("\n")
@@ -78,10 +76,18 @@ def load_baseline(path: str) -> Dict:
     # Older artifacts also carry a "workers" key; it is ignored (every
     # run is serial, and the simulated seconds never depended on it).
     # "zone_maps" is optional — pre-synopsis artifacts omit it and are
-    # interpreted as zone-maps-off (which is what they measured).
-    # "shards" likewise: pre-sharding artifacts read as shards=1, and
+    # interpreted as zone-maps-off (which is what they measured), and
     # pre-write-store artifacts as writes-off (read-only, byte-identical
-    # to a writes-enabled engine with no pending delta).
+    # to a writes-enabled engine with no pending delta).  A "shards"
+    # stamp of 1 (or none) was the one-stack run every engine makes
+    # now; a larger one priced N storage stacks, which no run can
+    # reproduce since sharding was retired.
+    shards = record.get("shards", 1)
+    if shards != 1:
+        raise BenchmarkError(
+            f"baseline {path!r} was measured at shards={shards}; sharding "
+            f"was retired, so its simulated seconds cannot be re-run — "
+            f"write a fresh baseline")
     return record
 
 

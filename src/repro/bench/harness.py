@@ -110,7 +110,6 @@ class Harness:
                  fault_profile: Optional[str] = None,
                  fault_seed: int = 0,
                  zone_maps: bool = False,
-                 shards: int = 1,
                  writes: bool = False) -> None:
         self.scale_factor = (scale_factor if scale_factor is not None
                              else scale_factor_from_env())
@@ -119,9 +118,6 @@ class Harness:
         #: consult zone-map synopses on both engines' scan paths (results
         #: are invariant; only pages touched and the skip counters move)
         self.zone_maps = zone_maps
-        #: scatter-gather shard count on both engines (1 = the unchanged
-        #: single-stack path; results are invariant, see docs/sharding.md)
-        self.shards = shards
         #: build write-capable engines and run column-store queries with
         #: MVCC snapshot reads opted in (see docs/writes.md).  With no
         #: pending delta, on/off ledgers are byte-identical.
@@ -166,7 +162,6 @@ class Harness:
         if self._system_x is None:
             self._system_x = SystemX(self.data, designs=list(designs),
                                      zone_maps=self.zone_maps,
-                                     shards=self.shards,
                                      writes=self.writes)
             self._built_designs = set(designs)
             self._install_faults(self._system_x.disk)
@@ -232,8 +227,6 @@ class Harness:
                           config: ExecutionConfig) -> float:
         if self.zone_maps and not config.zone_maps:
             config = replace(config, zone_maps=True)
-        if self.shards > 1 and config.shards != self.shards:
-            config = replace(config, shards=self.shards)
         if self.writes and not config.writes:
             config = replace(config, writes=True)
         run = self.cstore().execute(query, config)

@@ -26,7 +26,7 @@ from ..storage.projection import Projection
 from ..storage.rowpage import RowFormat
 from ..storage.table import Table
 from ..core.config import ExecutionConfig
-from ..core.lifecycle import EngineRun, EngineShell, budget_share
+from ..core.lifecycle import EngineRun, EngineShell
 from ..rowstore.designs import mv_columns_for_flight
 from .planner import ColumnPlanner, StoreContext
 
@@ -94,11 +94,6 @@ class CStore(EngineShell):
                                        name=name)
         self._projections.setdefault(key, []).append(projection)
         self._tables[table.name] = table
-        # the shard sets carry the same physical design: each child that
-        # holds its own slice of this table gains the projection too
-        for child in self._shard_engines():
-            if table.name in child._tables:
-                child.load_table(child._tables[table.name], sort_keys, level)
         return projection
 
     def add_projection(self, table_name: str, sort_keys: Sequence[str],
@@ -164,24 +159,18 @@ class CStore(EngineShell):
         fails with a structured :class:`CorruptPageError` — never a
         silently wrong result.
 
-        ``config.shards > 1`` routes through the scatter-gather
-        executor: each shard is a complete child ``CStore`` on its own
-        disk array, shard elimination runs before any I/O, and the
-        returned run carries the merged ledger and span tree (see
-        ``docs/sharding.md``).
-
         When the engine holds pending writes the run becomes a snapshot
         read pinned at the current epoch (see ``docs/writes.md``):
         pending deletes patch base-scan positions in place, and visible
         WOS fact inserts add a ``wos-merge`` partial combined through
-        the scatter-gather merger.  Requires ``config.writes``; a
+        :mod:`repro.plan.combine`.  Requires ``config.writes``; a
         read-only config against a dirty engine raises
         :class:`~repro.errors.WriteError` rather than answering wrong.
         """
         return self._execute_routed(
             query, writes=config.writes,
             move_threshold_rows=config.move_threshold_rows,
-            shards=config.shards, config=config, level=level,
+            config=config, level=level,
             cold_pool=cold_pool, cancellation=cancellation)
 
     def _run_base(self, query: StarQuery, visibility, *,
@@ -222,17 +211,17 @@ class CStore(EngineShell):
         finally:
             self.disk.cancellation = saved_cancellation
 
-    def shard_children(self, shards: int) -> List[Tuple[object, "CStore"]]:
-        """The ``shards``-way shard set behind ``config.shards``: (fact
-        shard, complete child ``CStore``) pairs, built once per count."""
-        return self._shard_set(shards)
+    def shard_children(self, shards: int) -> List:
+        """Always ``[]``: no engine shards its reads.  Kept only because
+        the end-to-end benchmark's ``cs_variants`` set-up calls it
+        (``benchmarks/e2e/workloads.py``); the ``[benchmark]`` change of
+        ROADMAP item 0(f) retires it."""
+        return []
 
-    def _spawn(self, data: SsbData, memory_share: int,
-               fault_injector=None) -> "CStore":
+    def _spawn(self, data: SsbData, fault_injector=None) -> "CStore":
         sibling = CStore(data, levels=self._levels,
                          cost_model=self.cost_model,
-                         buffer_pool_bytes=budget_share(
-                             self._pool_bytes, memory_share),
+                         buffer_pool_bytes=self._pool_bytes,
                          fault_injector=fault_injector)
         # the rest of the physical design, in load order: projections
         # added in other sort orders (tables outside ``data``, such as a

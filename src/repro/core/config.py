@@ -55,11 +55,10 @@ class ExecutionConfig:
     #: four-letter label: it never changes results, only which pages a
     #: scan touches (see ``docs/synopses.md``).
     zone_maps: bool = False
-    #: scatter-gather sharding: number of fact-table shards, each a
-    #: self-contained storage stack (see ``docs/sharding.md``).  1
-    #: (default) takes the unchanged single-stack code path.  Not part
-    #: of the four-letter label: it never changes the rows — only how
-    #: the work is partitioned and eliminated.
+    #: inert: nothing reads it, and every value runs on the engine's
+    #: one storage stack.  It stays settable (still checked ``>= 1``)
+    #: only because the end-to-end benchmark's ``tIcL.sh4`` series sets
+    #: it; ROADMAP item 0(f) deletes the field together with that series.
     shards: int = 1
     #: MVCC snapshot reads over the write store's delta (see
     #: ``docs/writes.md``).  False (default) takes the unchanged

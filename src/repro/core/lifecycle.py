@@ -11,7 +11,7 @@ this module owns — once — the policy around them:
 * **read routing** — automatic tuple-mover policy → snapshot
   :class:`~repro.write.store.Visibility` → typed
   :class:`~repro.errors.WriteError` on a merge-blind read → WOS merge →
-  shard scatter (with the per-shard deleted-mask slice) → base run;
+  base run on the engine's one storage stack;
 * **the write side** — ``insert`` / ``delete`` into the delta store, the
   tuple mover with its four kill points and its journal checkpoint, the
   retrying shadow rebuild, and cold-start ``recover``.
@@ -19,25 +19,24 @@ this module owns — once — the policy around them:
 An engine plugs in three hooks: :meth:`EngineShell._run_base` (one
 single-stack execution under the engine's own call options),
 :meth:`EngineShell._spawn` (a sibling engine with the same physical
-design over other data — shard children and shadow rebuilds both come
-from it, so neither can drop part of the design) and
+design over other data — the tuple mover's shadow and recovery's
+rebuild both come from it, so neither can drop part of the design) and
 :meth:`EngineShell._adopt_shadow` (swap a rebuilt sibling's structures
-in).  Invariants #8–#10 of ``docs/architecture.md`` — sharding
-invisibility, write invisibility, durability — are therefore upheld by
-one copy of the code.
+in).  Invariants #9–#10 of ``docs/architecture.md`` — write
+invisibility, durability — are therefore upheld by one copy of the
+code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from ..errors import TransientIOError, WriteError, WriteFaultError
 from ..obs import Span, Trace, Tracer, span_context
+from ..plan.combine import gather, partial_plan
 from ..plan.logical import StarQuery
 from ..result import ResultSet
-from ..shard.executor import gather, scatter_gather, shard_plan
-from ..shard.partition import FactShard, ShardScheme, partition_data
 from ..simio.buffer_pool import BufferPool, _backoff_us
 from ..simio.disk import SimulatedDisk
 from ..simio.faults import (
@@ -69,14 +68,6 @@ def scaled_budget(paper_bytes: int, scale_factor: float) -> int:
     return max(MIN_POOL_BYTES, int(paper_bytes * scale))
 
 
-def budget_share(budget_bytes: int, share: int) -> int:
-    """``1/share`` of a memory budget (a shard child's slice); a whole
-    share is the budget itself, however small the caller configured it."""
-    if share == 1:
-        return budget_bytes
-    return max(MIN_POOL_BYTES, budget_bytes // share)
-
-
 @dataclass
 class EngineRun:
     """Outcome of one query execution (either engine)."""
@@ -86,8 +77,6 @@ class EngineRun:
     cost: CostBreakdown
     #: per-phase span tree; verified to sum exactly to ``stats``
     trace: Optional[Trace] = None
-    #: which shards ran / were eliminated (sharded executions only)
-    shard_report: Optional[object] = None
 
     @property
     def seconds(self) -> float:
@@ -108,9 +97,6 @@ class EngineShell:
             buffer_pool_bytes = scaled_budget(PAPER_BUFFER_POOL_BYTES,
                                               data.scale_factor)
         self._pool_bytes = buffer_pool_bytes
-        #: shard count -> [(FactShard, child engine)], built lazily
-        self._shard_sets: Dict[int, List[Tuple[FactShard,
-                                               "EngineShell"]]] = {}
         #: lazily created delta store (first accepted write); None means
         #: this engine has never seen a write
         self._writes: Optional[WriteStore] = None
@@ -132,10 +118,9 @@ class EngineShell:
         the deleted-row mask a snapshot read must patch scans with."""
         raise NotImplementedError
 
-    def _spawn(self, data: SsbData, memory_share: int,
-               fault_injector=None) -> "EngineShell":
+    def _spawn(self, data: SsbData, fault_injector=None) -> "EngineShell":
         """A sibling engine over ``data`` with this engine's complete
-        physical design and ``1/memory_share`` of its memory budgets."""
+        physical design and memory budgets."""
         raise NotImplementedError
 
     def _adopt_shadow(self, shadow: "EngineShell") -> None:
@@ -147,12 +132,12 @@ class EngineShell:
     # read routing
     # ------------------------------------------------------------------ #
     def _execute_routed(self, query: StarQuery, *, writes: bool,
-                        move_threshold_rows: Optional[int], shards: int,
+                        move_threshold_rows: Optional[int],
                         **options) -> EngineRun:
         """Route one read: drain the WOS when the automatic mover policy
         says so, pin a snapshot when writes are pending (refusing typed
-        when the caller did not opt in to ``writes``), then run merged,
-        scattered, or plain."""
+        when the caller did not opt in to ``writes``), then run merged
+        or plain."""
         ws = self._writes
         visibility = None
         if ws is not None:
@@ -170,28 +155,20 @@ class EngineShell:
                     )
                 visibility = ws.visibility()
                 if visibility.needs_merge:
-                    return self._execute_merge(query, visibility, shards,
-                                               options)
-        return self._execute_snapshot(query, visibility, shards, options)
-
-    def _execute_snapshot(self, query: StarQuery,
-                          visibility: Optional[Visibility], shards: int,
-                          options: Dict) -> EngineRun:
-        if shards > 1:
-            return self._execute_sharded(query, visibility, shards, options)
+                    return self._execute_merge(query, visibility, options)
         return self._run_base(query, visibility, **options)
 
-    def _execute_merge(self, query: StarQuery, vis: Visibility, shards: int,
+    def _execute_merge(self, query: StarQuery, vis: Visibility,
                        options: Dict) -> EngineRun:
-        """Base run plus a WOS delta partial, combined like one more
-        shard.  The scatter rewrite makes the partials mergeable (AVG as
-        SUM+COUNT, hidden row counts for scalar MIN/MAX), and the merged
-        trace carries the delta's compute under a ``wos-merge`` span."""
-        spec = shard_plan(query)
-        base_run = self._execute_snapshot(spec.shard_query, vis, shards,
-                                          options)
+        """Base run plus a WOS delta partial, combined through
+        :mod:`repro.plan.combine`.  Its rewrite makes the partials
+        mergeable (AVG as SUM+COUNT, hidden row counts for scalar
+        MIN/MAX), and the merged trace carries the delta's compute under
+        a ``wos-merge`` span."""
+        spec = partial_plan(query)
+        base_run = self._run_base(spec.partial_query, vis, **options)
         delta_stats = QueryStats()
-        partial = delta_partial(spec.shard_query, vis.delta_tables(),
+        partial = delta_partial(spec.partial_query, vis.delta_tables(),
                                 delta_stats)
         result = gather(query, spec, [base_run.result, partial])
         merged = QueryStats(**base_run.stats.snapshot())
@@ -206,58 +183,7 @@ class EngineShell:
                     self.cost_model.cost(merged), children=spans)
         trace = Trace(root).verify(merged)
         return EngineRun(result, merged, self.cost_model.cost(merged),
-                         trace=trace, shard_report=base_run.shard_report)
-
-    def _execute_sharded(self, query: StarQuery,
-                         visibility: Optional[Visibility], shards: int,
-                         options: Dict) -> EngineRun:
-        children = self._shard_set(shards)
-
-        def execute_one(k: int, shard_query: StarQuery) -> EngineRun:
-            shard, child = children[k]
-            child_vis = None
-            if visibility is not None and visibility.needs_patching:
-                # slice the database-wide deleted mask down to this
-                # shard's fact rows (shard positions index the unsharded
-                # fact table)
-                mask = visibility.fact_deleted[shard.positions]
-                if bool(mask.any()):
-                    child_vis = Visibility(
-                        epoch=visibility.epoch, store=visibility.store,
-                        fact_deleted=mask)
-            return child._run_base(shard_query, child_vis, **options)
-
-        result, stats, trace, report = scatter_gather(
-            query, [shard.synopsis for shard, _engine in children],
-            self.data.date, execute_one, self.cost_model)
-        return EngineRun(result, stats, self.cost_model.cost(stats),
-                         trace=trace, shard_report=report)
-
-    def _shard_set(self, shards: int
-                   ) -> List[Tuple[FactShard, "EngineShell"]]:
-        """The ``shards``-way shard set: each entry pairs a
-        :class:`~repro.shard.partition.FactShard` with a complete child
-        engine on its own simulated disk array.  Built once per shard
-        count and reused across queries (the shards *are* the physical
-        design, not per-query scratch state)."""
-        children = self._shard_sets.get(shards)
-        if children is None:
-            scheme = (ShardScheme.RANGE
-                      if self.data.lineorder.sort_order.sorted_prefix_of(
-                          "orderdate")
-                      else ShardScheme.HASH)
-            children = [
-                (shard, self._spawn(shard.data, shards))
-                for shard in partition_data(self.data, shards, scheme)
-            ]
-            self._shard_sets[shards] = children
-        return children
-
-    def _shard_engines(self) -> List["EngineShell"]:
-        """Every child engine of every cached shard set (a change to the
-        physical design must reach all of them)."""
-        return [child for children in self._shard_sets.values()
-                for _shard, child in children]
+                         trace=trace)
 
     # ------------------------------------------------------------------ #
     # writes: WOS delegation and the tuple mover
@@ -356,7 +282,7 @@ class EngineShell:
         data = replace(self.data, **effective)
         for attempt in range(1, MAX_WRITE_RETRIES + 1):
             try:
-                shadow = self._spawn(data, 1, fault_injector=injector)
+                shadow = self._spawn(data, fault_injector=injector)
                 if crash_points:
                     # dies with shadow pages built but unstamped and no
                     # move record: pure orphans, discarded on recovery
@@ -382,7 +308,6 @@ class EngineShell:
         self.disk = shadow.disk
         self.pool = shadow.pool
         self._adopt_shadow(shadow)
-        self._shard_sets = {}
         self._zm_epoch = epoch
         self.disk.stats = QueryStats()
 
@@ -400,5 +325,5 @@ class EngineShell:
         return self.disk.total_bytes
 
 
-__all__ = ["EngineShell", "EngineRun", "scaled_budget", "budget_share",
+__all__ = ["EngineShell", "EngineRun", "scaled_budget",
            "PAPER_BUFFER_POOL_BYTES"]

@@ -120,8 +120,8 @@ def merge_group_reductions(
     funcs: Sequence[str],
     parts: Sequence[Tuple[np.ndarray, List[GroupReduction]]],
 ) -> Tuple[np.ndarray, List[GroupReduction]]:
-    """Combine partial grouped reductions (per batch or per shard) into
-    one.
+    """Combine partial grouped reductions (per batch, or base and WOS
+    delta) into one.
 
     Each part carries its own key matrix and accumulators; the merged
     result is identical to grouping the undivided input because every

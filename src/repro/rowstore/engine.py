@@ -14,7 +14,7 @@ measured counts to simulated seconds with the shared
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from ..errors import ChecksumError, CorruptPageError, PlanError
 from ..obs import Tracer
@@ -27,7 +27,6 @@ from ..core.lifecycle import (
     PAPER_BUFFER_POOL_BYTES,
     EngineRun,
     EngineShell,
-    budget_share,
     scaled_budget,
 )
 from .designs import Artifacts, DesignBuilder, DesignKind
@@ -74,11 +73,6 @@ class SystemX(EngineShell):
         Consult per-page min/max synopses before heap scans, skipping
         pages that cannot satisfy the pushed-down predicates.  Off by
         default (the paper's System X reads every page).
-    shards:
-        Scatter-gather sharding: split the fact table into this many
-        self-contained shards, each a complete child ``SystemX`` on its
-        own disk array (see ``docs/sharding.md``).  1 (default) keeps
-        the unchanged single-stack path.
     writes:
         Opt in to snapshot reads over pending writes.  System X has no
         per-query config object, so this engine-level flag plays the
@@ -96,17 +90,13 @@ class SystemX(EngineShell):
         buffer_pool_bytes: Optional[int] = None,
         join_memory_bytes: Optional[int] = None,
         zone_maps: bool = False,
-        shards: int = 1,
         writes: bool = False,
         move_threshold_rows: Optional[int] = None,
         fault_injector=None,
     ) -> None:
-        if shards < 1:
-            raise PlanError(f"shards must be >= 1, got {shards}")
         check_move_threshold(move_threshold_rows, writes)
         super().__init__(data, cost_model, buffer_pool_bytes, fault_injector)
         self.zone_maps = zone_maps
-        self.shards = shards
         self.writes = writes
         #: automatic tuple-mover policy: drain the WOS before a query
         #: when net pending rows exceed this (None = manual moves only).
@@ -128,8 +118,7 @@ class SystemX(EngineShell):
             self.add_design(design)
 
     def add_design(self, design: DesignKind) -> None:
-        """Materialize one design's artifacts (idempotent; propagated to
-        shard children when sharding is active)."""
+        """Materialize one design's artifacts (idempotent)."""
         if design in self._built:
             return
         builder = DesignBuilder(self.disk, self.data)
@@ -144,8 +133,6 @@ class SystemX(EngineShell):
         if design is DesignKind.INDEX_ONLY:
             builder.build_indexes(self.artifacts)
         self._built.add(design)
-        for child in self._shard_engines():
-            child.add_design(design)
 
     @property
     def designs(self) -> List[DesignKind]:
@@ -188,7 +175,7 @@ class SystemX(EngineShell):
         read pinned at the current epoch (see ``docs/writes.md``):
         pending deletes hide fact tuples from scans in place, and
         visible WOS fact inserts add a ``wos-merge`` partial combined
-        through the scatter-gather merger.  Requires the engine-level
+        through :mod:`repro.plan.combine`.  Requires the engine-level
         ``writes`` flag; a read-only engine with pending writes raises
         :class:`~repro.errors.WriteError` rather than answering wrong.
         """
@@ -196,7 +183,7 @@ class SystemX(EngineShell):
         return self._execute_routed(
             query, writes=self.writes,
             move_threshold_rows=self.move_threshold_rows,
-            shards=self.shards, design=design,
+            design=design,
             prune_partitions=prune_partitions, vp_join=vp_join,
             vp_super_tuples=vp_super_tuples, cold_pool=cold_pool,
             cancellation=cancellation)
@@ -255,18 +242,11 @@ class SystemX(EngineShell):
         return RowStoreRun(result, stats, self.cost_model.cost(stats),
                            trace=trace)
 
-    def shard_children(self) -> List[Tuple[object, "SystemX"]]:
-        """The shard set behind ``shards > 1``: (fact shard, complete
-        child ``SystemX``) pairs, built once and reused across queries."""
-        return self._shard_set(self.shards)
-
-    def _spawn(self, data: SsbData, memory_share: int,
-               fault_injector=None) -> "SystemX":
+    def _spawn(self, data: SsbData, fault_injector=None) -> "SystemX":
         return SystemX(
             data, designs=self.designs, cost_model=self.cost_model,
-            buffer_pool_bytes=budget_share(self._pool_bytes, memory_share),
-            join_memory_bytes=budget_share(self.join_memory_bytes,
-                                           memory_share),
+            buffer_pool_bytes=self._pool_bytes,
+            join_memory_bytes=self.join_memory_bytes,
             zone_maps=self.zone_maps, fault_injector=fault_injector)
 
     def _adopt_shadow(self, shadow: "SystemX") -> None:

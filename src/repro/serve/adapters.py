@@ -1,10 +1,10 @@
 """Engine adapters: one uniform surface the service drives both engines
 through.
 
-Each adapter names a session's cache scope and shard count and executes
-a query for it.  The work an execution does is charged to the ledger the
-engine installs for that run; the service folds it into the requesting
-query's ledger.
+Each adapter names a session's cache scope and executes a query for
+it.  The work an execution does is charged to the ledger the engine
+installs for that run; the service folds it into the requesting query's
+ledger.
 """
 
 from __future__ import annotations
@@ -37,15 +37,10 @@ class ColumnStoreAdapter:
                 else CompressionLevel.NONE)
 
     def scope(self, session: Session) -> Tuple:
-        # zone maps and sharding never change results, but scoping on
-        # them keeps cached ledgers/traces comparable within one
-        # setting (and isolates each shard set's cache)
+        # zone maps never change results, but scoping on them keeps
+        # cached ledgers/traces comparable within one setting
         return ("cs", session.config.label, self.level(session).value,
-                "zm" if session.config.zone_maps else "",
-                f"sh{session.config.shards}")
-
-    def shard_count(self, session: Session) -> int:
-        return session.config.shards
+                "zm" if session.config.zone_maps else "")
 
     def execute(self, query: StarQuery, session: Session,
                 cancellation=None):
@@ -73,11 +68,7 @@ class RowStoreAdapter:
 
     def scope(self, session: Session) -> Tuple:
         return ("rs", session.design.value,
-                "zm" if self.engine.zone_maps else "",
-                f"sh{self.engine.shards}")
-
-    def shard_count(self, session: Session) -> int:
-        return self.engine.shards
+                "zm" if self.engine.zone_maps else "")
 
     def execute(self, query: StarQuery, session: Session,
                 cancellation=None):

@@ -753,10 +753,7 @@ class QueryService:
             raise DeadlineError("deadline expired before execution started")
         session, engine = request.session, adapter.engine
         tracer = request.tracer
-        # per shard set: a fault in one shard configuration must not trip
-        # (or be masked by) the health of a differently-sharded stack
-        breaker_scope = (session.engine, request.query.fact_table,
-                         adapter.shard_count(session))
+        breaker_scope = (session.engine, request.query.fact_table)
         trial = False
         if self.breakers is not None:
             with tracer.span("breaker-check"):

@@ -1,32 +1,7 @@
-"""Sharded scatter-gather execution (see ``docs/sharding.md``).
+"""Retired: scatter-gather sharding is gone, and each engine runs every
+read on its one storage stack.
 
-:mod:`repro.shard.partition` splits the SSB fact table into
-self-contained shards with catalog-resident synopses;
-:mod:`repro.shard.executor` rewrites queries for per-shard execution,
-eliminates shards before any I/O, and merges results, ledgers, and
-traces.  Both engines route through here when configured with
-``shards > 1``.
+Only :func:`repro.shard.executor.scatter_gather` is left, as a stub the
+end-to-end benchmark's tracer patches; the ``[benchmark]`` change of
+ROADMAP item 0(f) deletes this package.
 """
-
-from .executor import (
-    GatherSpec,
-    ShardReport,
-    gather,
-    qualifying_shards,
-    scatter_gather,
-    shard_plan,
-)
-from .partition import FactShard, ShardScheme, ShardSynopsis, partition_data
-
-__all__ = [
-    "FactShard",
-    "ShardScheme",
-    "ShardSynopsis",
-    "partition_data",
-    "GatherSpec",
-    "ShardReport",
-    "shard_plan",
-    "qualifying_shards",
-    "gather",
-    "scatter_gather",
-]

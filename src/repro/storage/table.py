@@ -34,10 +34,6 @@ class SortOrder:
     def __bool__(self) -> bool:
         return bool(self.keys)
 
-    def sorted_prefix_of(self, column: str) -> bool:
-        """True when ``column`` is the primary sort key."""
-        return bool(self.keys) and self.keys[0] == column
-
     def position(self, column: str) -> Optional[int]:
         """Sort position of ``column`` (0 = primary), or None."""
         try:

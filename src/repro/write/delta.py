@@ -4,8 +4,7 @@ A snapshot read whose epoch sees buffered fact inserts cannot be answered
 from base pages alone.  The engines run their normal (patched) plan over
 the base and ask this module for a *partial* over the WOS side — the
 visible WOS fact rows joined against the effective dimensions — then
-merge the two partials with the scatter-gather combiner, exactly as if
-the WOS were one more shard.
+merge the two partials with :mod:`repro.plan.combine`.
 
 The WOS is in-memory by design (that is the point of a write-optimized
 store), so the delta pays no I/O; it pays honest *compute*: scalar
@@ -33,7 +32,7 @@ def delta_partial(query: StarQuery, tables: Dict[str, Table],
 
     ``tables`` comes from :meth:`repro.write.store.Visibility.delta_tables`:
     the visible WOS fact rows plus effective dimensions.  The result is a
-    gather-ready partial (the caller passes the same rewritten shard
+    gather-ready partial (the caller passes the same rewritten partial
     query it ran over the base, so hidden aggregates line up).
     """
     fact = tables[query.fact_table]

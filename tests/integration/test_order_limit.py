@@ -7,10 +7,9 @@ on every engine, design and configuration.  The row store used to emit
 its groups in first-seen batch order and so kept different rows.  The
 property draws ORDER BY/LIMIT SQL over small count/min/max/avg domains,
 where ties are the rule, and runs it through both engines, every design
-that can plan it, every column-store label, and shards.
+that can plan it, and every column-store label.
 """
 
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -27,13 +26,10 @@ from repro.sql import parse_query
 from repro.ssb.generator import generate
 
 #: every label ExecutionConfig accepts (an invisible join needs late
-#: materialization), then the sharded full C-Store, whose partials
-#: merge through the gather
+#: materialization)
 CONFIGS = [ExecutionConfig.from_label(t + i + c + m)
            for t, i, c, m in product("tT", "iI", "cC", "lL")
-           if not (i == "I" and m == "l")] + [
-    replace(ExecutionConfig.baseline(), shards=3),
-]
+           if not (i == "I" and m == "l")]
 
 TIE_SQL = """
     SELECT c.nation, d.year, COUNT(lo.revenue) AS n

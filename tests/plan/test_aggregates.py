@@ -1,5 +1,5 @@
 """``repro.plan.aggregates``: packed-key group factorization and the
-merging of partial grouped reductions (per shard, per batch), which
+merging of partial grouped reductions (per batch, base and WOS delta), which
 both engines' grouping goes through."""
 
 import numpy as np

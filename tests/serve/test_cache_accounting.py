@@ -1,11 +1,12 @@
-"""Semantic-cache byte accounting and shard-scoped cache isolation.
+"""Semantic-cache byte accounting, and the inert ``shards`` field's
+place outside the cache scope.
 
 The ``_bytes`` gauge drives eviction and the ``snapshot()`` numbers, so
 the cache self-checks it against the sum of entry sizes after every
 mutation.  These tests hammer the mutation paths — insert, replace,
 discard, invalidate, evict — and assert the gauge can never go stale or
-negative; plus the serve-layer rule that differently-sharded stacks
-never share cache entries.
+negative; plus the serve-layer rule that a session differing only in
+the inert ``shards`` field shares the cache entries of ``shards=1``.
 """
 
 from collections import OrderedDict
@@ -173,26 +174,21 @@ def test_plain_insert_makes_no_pass_over_the_entries():
 
 
 # --------------------------------------------------------------------- #
-# shard-scoped isolation through the service
+# the inert shards field through the service
 # --------------------------------------------------------------------- #
-def test_shard_sets_do_not_share_cache_entries(cstore):
-    """A result cached by an unsharded session must not serve a sharded
-    session (and vice versa): the scopes differ in their ``shN`` field,
-    so each shard set warms its own cache."""
+def test_inert_shards_field_shares_cache_entries(cstore):
+    """Every read runs on the engine's one storage stack, so ``shards``
+    is no part of the cache scope: a ``shards=4`` session is served
+    ``cache-exact`` from the entry a ``shards=1`` session admitted."""
     q11 = next(q for q in ALL_QUERIES if q.name == "Q1.1")
     with QueryService(cstore=cstore) as service:
         plain = service.session(engine="cs")
-        sharded = service.session(
+        inert = service.session(
             engine="cs",
             config=replace(ExecutionConfig.baseline(), shards=4))
         first = plain.execute(q11)
         assert first.source == "engine"
-        repeat = plain.execute(q11)
-        assert repeat.source == "cache-exact"
-        # same query, different shard scope: engine run, not a hit
-        cross = sharded.execute(q11)
-        assert cross.source == "engine"
+        cross = inert.execute(q11)
+        assert cross.source == "cache-exact"
         assert cross.result.rows == first.result.rows
-        # ... and the sharded scope now has its own entry
-        again = sharded.execute(q11)
-        assert again.source == "cache-exact"
+        assert service.cache.snapshot()["entries"] == 1

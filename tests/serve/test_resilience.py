@@ -41,9 +41,8 @@ from repro.serve.service import AdmissionController
 from repro.simio.stats import PAPER_2008, QueryStats
 from repro.ssb.queries import Q1_1, Q1_2, Q3_2
 
+#: (engine, fact table): the scope the service keys breakers on
 SCOPE = ("cs", "lineorder")
-#: the scope the *service* keys breakers on — per shard set (sh1 here)
-SERVICE_SCOPE = ("cs", "lineorder", 1)
 
 
 def _quantity_files(cstore):
@@ -322,7 +321,7 @@ def test_breaker_opens_and_serves_exact_hits_degraded(cstore, system_x):
             for _ in range(3):
                 with pytest.raises(CorruptPageError):
                     session.execute(Q1_2, cached=False)
-            assert service.breakers.state_of(SERVICE_SCOPE) == OPEN
+            assert service.breakers.state_of(SCOPE) == OPEN
             snap = service.stats.snapshot()
             assert snap["breaker_opens"] == 1
 
@@ -340,7 +339,7 @@ def test_breaker_opens_and_serves_exact_hits_degraded(cstore, system_x):
             # no honest cache answer: a typed refusal, engine untouched
             with pytest.raises(BreakerOpenError) as info:
                 session.execute(Q3_2)
-            assert info.value.scope == SERVICE_SCOPE
+            assert info.value.scope == SCOPE
             assert service.stats.snapshot()["breaker_rejections"] == 1
         finally:
             for name in victims:
@@ -380,7 +379,7 @@ def test_degraded_serving_answers_exact_repeats_only(cstore, system_x):
             for _ in range(2):
                 with pytest.raises(CorruptPageError):
                     session.execute(Q1_2, cached=False)
-            assert service.breakers.state_of(SERVICE_SCOPE) == OPEN
+            assert service.breakers.state_of(SCOPE) == OPEN
             run = session.execute(broad)
             assert run.degraded
             assert run.source == "cache-exact"
@@ -388,7 +387,7 @@ def test_degraded_serving_answers_exact_repeats_only(cstore, system_x):
             run.trace.verify(run.stats)
             with pytest.raises(BreakerOpenError) as info:
                 session.execute(narrow)
-            assert info.value.scope == SERVICE_SCOPE
+            assert info.value.scope == SCOPE
             info.value.trace.verify(info.value.stats)
             snap = service.stats.snapshot()
             assert snap["degraded_hits"] == 1
@@ -412,7 +411,7 @@ def test_breaker_half_open_trial_recovers_after_heal(cstore, system_x):
             for _ in range(2):
                 with pytest.raises(CorruptPageError):
                     session.execute(Q1_1)
-            assert service.breakers.state_of(SERVICE_SCOPE) == OPEN
+            assert service.breakers.state_of(SCOPE) == OPEN
             # cache off and still cooling: a typed refusal
             with pytest.raises(BreakerOpenError):
                 session.execute(Q1_1)
@@ -425,7 +424,7 @@ def test_breaker_half_open_trial_recovers_after_heal(cstore, system_x):
         run = session.execute(Q1_1)
         assert run.source == "engine"
         assert run.result.rows
-        assert service.breakers.state_of(SERVICE_SCOPE) == CLOSED
+        assert service.breakers.state_of(SCOPE) == CLOSED
         snap = service.stats.snapshot()
         assert snap["breaker_half_opens"] == 1
         assert snap["breaker_closes"] == 1

@@ -63,18 +63,6 @@ def test_fault_profile_list_ignores_target(capsys):
     assert "transient" in capsys.readouterr().out
 
 
-def test_bench_rejects_bad_shards():
-    with pytest.raises(SystemExit):
-        bench_main(["figure5", "--sf", "0.004", "--shards", "0"])
-
-
-def test_bench_runs_sharded(capsys):
-    assert bench_main(["figure5", "--sf", "0.004", "--shards", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "2 shards" in out
-    assert "Figure 5" in out
-
-
 def test_bench_requires_target_without_check():
     with pytest.raises(SystemExit):
         bench_main(["--sf", "0.004"])
@@ -138,27 +126,38 @@ def test_bench_check_baseline_conflicting_flags(tmp_path):
         bench_main(["figure7", "--check-baseline", str(path)])
     with pytest.raises(SystemExit):
         bench_main(["--sf", "0.05", "--check-baseline", str(path)])
-    # the artifact predates sharding, so it reads as shards=1 and a
-    # sharded check against it is a conflict, not a silent reinterpretation
-    with pytest.raises(SystemExit):
-        bench_main(["--shards", "4", "--check-baseline", str(path)])
 
 
-def test_bench_baseline_stamps_shards(tmp_path, capsys):
+def test_bench_check_baseline_refuses_retired_shards(tmp_path):
+    """An artifact stamped ``shards: 2`` priced two storage stacks; no
+    run can reproduce that, so the check refuses it typed."""
+    import json
+
+    from repro.errors import BenchmarkError
+
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps({
+        "schema": "repro-baseline-v1", "figure": "figure5",
+        "scale_factor": 0.004, "zone_maps": False, "shards": 2,
+        "writes": False, "series": {"RS": {"Q1.1": 1.0}},
+    }))
+    with pytest.raises(BenchmarkError, match="shards=2"):
+        bench_main(["--check-baseline", str(path)])
+
+
+def test_bench_check_baseline_accepts_one_shard_stamp(tmp_path, capsys):
+    """``shards: 1`` was the one-stack run every engine makes now."""
     import json
 
     path = tmp_path / "baseline.json"
-    assert bench_main(["figure5", "--sf", "0.004", "--shards", "2",
+    assert bench_main(["figure5", "--sf", "0.004",
                        "--write-baseline", str(path)]) == 0
     record = json.loads(path.read_text())
-    assert record["shards"] == 2
-    # the check re-runs at the stamped shard count and passes
+    assert "shards" not in record
+    record["shards"] = 1
+    path.write_text(json.dumps(record))
     assert bench_main(["--check-baseline", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "2 shards" in out
-    assert "baseline check passed" in out
-    with pytest.raises(SystemExit):
-        bench_main(["--shards", "4", "--check-baseline", str(path)])
+    assert "baseline check passed" in capsys.readouterr().out
 
 
 def test_bench_baseline_stamps_writes(tmp_path, capsys):

@@ -89,6 +89,17 @@ def test_oracle_owns_its_output_semantics():
     assert reachable("repro.result") == {"repro.result"}
     # the engines do reach both: the edges above are worth guarding
     for engine in ("repro.colstore.engine", "repro.rowstore.engine",
-                   "repro.shard.executor"):
+                   "repro.plan.combine"):
         assert {"repro.plan.aggregates", "repro.plan.tail"} \
             <= reachable(engine)
+
+
+def test_combiner_imports_no_oracle():
+    """The WOS merge's combiner is engine-side code: it merges partials
+    with the engines' own aggregate and tail semantics, never the
+    oracle's, so a shared bug could not hide from the differential
+    tests."""
+    assert "repro.reference" not in reachable("repro.plan.combine")
+    # the merge read still reaches the oracle, through the delta
+    # evaluator (ROADMAP item 15 takes it out)
+    assert "repro.reference" in reachable("repro.write.delta")

@@ -171,8 +171,8 @@ def test_serve_stats_show_resilience(shell):
     assert "shed=0" in stats
     assert "degraded_hits=0" in stats
     assert "breakers:" in stats
-    # breaker scopes carry the shard count (sh1 = the unsharded stack)
-    assert "cs/lineorder/1=closed" in stats
+    # breaker scopes are (engine, fact table)
+    assert "cs/lineorder=closed" in stats
 
 
 def test_cache_off_by_default(ssb_data):

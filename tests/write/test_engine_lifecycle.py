@@ -30,7 +30,7 @@ CS_CONFIG = replace(ExecutionConfig.baseline(), writes=True)
 
 LIFECYCLE = ("insert", "delete", "move", "recover", "pending_writes",
              "snapshot_tables", "storage_bytes", "_write_store",
-             "_execute_routed", "_execute_merge", "_execute_sharded",
+             "_execute_routed", "_execute_merge",
              "_rebuild_from_effective")
 
 

@@ -1,7 +1,7 @@
-"""The physical design survives every rebuild and reaches every shard.
+"""The physical design survives every rebuild.
 
-A sibling engine — a shard child, the tuple mover's shadow, recovery's
-roll-forward rebuild — is made in exactly one place
+A sibling engine — the tuple mover's shadow, recovery's roll-forward
+rebuild — is made in exactly one place
 (``EngineShell._spawn``) with the *whole* design: projections added in
 other sort orders, individually loaded row-MV flights.  Before that the
 shadow was re-created from constructor defaults, so the first tuple move
@@ -10,8 +10,6 @@ failover.
 """
 
 from dataclasses import replace
-
-import pytest
 
 from repro.colstore.engine import CStore
 from repro.core.config import ExecutionConfig
@@ -89,16 +87,3 @@ def test_loaded_row_mv_flight_survives_move(wdata):
     # the rebuilt view holds the moved rows
     assert store.execute_row_mv(Q1_1).result.rows == \
         reference_execute(store.snapshot_tables(), Q1_1).rows
-
-
-@pytest.mark.parametrize("when", ("before", "after"))
-def test_added_projection_reaches_shard_children(wdata, when):
-    store = CStore(wdata, levels=(CompressionLevel.MAX,))
-    if when == "before":
-        store.add_projection("lineorder", EXTRA_SORT)
-    children = store.shard_children(2)
-    if when == "after":
-        store.add_projection("lineorder", EXTRA_SORT)
-    assert store.shard_children(2) is children
-    for _shard, child in children:
-        assert _fact_projections(child) == _fact_projections(store)

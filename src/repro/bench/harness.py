@@ -13,7 +13,6 @@ execution is measured separately by the pytest-benchmark suites.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -25,29 +24,13 @@ from ..result import ResultSet
 from ..rowstore.designs import DesignKind
 from ..rowstore.engine import SystemX
 from ..ssb.denormalize import denormalize, rewrite_query
-from ..ssb.cache import load_or_generate
+from ..ssb.cache import (DEFAULT_SCALE_FACTOR, load_or_generate,
+                         scale_factor_from_env)
 from ..ssb.generator import DEFAULT_SEED, SsbData
 from ..ssb.queries import ALL_QUERIES
 from ..ssb.schema import FACT_SORT_KEYS
 from ..storage.colfile import CompressionLevel
 from ..errors import BenchmarkError
-
-DEFAULT_SCALE_FACTOR = 0.05
-
-
-def scale_factor_from_env() -> float:
-    """The benchmark scale factor (``REPRO_SF`` env var or default)."""
-    raw = os.environ.get("REPRO_SF")
-    if raw is None:
-        return DEFAULT_SCALE_FACTOR
-    try:
-        value = float(raw)
-    except ValueError:
-        raise BenchmarkError(f"REPRO_SF must be a number, got {raw!r}")
-    if value <= 0:
-        raise BenchmarkError(f"REPRO_SF must be positive, got {value}")
-    return value
-
 
 @dataclass
 class RunGrid:

@@ -26,7 +26,7 @@ from ...plan.logical import (
     RangePredicate,
 )
 from ...plan.keys import KeyIndex
-from ...reference.predicates import (
+from ...plan.predicates import (
     code_bounds_for_range,
     comparison_as_code_bounds,
 )

@@ -151,19 +151,21 @@ class ColumnPlanner:
         #: (every read-only run) leaves all plan paths untouched
         self.visibility = visibility
 
-    def _deleted_positions(self, query: StarQuery,
-                           fact_proj: Projection) -> Optional[np.ndarray]:
-        """Deleted fact rows mapped into ``fact_proj``'s position space,
-        or None when this run needs no patching."""
-        if self.visibility is None or not self.visibility.needs_patching:
+    def _deleted_mask(self, query: StarQuery,
+                      fact_proj: Projection) -> Optional[np.ndarray]:
+        """Deleted fact rows as a mask over ``fact_proj``'s positions
+        (built once per snapshot image), or None when this run needs no
+        patching."""
+        vis = self.visibility
+        if vis is None or not vis.needs_patching:
             return None
-        from ..write.store import projection_deleted_positions
+        from ..write.store import projection_deleted_mask
 
-        return projection_deleted_positions(
-            self.ctx.tables[query.fact_table],
-            fact_proj.sort_order.keys,
-            self.visibility.fact_deleted,
-        )
+        keys = fact_proj.sort_order.keys
+        return vis.memo(("projection_deleted", keys),
+                        lambda: projection_deleted_mask(
+                            self.ctx.tables[query.fact_table], keys,
+                            vis.fact_deleted))
 
     def _span(self, name: str):
         return span_context(self.tracer, name)
@@ -252,15 +254,15 @@ class ColumnPlanner:
         join = join_cls(self.pool, self.config, fact_proj, dims, query,
                         self.level, fact_catalog, tracer=self.tracer)
         survivors, dim_rows = join.run()
-        deleted = self._deleted_positions(query, fact_proj)
-        if deleted is not None and len(deleted):
+        deleted = self._deleted_mask(query, fact_proj)
+        if deleted is not None:
             # MVCC patch: drop surviving positions whose base row is
             # deleted as of the pinned epoch, keeping the per-survivor
             # dimension row indices aligned.  One position op per
             # survivor checked (the membership probe).
             self.stats.position_ops += survivors.count
             arr = survivors.to_array()
-            keep = ~np.isin(arr, deleted)
+            keep = ~deleted[arr]
             if not keep.all():
                 survivors = ArrayPositions(arr[keep])
                 dim_rows = {d: rows[keep] for d, rows in dim_rows.items()}
@@ -377,14 +379,13 @@ class ColumnPlanner:
                                self.config)
                 for c in needed
             }
-        deleted = self._deleted_positions(query, fact_proj)
+        deleted = self._deleted_mask(query, fact_proj)
         live_rows = fact_proj.num_rows
-        if deleted is not None and len(deleted):
+        if deleted is not None:
             # MVCC patch: early materialization reads whole columns in
             # projection order, so deleted rows are masked before the
             # row pipeline sees them (one position op per stored row)
-            live = np.ones(fact_proj.num_rows, dtype=bool)
-            live[deleted] = False
+            live = ~deleted
             self.stats.position_ops += fact_proj.num_rows
             fact_arrays = {c: arr[live] for c, arr in fact_arrays.items()}
             live_rows = int(np.count_nonzero(live))

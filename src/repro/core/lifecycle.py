@@ -168,8 +168,7 @@ class EngineShell:
         spec = partial_plan(query)
         base_run = self._run_base(spec.partial_query, vis, **options)
         delta_stats = QueryStats()
-        partial = delta_partial(spec.partial_query, vis.delta_tables(),
-                                delta_stats)
+        partial = delta_partial(spec.partial_query, vis, delta_stats)
         result = gather(query, spec, [base_run.result, partial])
         merged = QueryStats(**base_run.stats.snapshot())
         merged.merge(delta_stats)

@@ -10,6 +10,6 @@ exactly.
 """
 
 from .engine import execute, selected_positions
-from .predicates import eval_predicate
+from ..plan.predicates import eval_predicate
 
 __all__ = ["execute", "selected_positions", "eval_predicate"]

@@ -37,7 +37,7 @@ from ..plan.logical import (
 )
 from ..result import Cell, ResultSet, Row
 from ..storage.table import Table
-from .predicates import eval_predicate
+from ..plan.predicates import eval_predicate
 
 
 def _dimension_row_index(dim: Table, key_column: str, fk: np.ndarray

@@ -13,7 +13,7 @@ from typing import List
 import numpy as np
 
 from ..plan.logical import StarQuery
-from ..reference.predicates import eval_predicate
+from ..plan.predicates import eval_predicate
 from ..ssb.generator import SsbData
 from .designs import Artifacts, BITMAPPED_FACT_COLUMNS, DesignKind
 from .partitioning import qualifying_years

@@ -12,7 +12,7 @@ from typing import Dict, List, Sequence, Set
 import numpy as np
 
 from ..plan.logical import StarQuery
-from ..reference.predicates import eval_predicate
+from ..plan.predicates import eval_predicate
 from ..storage.table import Table
 
 

@@ -39,7 +39,7 @@ from ..plan.logical import (
     RangePredicate,
     StarQuery,
 )
-from ..reference.predicates import (
+from ..plan.predicates import (
     code_bounds_for_range,
     comparison_as_code_bounds,
 )
@@ -265,28 +265,30 @@ class RowPlanner:
         years = sorted(partitions)
         if prune:
             years = qualifying_years(self.catalog.date, query, years)
-        live = self._fact_live
-        row_years = None
-        if live is not None:
-            # partition_by_year keeps parent row order, and MV partitions
-            # share the fact's row order, so the per-year slice of the
-            # database-wide live mask lines up with each partition heap
-            row_years = year_of_datekey(
-                self.catalog.lineorder.column("orderdate").data)
+        live_by_year: Dict[int, np.ndarray] = {}
+        if self._fact_live is not None:
+            live_by_year = self.visibility.memo(("live_by_year",),
+                                                self._live_by_year)
         for year in years:
-            heap = partitions[year]
-            mask = None
-            if live is not None:
-                mask = live[np.flatnonzero(row_years == year)]
-                if mask.all():
-                    mask = None
             yield from seq_scan(
-                heap, self.pool, query.fact_table,
+                partitions[year], self.pool, query.fact_table,
                 out_columns=out_columns,
                 predicates=query.fact_predicates(),
                 zone_maps=self.zone_maps,
-                live_mask=mask,
+                live_mask=live_by_year.get(year),
             )
+
+    def _live_by_year(self) -> Dict[int, np.ndarray]:
+        """The live mask sliced per year partition, for the years that
+        hold a deleted row.  partition_by_year keeps parent row order,
+        and MV partitions share the fact's row order, so each slice lines
+        up with its partition heap."""
+        row_years = year_of_datekey(
+            self.catalog.lineorder.column("orderdate").data)
+        slices = {int(year): self._fact_live[row_years == year]
+                  for year in np.unique(row_years)}
+        return {year: live for year, live in slices.items()
+                if not live.all()}
 
     def _run_traditional(self, query: StarQuery, prune: bool) -> ResultSet:
         dim_tables = self._dim_hash_tables(query)

@@ -30,7 +30,7 @@ from ..plan.logical import (
     Predicate,
     RangePredicate,
 )
-from ..reference.predicates import (
+from ..plan.predicates import (
     code_bounds_for_range,
     comparison_as_code_bounds,
 )

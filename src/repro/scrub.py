@@ -375,11 +375,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "rewriting anything")
     args = parser.parse_args(argv)
 
-    from .bench.harness import Harness
+    from .colstore.engine import CStore
+    from .ssb.cache import load_or_generate, scale_factor_from_env
 
-    harness = Harness(scale_factor=args.sf)
-    store = harness.cstore()
-    print(f"scale factor {harness.scale_factor}, "
+    scale_factor = args.sf if args.sf is not None else scale_factor_from_env()
+    store = CStore(load_or_generate(scale_factor))
+    print(f"scale factor {scale_factor}, "
           f"{len(store.disk.files())} file(s) on disk")
     if args.fault_profile:
         from .simio.faults import injector_from_profile

@@ -27,7 +27,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..errors import StorageError
+from ..errors import BenchmarkError, StorageError
 from ..storage.column import Column, StringDictionary
 from ..storage.table import SortOrder, Table
 from ..types import ColumnType, TypeKind
@@ -169,6 +169,23 @@ def load(scale_factor: float, seed: int, directory: Path
         return None
     CACHE_HEALTH.record_hit()
     return loaded
+
+
+DEFAULT_SCALE_FACTOR = 0.05
+
+
+def scale_factor_from_env() -> float:
+    """The scale factor the tools run at (``REPRO_SF`` env var or default)."""
+    raw = os.environ.get("REPRO_SF")
+    if raw is None:
+        return DEFAULT_SCALE_FACTOR
+    try:
+        value = float(raw)
+    except ValueError:
+        raise BenchmarkError(f"REPRO_SF must be a number, got {raw!r}")
+    if value <= 0:
+        raise BenchmarkError(f"REPRO_SF must be positive, got {value}")
+    return value
 
 
 def load_or_generate(

@@ -1,7 +1,7 @@
 """repro.write — delta store, MVCC snapshots, and the tuple mover's API.
 
 See ``docs/writes.md``.  The package makes both engines writable without
-touching their read-optimized formats: writes buffer in a row-format WOS
+touching their read-optimized formats: writes buffer in a columnar WOS
 (:class:`WriteStore`) behind a priced redo journal (:class:`RedoJournal`);
 snapshot reads pin an epoch and merge base pages with the delta
 (:class:`Visibility`, :func:`delta_partial`); the engines' tuple movers
@@ -24,22 +24,20 @@ from .store import (
     FACT_TABLE,
     VALIDATED_FOREIGN_KEYS,
     Visibility,
-    WosRow,
     WriteStore,
-    projection_deleted_positions,
+    projection_deleted_mask,
 )
 
 __all__ = [
     "WriteStore",
     "Visibility",
-    "WosRow",
     "RedoJournal",
     "delta_partial",
     "FACT_TABLE",
     "VALIDATED_FOREIGN_KEYS",
     "JOURNAL_FILE",
     "MAX_WRITE_RETRIES",
-    "projection_deleted_positions",
+    "projection_deleted_mask",
     "CrashHarness",
     "RecoveryReport",
     "recover_engine",

@@ -1,7 +1,7 @@
 """The write-optimized store (WOS): deltas, epochs, and MVCC visibility.
 
-Both engines stay read-optimized; accepted writes land here first, in a
-row-format in-memory buffer per table, after schema and foreign-key
+Both engines stay read-optimized; accepted writes land here first, in an
+in-memory column buffer per table, after schema and foreign-key
 validation and a priced append to the redo journal.  Every accepted
 batch bumps a global **epoch**; every row remembers the epoch it was
 inserted and (if deleted while still in the WOS) the epoch it was
@@ -34,7 +34,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
+                    Tuple)
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from ..errors import (IntegrityError, SnapshotTooOldError,
 from ..obs import Tracer
 from ..plan.keys import KeyIndex
 from ..plan.logical import Predicate, Value
-from ..reference.predicates import eval_predicate
+from ..plan.predicates import eval_predicate
 from ..simio.stats import QueryStats
 from ..ssb.schema import FACT_SORT_KEYS, FOREIGN_KEYS
 from ..storage.column import Column
@@ -61,18 +62,64 @@ VALIDATED_FOREIGN_KEYS: Dict[str, Tuple[str, str]] = {
 }
 
 
-@dataclass
-class WosRow:
-    """One buffered row: logical values plus its MVCC interval."""
+#: ``delete_epoch`` of a buffered row that no delete has reached
+LIVE = np.iinfo(np.int64).max
 
-    values: Dict[str, Value]
-    insert_epoch: int
-    delete_epoch: Optional[int] = None
 
-    def visible_at(self, epoch: int) -> bool:
-        if self.insert_epoch > epoch:
-            return False
-        return self.delete_epoch is None or self.delete_epoch > epoch
+class WosBuffer:
+    """One table's buffered rows: an array per column (strings as
+    codes), each row's MVCC interval, and the count of unmarked rows.
+    Rows only append between moves, so journaled deletes name a WOS row
+    by its index.  The arrays grow by doubling, so a batch costs its own
+    rows (amortised); an append publishes ``size`` last and readers
+    slice by it, so a racing reader never sees half a row."""
+
+    def __init__(self, base: Table) -> None:
+        self.data: Dict[str, np.ndarray] = {
+            col.name: col.data[:0] for col in base.columns()}
+        self.delete_epoch = np.zeros(0, dtype=np.int64)
+        self.insert_epoch = np.zeros(0, dtype=np.int64)
+        self.size = 0
+        self.live = 0
+
+    def append(self, columns: Dict[str, np.ndarray], epoch: int) -> None:
+        start = self.size
+        end = start + len(next(iter(columns.values())))
+        if end > len(self.insert_epoch):  # full: copy into twice the room
+            capacity = max(2 * end, 64)
+            self.data = {name: _grown(data, start, capacity)
+                         for name, data in self.data.items()}
+            self.delete_epoch = _grown(self.delete_epoch, start, capacity)
+            self.insert_epoch = _grown(self.insert_epoch, start, capacity)
+        for name, values in columns.items():
+            self.data[name][start:end] = values
+        self.delete_epoch[start:end] = LIVE
+        self.insert_epoch[start:end] = epoch
+        self.live += end - start
+        self.size = end
+
+    def mark_deleted(self, rows: Sequence[int], epoch: int) -> None:
+        self.delete_epoch[np.asarray(rows, dtype=np.int64)] = epoch
+        self.live -= len(rows)
+
+    def visible_rows(self, epoch: int = LIVE - 1) -> np.ndarray:
+        """Indices of the rows a reader pinned at ``epoch`` sees (by
+        default, every row no delete has marked)."""
+        size = self.size
+        return np.flatnonzero((self.insert_epoch[:size] <= epoch)
+                              & (self.delete_epoch[:size] > epoch))
+
+    def column(self, col: Column, rows: np.ndarray) -> Column:
+        """``rows`` of base column ``col`` as a column of the same type."""
+        return Column(col.name, col.ctype, self.data[col.name][rows],
+                      col.dictionary)
+
+
+def _grown(data: np.ndarray, used: int, capacity: int) -> np.ndarray:
+    """A ``capacity``-row array starting with ``data``'s first ``used``."""
+    out = np.empty(capacity, dtype=data.dtype)
+    out[:used] = data[:used]
+    return out
 
 
 @dataclass
@@ -90,6 +137,9 @@ class Visibility:
     store: "WriteStore"
     fact_deleted: Optional[np.ndarray] = None
     fact_wos: Optional[Table] = None
+    #: values built once per image: effective dimensions, their key
+    #: indexes, the engines' delete masks
+    _memo: Dict[Tuple, Any] = field(default_factory=dict, repr=False)
 
     @property
     def needs_merge(self) -> bool:
@@ -101,14 +151,25 @@ class Visibility:
         """True when base scans must mask out deleted fact positions."""
         return self.fact_deleted is not None
 
+    def memo(self, key: Tuple, build: Callable[[], Any]) -> Any:
+        """``build()``, computed on first use and kept with this image
+        (every read pinned at its epoch shares it)."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     def delta_tables(self) -> Dict[str, Table]:
         """Tables for the delta evaluator: visible WOS fact rows joined
         against *effective* dimensions as of this epoch."""
-        tables = {FACT_TABLE: self.fact_wos}
-        for name in self.store.table_names():
-            if name != FACT_TABLE:
-                tables[name] = self.store.effective_table(name, self.epoch)
-        return tables
+        dimensions = self.memo(("dimensions",), lambda: {
+            name: self.store.effective_table(name, self.epoch)
+            for name in self.store.table_names() if name != FACT_TABLE})
+        return {FACT_TABLE: self.fact_wos, **dimensions}
+
+    def key_index(self, dim: str, key_column: str) -> KeyIndex:
+        """A :class:`KeyIndex` over effective ``dim``'s ``key_column``."""
+        return self.memo(("key_index", dim, key_column), lambda: KeyIndex(
+            self.delta_tables()[dim].column(key_column).data))
 
 
 class WriteStore:
@@ -122,15 +183,15 @@ class WriteStore:
         self.epoch = 0
         #: epochs below this can no longer be reconstructed (tuple mover)
         self.horizon = 0
-        self._wos: Dict[str, List[WosRow]] = {n: [] for n in tables}
+        self._wos = {n: WosBuffer(t) for n, t in tables.items()}
         #: base position -> epoch that deleted it
         self._base_deleted: Dict[str, Dict[int, int]] = {n: {} for n in tables}
+        #: per dimension, a KeyIndex over its live keys (FK checks)
+        self._key_indexes: Dict[str, KeyIndex] = {}
         #: an existing journal may be adopted (cold-start replay re-applies
         #: a surviving journal's tail to its checkpoint's tables)
         self.journal = (journal if journal is not None
                         else RedoJournal(tables))
-        # projection-space deleted positions, keyed (epoch, sort keys)
-        self._proj_cache: Dict[Tuple[int, Tuple[str, ...]], np.ndarray] = {}
         # the latest visibility: epoch E's snapshot never changes until a
         # move swaps the base at E, so complete_move clears it (the lock
         # orders that clear against a reader filling the slot)
@@ -161,15 +222,13 @@ class WriteStore:
 
     def has_pending(self) -> bool:
         """Any buffered inserts or marked deletes at all?"""
-        return any(self._wos.values()) or any(self._base_deleted.values())
+        return (any(wos.size for wos in self._wos.values())
+                or any(self._base_deleted.values()))
 
     def pending_rows(self) -> int:
         """Rows the tuple mover would have to merge right now."""
-        live = sum(
-            1 for rows in self._wos.values() for r in rows
-            if r.delete_epoch is None
-        )
-        return live + sum(len(d) for d in self._base_deleted.values())
+        return (sum(wos.live for wos in self._wos.values())
+                + sum(map(len, self._base_deleted.values())))
 
     def pin(self) -> int:
         """Pin the current epoch for a snapshot read."""
@@ -191,7 +250,7 @@ class WriteStore:
             base = self.base_table(table)
             if not rows:
                 return 0
-            checked = self._validate_rows(table, base, rows)
+            checked, columns = self._validate_rows(table, base, rows)
             if table == FACT_TABLE:
                 self._check_fact_references(checked)
             else:
@@ -204,9 +263,7 @@ class WriteStore:
             )
             # buffer first, publish the epoch last: a reader never pins an
             # epoch whose rows are not buffered yet
-            self._wos[table].extend(
-                WosRow(values=r, insert_epoch=new_epoch) for r in checked
-            )
+            self._buffer(table, columns, new_epoch)
             self.epoch = new_epoch
             return len(checked)
         finally:
@@ -245,13 +302,13 @@ class WriteStore:
         if table != FACT_TABLE:
             key_column = base.columns()[0].name
             keys = {base.column(key_column).data[pos] for pos in base_hits}
-            keys |= {wos[idx].values[key_column] for idx in wos_hits}
+            keys |= set(wos.data[key_column][wos_hits].tolist())
             self._check_dimension_unreferenced(table, key_column,
                                                {int(k) for k in keys})
         new_epoch = self.epoch + 1
-        # "wos" holds indices into the per-table WOS list at delete time —
-        # replayable because the list only ever appends between moves, so
-        # replay reconstructs the identical list and the indices land on
+        # "wos" holds row indices into the table's WOS at delete time —
+        # replayable because the WOS only ever appends between moves, so
+        # replay reconstructs the identical buffer and the indices land on
         # the identical rows
         self.journal.append(
             {"op": "delete", "table": table, "epoch": new_epoch,
@@ -262,8 +319,8 @@ class WriteStore:
         )
         for pos in base_hits:
             deleted_map[pos] = new_epoch
-        for idx in wos_hits:
-            wos[idx].delete_epoch = new_epoch
+        wos.mark_deleted(wos_hits, new_epoch)
+        self._key_indexes.pop(table, None)
         self.epoch = new_epoch
         return len(base_hits) + len(wos_hits)
 
@@ -271,17 +328,23 @@ class WriteStore:
                   ) -> List[int]:
         """Indices of the undeleted WOS rows of ``table`` that match every
         conjunct, evaluated per column exactly as on the base side."""
-        wos = self._wos[table]
-        live = [idx for idx, row in enumerate(wos) if row.delete_epoch is None]
-        rows = [wos[idx] for idx in live]
-        base = self._base[table]
+        wos, base = self._wos[table], self._base[table]
+        live = wos.visible_rows()
         mask = np.ones(len(live), dtype=bool)
-        columns: Dict[str, Column] = {}
         for p in predicates:
-            if p.column not in columns:
-                columns[p.column] = _wos_column(base.column(p.column), rows)
-            mask &= eval_predicate(columns[p.column], p)
-        return [live[i] for i in np.flatnonzero(mask)]
+            mask &= eval_predicate(wos.column(base.column(p.column), live), p)
+        return live[mask].tolist()
+
+    def _buffer(self, table: str, columns: Sequence[Sequence[Value]],
+                epoch: int) -> None:
+        """Buffer checked values (columns in schema order) at ``epoch``."""
+        arrays = {}
+        for col, values in zip(self._base[table].columns(), columns):
+            if col.dictionary is not None:
+                values = col.dictionary.encode(values)
+            arrays[col.name] = np.asarray(values, dtype=col.data.dtype)
+        self._wos[table].append(arrays, epoch)
+        self._key_indexes.pop(table, None)
 
     # ------------------------------------------------------------------ #
     # replay (cold-start recovery)
@@ -301,18 +364,17 @@ class WriteStore:
                 f"store epoch {self.epoch}"
             )
         if op == "insert":
-            self._wos[record["table"]].extend(
-                WosRow(values=dict(r), insert_epoch=epoch)
-                for r in record["rows"]
-            )
+            table, rows = record["table"], record["rows"]
+            self._buffer(table, [[row[name] for row in rows] for name
+                                 in self._base[table].column_names], epoch)
             self.epoch = epoch
         elif op == "delete":
             deleted_map = self._base_deleted[record["table"]]
             for pos in record["base_positions"]:
                 deleted_map[int(pos)] = epoch
-            wos = self._wos[record["table"]]
-            for idx in record.get("wos", ()):
-                wos[int(idx)].delete_epoch = epoch
+            self._wos[record["table"]].mark_deleted(record.get("wos", ()),
+                                                    epoch)
+            self._key_indexes.pop(record["table"], None)
             self.epoch = epoch
         elif op == "move":
             if epoch != self.epoch:
@@ -347,11 +409,12 @@ class WriteStore:
     # ------------------------------------------------------------------ #
     def _validate_rows(self, table: str, base: Table,
                        rows: Sequence[Dict[str, Value]]
-                       ) -> List[Dict[str, Value]]:
+                       ) -> Tuple[List[Dict[str, Value]], List[List[Value]]]:
         """Check ``rows`` against the schema one column at a time and
-        return copies of them.  A failure reports what a walk in row
-        then column order meets first: a row's column set before its
-        cells, its cells in schema order."""
+        return copies of them, plus their values column by column in
+        schema order.  A failure reports what a walk in row then column
+        order meets first: a row's column set before its cells, its
+        cells in schema order."""
         names = base.column_names
         expected = set(names)
         try:
@@ -388,24 +451,22 @@ class WriteStore:
                 f"schema columns (missing {sorted(expected - got)}, "
                 f"unexpected {sorted(got - expected)})"
             )
-        if converted:
-            return [dict(zip(names, cells)) for cells in zip(*columns)]
-        return list(map(dict, rows))
+        return ([dict(zip(names, cells)) for cells in zip(*columns)]
+                if converted else list(map(dict, rows))), columns
 
     def _missing_keys(self, dim: str, key_column: str,
                       keys: Sequence[int]) -> np.ndarray:
         """Mask over ``keys``: True where no live ``dim`` row (base minus
-        deleted positions, plus undeleted WOS rows) has that key."""
-        data = self._base[dim].column(key_column).data
-        deleted = self._base_deleted[dim]
-        if deleted:
-            live = np.ones(len(data), dtype=bool)
-            live[np.fromiter(deleted, dtype=np.int64)] = False
-            data = data[live]
-        wos = [row.values[key_column] for row in self._wos[dim]
-               if row.delete_epoch is None]
-        known = KeyIndex(np.concatenate([data.astype(np.int64),
-                                         np.asarray(wos, dtype=np.int64)]))
+        deleted positions, plus undeleted WOS rows) has that key; the
+        index is kept until ``dim`` is written or a move lands."""
+        known = self._key_indexes.get(dim)
+        if known is None:
+            data = np.delete(self._base[dim].column(key_column).data,
+                             list(self._base_deleted[dim]))
+            wos = self._wos[dim]
+            known = self._key_indexes[dim] = KeyIndex(np.concatenate(
+                [data, wos.data[key_column][wos.visible_rows()]]
+            ).astype(np.int64))
         found, _rows = known.lookup(np.asarray(keys, dtype=np.int64))
         return ~found
 
@@ -457,13 +518,15 @@ class WriteStore:
                     f"{FACT_TABLE!r} row {pos} references "
                     f"{fk}={int(fact.column(fk).data[pos])}"
                 )
-            for row in self._wos[FACT_TABLE]:
-                if row.delete_epoch is None and int(row.values[fk]) in keys:
-                    raise IntegrityError(
-                        f"delete from {dim!r} RESTRICTed: buffered "
-                        f"{FACT_TABLE!r} row references {fk}="
-                        f"{row.values[fk]}"
-                    )
+            wos = self._wos[FACT_TABLE]
+            refs = wos.data[fk][wos.visible_rows()]
+            buffered = np.flatnonzero(np.isin(refs, keys_arr))
+            if len(buffered):
+                raise IntegrityError(
+                    f"delete from {dim!r} RESTRICTed: buffered "
+                    f"{FACT_TABLE!r} row references {fk}="
+                    f"{int(refs[buffered[0]])}"
+                )
 
     # ------------------------------------------------------------------ #
     # snapshot reads
@@ -494,10 +557,8 @@ class WriteStore:
             mask = np.zeros(fact.num_rows, dtype=bool)
             mask[np.asarray(deleted, dtype=np.int64)] = True
             mask.flags.writeable = False
-        visible = [r for r in self._wos[FACT_TABLE] if r.visible_at(epoch)]
-        wos_table = self._rows_as_table(FACT_TABLE, visible)
         image = Visibility(epoch=epoch, store=self, fact_deleted=mask,
-                           fact_wos=wos_table)
+                           fact_wos=self._wos_table(FACT_TABLE, epoch))
         with self._slot_lock:
             # a future epoch may still gain rows, and a move that landed
             # mid-build made this image stale
@@ -512,8 +573,11 @@ class WriteStore:
 
         A table with no visible changes is returned as the *same* base
         object (preserving its original sort metadata); a changed fact
-        table is re-sorted on :data:`FACT_SORT_KEYS`, a changed dimension
+        table is sorted on :data:`FACT_SORT_KEYS`, a changed dimension
         ascending on its key — the orders a cold rebuild would produce.
+        The base is already in that order (generation sorts it and every
+        move keeps it), so the WOS rows are merged in; a base out of
+        order raises :class:`~repro.errors.WriteError`.
         """
         if epoch is None:
             epoch = self.epoch
@@ -524,55 +588,19 @@ class WriteStore:
         base = self.base_table(name)
         deleted = [pos for pos, ep in self._base_deleted[name].items()
                    if ep <= epoch]
-        visible = [r for r in self._wos[name] if r.visible_at(epoch)]
-        if not deleted and not visible:
+        wos_table = self._wos_table(name, epoch)
+        if not deleted and wos_table is None:
             return base
-        if deleted:
-            live = np.ones(base.num_rows, dtype=bool)
-            live[np.asarray(deleted, dtype=np.int64)] = False
-            kept = base.take(np.flatnonzero(live))
-        else:
-            kept = base
-        wos_table = self._rows_as_table(name, visible)
-        merged = _concat_tables(name, base, kept, wos_table)
-        if name == FACT_TABLE:
-            return merged.sort_by(FACT_SORT_KEYS)
-        return merged.sort_by((base.columns()[0].name,))
+        kept = (base.take(np.delete(np.arange(base.num_rows), deleted))
+                if deleted else base)
+        keys = (FACT_SORT_KEYS if name == FACT_TABLE
+                else (base.columns()[0].name,))
+        return _merge_sorted(kept, wos_table, keys)
 
     def effective_tables(self, epoch: Optional[int] = None
                          ) -> Dict[str, Table]:
         """Every table as of ``epoch`` (the tuple mover's input)."""
         return {n: self.effective_table(n, epoch) for n in self._base}
-
-    def deleted_fact_positions_sorted(
-        self, sort_keys: Tuple[str, ...], epoch: int
-    ) -> np.ndarray:
-        """Deleted base fact rows as positions in the projection whose
-        sort order is ``sort_keys`` (cached per (epoch, keys)).
-
-        The default fact projection shares the base order, so positions
-        are the base row numbers; other projections permute by lexsort
-        exactly as :meth:`Table.sort_by` does.
-        """
-        key = (epoch, tuple(sort_keys))
-        cached = self._proj_cache.get(key)
-        if cached is not None:
-            return cached
-        base = self._base[FACT_TABLE]
-        deleted = np.asarray(
-            sorted(pos for pos, ep in self._base_deleted[FACT_TABLE].items()
-                   if ep <= epoch),
-            dtype=np.int64,
-        )
-        if len(deleted) and tuple(sort_keys) not in ((), base.sort_order.keys):
-            perm = np.lexsort(
-                [base.column(k).data for k in reversed(sort_keys)]
-            )
-            inverse = np.empty(base.num_rows, dtype=np.int64)
-            inverse[perm] = np.arange(base.num_rows, dtype=np.int64)
-            deleted = np.sort(inverse[deleted])
-        self._proj_cache[key] = deleted
-        return deleted
 
     # ------------------------------------------------------------------ #
     # tuple mover hand-off
@@ -590,22 +618,24 @@ class WriteStore:
             )
         with self._slot_lock:
             self._base = dict(tables)
-            self._wos = {n: [] for n in tables}
+            self._wos = {n: WosBuffer(t) for n, t in tables.items()}
             self._base_deleted = {n: {} for n in tables}
-            self._proj_cache.clear()
+            self._key_indexes = {}
             self._visibility = None
             self.horizon = self.epoch
 
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-    def _rows_as_table(self, name: str, rows: Sequence[WosRow]
-                       ) -> Optional[Table]:
-        """Materialize WOS rows columnar, borrowing the base's types and
-        (fixed-domain) dictionaries.  None when ``rows`` is empty."""
-        if not rows:
+    def _wos_table(self, name: str, epoch: int) -> Optional[Table]:
+        """The WOS rows of ``name`` visible at ``epoch`` as a table with
+        the base's types and (fixed-domain) dictionaries: one mask, one
+        gather per column.  None when no row is visible."""
+        wos = self._wos[name]
+        rows = wos.visible_rows(epoch)
+        if not len(rows):
             return None
-        return Table(name, [_wos_column(col, rows)
+        return Table(name, [wos.column(col, rows)
                             for col in self._base[name].columns()],
                      SortOrder(()))
 
@@ -637,56 +667,72 @@ def _cell_problem(col: Column, value: Value) -> Optional[str]:
     return None
 
 
-def _wos_column(col: Column, rows: Sequence[WosRow]) -> Column:
-    """``rows``' values of ``col`` as a column of the same type (strings
-    as codes of its fixed-domain dictionary)."""
-    if col.dictionary is not None:
-        values = [col.dictionary.code(r.values[col.name]) for r in rows]
-    else:
-        values = [r.values[col.name] for r in rows]
-    return Column(col.name, col.ctype,
-                  np.asarray(values, dtype=col.data.dtype), col.dictionary)
+def _row_keys(table: Table, keys: Sequence[str]) -> np.ndarray:
+    """One byte string per row that orders like its ``keys`` tuple: each
+    signed integer key (every column type is one) big-endian with its
+    sign bit flipped, any width."""
+    fields = [(k, f">u{table.column(k).data.dtype.itemsize}") for k in keys]
+    out = np.empty(table.num_rows, dtype=np.dtype(fields))
+    for k, width in fields:
+        data = table.column(k).data
+        unsigned = data.view(width[1:])
+        out[k] = unsigned ^ unsigned.dtype.type(1 << (8 * data.itemsize - 1))
+    return out.view(f"S{out.dtype.itemsize}")
 
 
-def _concat_tables(name: str, base: Table, kept: Table,
-                   wos: Optional[Table]) -> Table:
-    """Surviving base rows followed by WOS rows, column by column."""
+def _merge_sorted(kept: Table, wos: Optional[Table], keys: Sequence[str]
+                  ) -> Table:
+    """``kept`` (sorted on ``keys``) with the ``wos`` rows merged in, as a
+    stable lexsort of kept-then-WOS rows would order them: kept rows come
+    first among equal keys, so a stable sort of the WOS rows alone, placed
+    by ``searchsorted(..., side="right")``, is the same permutation."""
+    ordered = np.ones(max(kept.num_rows - 1, 0), dtype=bool)
+    for k in reversed(keys):
+        data = kept.column(k).data
+        ordered = (data[1:] > data[:-1]) | ((data[1:] == data[:-1])
+                                             & ordered)
+    if not ordered.all():
+        raise WriteError(f"{kept.name!r} base is not sorted on {keys}; "
+                         f"the tuple mover merges into a sorted base only")
     if wos is None:
-        return kept
+        return Table(kept.name, kept.columns(), SortOrder(tuple(keys)))
+    buffered = _row_keys(wos, keys)
+    order = np.argsort(buffered, kind="stable")
+    slots = np.searchsorted(_row_keys(kept, keys), buffered[order],
+                            side="right")
+    slots += np.arange(len(order))
+    from_kept = np.ones(kept.num_rows + len(order), dtype=bool)
+    from_kept[slots] = False
     columns: List[Column] = []
-    for col in base.columns():
-        data = np.concatenate(
-            [kept.column(col.name).data, wos.column(col.name).data]
-        )
+    for col in kept.columns():
+        data = np.empty(len(from_kept), dtype=col.data.dtype)
+        data[from_kept] = col.data
+        data[slots] = wos.column(col.name).data[order]
         columns.append(Column(col.name, col.ctype, data, col.dictionary))
-    return Table(name, columns, SortOrder(()))
+    return Table(kept.name, columns, SortOrder(tuple(keys)))
 
 
-def projection_deleted_positions(table: Table, sort_keys: Sequence[str],
-                                 deleted_mask: np.ndarray) -> np.ndarray:
-    """Deleted row numbers of ``table`` mapped into the position space of
-    a projection sorted on ``sort_keys``.
+def projection_deleted_mask(table: Table, sort_keys: Sequence[str],
+                            deleted_mask: np.ndarray) -> np.ndarray:
+    """``deleted_mask`` (over ``table``'s rows) re-indexed by the
+    positions of a projection sorted on ``sort_keys``.
 
-    The default fact projection keeps the table's own order, so positions
-    are the row numbers themselves; any other projection permutes by the
-    same stable lexsort :meth:`Table.sort_by` (and projection creation)
-    uses, so the mapping is exact.
+    The default fact projection keeps the table's own order, so the mask
+    is its own; any other projection permutes by the same stable lexsort
+    :meth:`Table.sort_by` (and projection creation) uses, so the mapping
+    is exact.
     """
-    deleted = np.flatnonzero(deleted_mask).astype(np.int64)
     keys = tuple(sort_keys)
-    if len(deleted) == 0 or not keys or table.sort_order.keys == keys:
-        return deleted
-    perm = np.lexsort([table.column(k).data for k in reversed(keys)])
-    inverse = np.empty(table.num_rows, dtype=np.int64)
-    inverse[perm] = np.arange(table.num_rows, dtype=np.int64)
-    return np.sort(inverse[deleted])
+    if not keys or table.sort_order.keys == keys:
+        return deleted_mask
+    return deleted_mask[np.lexsort([table.column(k).data
+                                    for k in reversed(keys)])]
 
 
 __all__ = [
     "WriteStore",
     "Visibility",
-    "WosRow",
     "FACT_TABLE",
     "VALIDATED_FOREIGN_KEYS",
-    "projection_deleted_positions",
+    "projection_deleted_mask",
 ]

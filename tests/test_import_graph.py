@@ -100,6 +100,15 @@ def test_combiner_imports_no_oracle():
     oracle's, so a shared bug could not hide from the differential
     tests."""
     assert "repro.reference" not in reachable("repro.plan.combine")
-    # the merge read still reaches the oracle, through the delta
-    # evaluator (ROADMAP item 15 takes it out)
-    assert "repro.reference" in reachable("repro.write.delta")
+
+
+def test_write_path_imports_no_oracle():
+    """The WOS partial of a merge read runs on the engines' kernels, and
+    the engine shell that routes it never loads the oracle either; only
+    predicate evaluation is still shared with the oracle (ROADMAP item
+    3a gives the oracle its own)."""
+    for module in ("repro.write.delta", "repro.core.lifecycle"):
+        assert "repro.reference.engine" not in reachable(module), module
+    assert "repro.plan.keys" in reachable("repro.write.delta")
+    assert "repro.plan.predicates" in reachable("repro.write.delta")
+    assert "repro.plan.predicates" in reachable("repro.reference.engine")

@@ -16,7 +16,7 @@ from repro.plan.logical import (
     StarQuery,
 )
 from repro.reference import execute, selected_positions
-from repro.reference.predicates import eval_predicate
+from repro.plan.predicates import eval_predicate
 from repro.storage.column import Column
 from repro.storage.table import Table
 from repro.types import int32

@@ -104,11 +104,21 @@ GOOD = {"k": 1, "mode": "AIR", "big": 2, "qty": 3}
 @example(rows=[dict(GOOD, mode=""), dict(GOOD, k=True)])
 @example(rows=[dict(GOOD, k=Code.SEVEN), GOOD])
 def test_column_validation_matches_reference_property(store, rows):
-    got = _outcome(lambda r: store._validate_rows("t", BASE, r), rows)
+    columns = []
+
+    def validate(r):
+        checked, by_column = store._validate_rows("t", BASE, r)
+        columns.append(by_column)
+        return checked
+
+    got = _outcome(validate, rows)
     assert got == _outcome(lambda r: reference_validate_rows("t", BASE, r),
                            rows)
     if got[0] == "ok":  # fresh dicts: the caller's rows stay its own
         assert all(out is not row for out, row in zip(got[1], rows))
+        # the columns the WOS buffers are the checked rows, column-major
+        assert columns == [[[row[name] for row in got[1]]
+                            for name in BASE.column_names]]
 
 
 def test_first_error_is_row_then_column_order(store):

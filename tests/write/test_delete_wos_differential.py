@@ -1,8 +1,9 @@
 """DELETE evaluates the WOS side per column, with exactly the outcome of
 testing each buffered row in Python.
 
-``WriteStore._wos_hits`` builds the predicate columns of the undeleted
-WOS rows once and runs the base side's ``eval_predicate`` over them.
+``WriteStore._wos_hits`` gathers the predicate columns of the undeleted
+WOS rows from the column buffer and runs the base side's
+``eval_predicate`` over them.
 Held against the row-at-a-time reference below on generated
 deletes — comparisons, ranges and IN lists over integer and dictionary
 columns of the fact table and of a dimension, with literals outside the
@@ -21,7 +22,7 @@ from repro.plan.logical import (ColumnRef, CompareOp, Comparison, InSet,
                                 RangePredicate)
 from repro.simio.stats import QueryStats
 from repro.write.journal import JOURNAL_FILE
-from repro.write.store import WriteStore
+from repro.write.store import LIVE, WriteStore
 from tests.write.dml import clone_rows
 
 NEW_KEY = 10 ** 6
@@ -55,11 +56,27 @@ def _row_matches(values, pred):
     return v in pred.values  # InSet
 
 
+def wos_rows(store, table):
+    """The WOS rows of ``table`` as (logical values, delete epoch or
+    None), decoded one cell at a time."""
+    wos, base = store._wos[table], store.base_table(table)
+    rows = []
+    for idx in range(wos.size):
+        values = {}
+        for col in base.columns():
+            raw = int(wos.data[col.name][idx])
+            values[col.name] = (raw if col.dictionary is None
+                                else col.dictionary.value(raw))
+        epoch = int(wos.delete_epoch[idx])
+        rows.append((values, None if epoch == LIVE else epoch))
+    return rows
+
+
 def reference_hits(store, table, predicates):
     """The WOS rows a per-row test in Python deletes."""
-    return [idx for idx, row in enumerate(store._wos[table])
-            if row.delete_epoch is None
-            and all(_row_matches(row.values, p) for p in predicates)]
+    return [idx for idx, (values, deleted) in enumerate(wos_rows(store, table))
+            if deleted is None
+            and all(_row_matches(values, p) for p in predicates)]
 
 
 def _literal(draw, wdata, table, column, wos_rows):
@@ -118,7 +135,7 @@ def _run(wdata, table, rows, deletes, check_hits):
         except IntegrityError as exc:  # a referenced dimension row
             outcomes.append(str(exc))
     pages = list(ws.journal.disk.file(JOURNAL_FILE).pages)
-    epochs = [row.delete_epoch for row in ws._wos[table]]
+    epochs = [deleted for _values, deleted in wos_rows(ws, table)]
     return outcomes, pages, epochs
 
 

@@ -13,15 +13,22 @@ with exactly the outcomes of checking per cell and rebuilding per read.
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.colstore.engine import CStore
+from repro.core.config import ExecutionConfig
 from repro.errors import IntegrityError, WriteError
-from repro.plan.logical import ColumnRef, CompareOp, Comparison, InSet
+from repro.plan.logical import (ColumnRef, CompareOp, Comparison, InSet,
+                                RangePredicate)
+from repro.reference import execute as reference_execute
 from repro.rowstore.designs import DesignKind
 from repro.rowstore.engine import SystemX
 from repro.simio.stats import QueryStats
+from repro.storage.colfile import CompressionLevel
+from repro.ssb.queries import query_by_name
 from repro.write.journal import JOURNAL_FILE
 from repro.write.store import WriteStore
 from tests.write.dml import clone_rows, delete_predicates
@@ -152,6 +159,43 @@ def test_live_keys_follow_deletes_and_the_wos(wdata):
     assert ws.insert("supplier", _supplier(wdata, key), stats) == 1
 
 
+def test_fact_checks_see_each_dimension_write(wdata):
+    """One key index per dimension serves every fact check until that
+    dimension is written or a move lands; the refusals keep their text."""
+    ws = WriteStore(dict(wdata.tables))
+    stats = QueryStats()
+    key = 10 ** 6
+    dangling = (f"insert into 'lineorder': suppkey={key} references no "
+                f"live 'supplier' row")
+    ws.insert("lineorder", _rows(wdata), stats)
+    index = ws._key_indexes["supplier"]
+    ws.insert("lineorder", _rows(wdata), stats)
+    assert ws._key_indexes["supplier"] is index
+    with pytest.raises(IntegrityError) as caught:
+        ws.insert("lineorder", _rows(wdata, 0, suppkey=key), stats)
+    assert str(caught.value) == dangling
+    # an insert into the dimension: the very next fact sees the key
+    ws.insert("supplier", _supplier(wdata, key), stats)
+    assert ws.insert("lineorder", _rows(wdata, 0, suppkey=key), stats) == 5
+    # a delete from it: the very next fact no longer does
+    ws.delete("lineorder", [Comparison(ColumnRef("lineorder", "suppkey"),
+                                       CompareOp.EQ, key)], stats)
+    ws.delete("supplier", [Comparison(ColumnRef("supplier", "suppkey"),
+                                      CompareOp.EQ, key)], stats)
+    with pytest.raises(IntegrityError) as caught:
+        ws.insert("lineorder", _rows(wdata, 0, suppkey=key), stats)
+    assert str(caught.value) == dangling
+    # a move drops every index; the moved base still lacks the key
+    ws.insert("supplier", _supplier(wdata, key + 1), stats)
+    ws.complete_move(ws.effective_tables())
+    assert ws._key_indexes == {}
+    with pytest.raises(IntegrityError) as caught:
+        ws.insert("lineorder", _rows(wdata, 0, suppkey=key), stats)
+    assert str(caught.value) == dangling
+    assert ws.insert("lineorder", _rows(wdata, 0, suppkey=key + 1),
+                     stats) == 5
+
+
 # -------------------------------------------------------------------- #
 # the journal's bytes
 # -------------------------------------------------------------------- #
@@ -250,15 +294,15 @@ def test_a_move_replaces_the_image(wdata):
 def test_an_image_built_across_a_move_is_not_kept(wdata, monkeypatch):
     ws = WriteStore(dict(wdata.tables))
     ws.insert("lineorder", clone_rows(wdata.lineorder, 10), QueryStats())
-    build = ws._rows_as_table
+    build = ws._wos_table
 
-    def build_then_move(name, rows):
-        table = build(name, rows)
-        monkeypatch.setattr(ws, "_rows_as_table", build)
+    def build_then_move(name, epoch):
+        table = build(name, epoch)
+        monkeypatch.setattr(ws, "_wos_table", build)
         ws.complete_move(ws.effective_tables())
         return table
 
-    monkeypatch.setattr(ws, "_rows_as_table", build_then_move)
+    monkeypatch.setattr(ws, "_wos_table", build_then_move)
     stale = ws.visibility()
     assert stale.needs_merge  # built over the pre-move base
     fresh = ws.visibility()
@@ -277,18 +321,128 @@ def test_a_future_epochs_image_is_not_kept(wdata):
 def test_writes_buffer_before_they_publish_the_epoch(wdata):
     ws = WriteStore(dict(wdata.tables))
     seen = []
+    buffer = ws._wos["lineorder"]
+    append = buffer.append
 
-    class Recording(list):
-        def extend(self, rows):
-            seen.append(ws.epoch)
-            super().extend(rows)
+    def recording(columns, epoch):
+        seen.append(ws.epoch)
+        append(columns, epoch)
 
-    ws._wos["lineorder"] = Recording()
+    buffer.append = recording
     ws.insert("lineorder", clone_rows(wdata.lineorder, 3), QueryStats())
     # a reader pinning the old epoch cannot see the new rows; one pinning
     # the new epoch finds them already buffered
     assert seen == [0] and ws.epoch == 1
     assert ws.visibility().fact_wos.num_rows == 3
+
+
+def test_merge_reads_at_one_epoch_share_effective_dimensions(wdata,
+                                                             monkeypatch):
+    engine = CStore(wdata)
+    config = replace(ExecutionConfig.baseline(), writes=True)
+    engine.insert("customer", clone_rows(wdata.customer, 1, custkey=900001))
+    engine.insert("lineorder", clone_rows(wdata.lineorder, 40,
+                                          custkey=900001))
+    ws = engine._writes
+    built = []
+    effective_table = ws.effective_table
+
+    def counting(name, epoch=None):
+        built.append(name)
+        return effective_table(name, epoch)
+
+    monkeypatch.setattr(ws, "effective_table", counting)
+    query = query_by_name("Q3.1")
+    first = engine.execute(query, config).result.rows
+    assert engine.execute(query, config).result.rows == first
+    # two merge reads, one effective table per dimension
+    assert sorted(built) == ["customer", "date", "part", "supplier"]
+    image = ws.visibility()
+    again = image.delta_tables()
+    assert all(again[name] is table
+               for name, table in image.delta_tables().items())
+    assert image.key_index("customer", "custkey") is \
+        image.key_index("customer", "custkey")
+    assert 900001 in again["customer"].column("custkey").data
+    # a dimension write makes a new image, and reads see the new row
+    engine.insert("supplier", clone_rows(wdata.supplier, 1, suppkey=900002))
+    engine.insert("lineorder", clone_rows(wdata.lineorder, 40,
+                                          suppkey=900002))
+    later = ws.visibility()
+    assert later is not image
+    assert 900002 in later.delta_tables()["supplier"].column("suppkey").data
+    assert 900002 not in again["supplier"].column("suppkey").data
+    monkeypatch.undo()
+    expected = reference_execute(ws.effective_tables(), query).rows
+    assert engine.execute(query, config).result.rows == expected
+
+
+@pytest.mark.parametrize("kind", ["cs", "rs"])
+def test_merge_reads_at_one_epoch_share_delete_masks(wdata, kind,
+                                                      monkeypatch):
+    """Base scans patch deletes with a mask built once per image; a new
+    delete makes a new image whose mask hides its rows too."""
+    if kind == "cs":
+        import repro.write.store as target
+        name = "projection_deleted_mask"
+        engine, arg = CStore(wdata), replace(ExecutionConfig.baseline(),
+                                             writes=True)
+    else:
+        from repro.rowstore.planner import RowPlanner as target
+        name = "_live_by_year"
+        engine = SystemX(wdata, designs=[DesignKind.TRADITIONAL],
+                         writes=True)
+        arg = DesignKind.TRADITIONAL
+    built = []
+    original = getattr(target, name)
+
+    def counting(*args):
+        built.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(target, name, counting)
+    engine.insert("lineorder", clone_rows(wdata.lineorder, 30))
+    quantity = ColumnRef("lineorder", "quantity")
+    engine.delete("lineorder", [Comparison(quantity, CompareOp.LT, 3)])
+    queries = [query_by_name(q) for q in ("Q1.1", "Q2.1", "Q3.1", "Q4.1")]
+    for query in queries * 2:
+        engine.execute(query, arg)
+    assert len(built) == 1
+    engine.delete("lineorder", [Comparison(quantity, CompareOp.GT, 48)])
+    for query in queries:
+        expected = reference_execute(engine._writes.effective_tables(),
+                                     query).rows
+        assert engine.execute(query, arg).result.rows == expected
+    assert len(built) == 2
+
+
+def test_deletes_patch_a_projection_in_its_own_order(wdata):
+    """A fact projection sorted on other keys than the table sees the
+    delete mask permuted into its own positions."""
+    engine = CStore(wdata, levels=[CompressionLevel.MAX])
+    engine.add_projection("lineorder", ("custkey", "suppkey"))
+    config = replace(ExecutionConfig.baseline(), writes=True)
+    engine.insert("lineorder", clone_rows(wdata.lineorder, 30))
+    engine.delete("lineorder", [Comparison(
+        ColumnRef("lineorder", "quantity"), CompareOp.LT, 20)])
+    tables = engine._writes.effective_tables()
+    for name in ("Q3.1", "Q3.2", "Q3.3", "Q4.1"):
+        query = query_by_name(name)
+        assert engine.execute(query, config).result.same_rows(
+            reference_execute(tables, query)), name
+
+
+def test_a_year_without_deletes_scans_unpatched(wdata):
+    """Deletes confined to 1992 leave a 1993-only scan's ledger as it
+    is with no pending write at all."""
+    query = query_by_name("Q1.1")  # year 1993
+    plain = SystemX(wdata, designs=[DesignKind.TRADITIONAL], writes=True)
+    expected = plain.execute(query, DesignKind.TRADITIONAL).stats.snapshot()
+    engine = SystemX(wdata, designs=[DesignKind.TRADITIONAL], writes=True)
+    assert engine.delete("lineorder", [RangePredicate(
+        ColumnRef("lineorder", "orderdate"), 19920101, 19921231)]) > 0
+    run = engine.execute(query, DesignKind.TRADITIONAL)
+    assert run.stats.snapshot() == expected
 
 
 def test_image_arrays_are_read_only(wdata):

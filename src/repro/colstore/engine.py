@@ -364,8 +364,7 @@ class CStore(EngineShell):
 
         # the blob holds raw tuples: fact values are in the uncompressed
         # stored domain whatever level the dimensions are read at
-        result = planner.aggregate_rows(query, fact_arrays, n,
-                                        CompressionLevel.NONE)
+        result = planner.aggregate_rows(query, fact_arrays, n)
         return ColumnStoreRun(result, stats, self.cost_model.cost(stats),
                               trace=tracer.finish(stats))
 

@@ -15,7 +15,7 @@ work the modeled executor performs:
   storage layer when it actually happens.
 """
 
-from .scan import predicate_positions, probe_positions, stored_bounds
+from .scan import predicate_positions, probe_positions
 from .fetch import fetch_values, read_column
 from .join import dimension_rows_for_keys, gather_attribute, LmJoinResult
 from .aggregate import grouped_aggregate, scalar_aggregate, eval_fact_expr
@@ -24,7 +24,6 @@ from .materialize import construct_tuples, row_pipeline
 __all__ = [
     "predicate_positions",
     "probe_positions",
-    "stored_bounds",
     "fetch_values",
     "read_column",
     "dimension_rows_for_keys",

@@ -94,14 +94,12 @@ def grouped_aggregate(
     n = len(group_arrays[0])
     for arr in group_arrays:
         _charge(stats, config, len(arr))
-    matrix = np.stack([a.astype(np.int64) for a in group_arrays])
-    if n == 0:
-        return matrix, [(np.zeros(0, dtype=np.int64), None)
-                        for _ in agg_arrays]
-    uniq, inverse = agg_semantics.factorize_groups(matrix)
+    uniq, inverse = agg_semantics.factorize_groups(
+        np.stack([a.astype(np.int64) for a in group_arrays]))
     reduced: List[GroupReduction] = []
     for func, values in zip(funcs, agg_arrays):
-        _charge(stats, config, len(values))
+        if n:  # no input rows, no accumulation pass
+            _charge(stats, config, len(values))
         reduced.append(agg_semantics.reduce_groups(func, values, inverse,
                                                    uniq.shape[1]))
     return uniq, reduced

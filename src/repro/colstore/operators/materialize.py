@@ -31,6 +31,7 @@ from ...plan.logical import (
     Literal,
     StarQuery,
 )
+from ...plan.predicates import domain_mask
 from ...simio.stats import QueryStats
 
 
@@ -76,15 +77,9 @@ def _apply_row_predicate(values: np.ndarray, domain, stats: QueryStats
     n = len(values)
     stats.iterator_calls += n
     stats.attr_extractions += n
-    if isinstance(domain, list):
-        stats.values_scanned_scalar += n * _width_words(values) * max(
-            1, len(domain))
-        if not domain:
-            return np.zeros(n, dtype=bool)
-        return np.isin(values, np.asarray(sorted(domain)))
-    lo, hi = domain
-    stats.values_scanned_scalar += 2 * n * _width_words(values)
-    return (values >= lo) & (values <= hi)
+    comparisons = 2 if isinstance(domain, tuple) else max(1, len(domain))
+    stats.values_scanned_scalar += n * _width_words(values) * comparisons
+    return domain_mask(values, domain)
 
 
 def _eval_expr_rowwise(expr: Expr, column: Callable[[str], np.ndarray],

@@ -13,28 +13,16 @@ Section 5.4 and the block skipping that makes selective plans cheap.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ...errors import TypeMismatchError
-from ...plan.logical import (
-    CompareOp,
-    Comparison,
-    InSet,
-    Predicate,
-    RangePredicate,
-)
 from ...plan.keys import KeyIndex
-from ...plan.predicates import (
-    code_bounds_for_range,
-    comparison_as_code_bounds,
-)
+from ...plan.predicates import Domain, domain_mask
 from ...simio.buffer_pool import BufferPool
 from ...simio.stats import QueryStats
 from ...storage.blocks import RleBlock
-from ...storage.colfile import ColumnFile, CompressionLevel
-from ...storage.column import Column
+from ...storage.colfile import ColumnFile
 from ..positions import (
     EMPTY,
     Positions,
@@ -43,63 +31,6 @@ from ..positions import (
 )
 from ...core.config import ExecutionConfig
 from ...synopsis import load_column_synopsis, mask_runs, prune_blocks
-
-Bound = Union[int, bytes]
-
-
-def stored_bounds(pred: Predicate, catalog_column: Column,
-                  level: CompressionLevel
-                  ) -> Union[Tuple[Bound, Bound], List[Bound]]:
-    """Translate a predicate into the column file's stored domain.
-
-    Returns an inclusive (low, high) pair, or a list of exact stored
-    values for IN predicates.  With compression (or INT level) strings
-    are dictionary codes; uncompressed string columns store raw bytes.
-    """
-    is_raw_string = (catalog_column.dictionary is not None
-                     and level is CompressionLevel.NONE)
-    if isinstance(pred, InSet):
-        if is_raw_string:
-            return [str(v).encode("ascii") for v in pred.values]
-        out: List[Bound] = []
-        for v in pred.values:
-            code = catalog_column.encode_literal(v)
-            if code is not None:
-                out.append(code)
-        return out
-    if not is_raw_string:
-        if isinstance(pred, Comparison):
-            return comparison_as_code_bounds(catalog_column, pred)
-        return code_bounds_for_range(catalog_column, pred.low, pred.high)
-    # raw byte-string domain
-    width = catalog_column.ctype.width
-    low_sentinel, high_sentinel = b"", b"\xff" * width
-    if isinstance(pred, RangePredicate):
-        return (str(pred.low).encode("ascii"), str(pred.high).encode("ascii"))
-    value = str(pred.value).encode("ascii")
-    if pred.op is CompareOp.EQ:
-        return (value, value)
-    if pred.op is CompareOp.LT:
-        return (low_sentinel, _pred_bytes(value))
-    if pred.op is CompareOp.LE:
-        return (low_sentinel, value)
-    if pred.op is CompareOp.GT:
-        return (_succ_bytes(value, width), high_sentinel)
-    return (value, high_sentinel)
-
-
-def _pred_bytes(value: bytes) -> bytes:
-    """The largest byte string strictly below ``value`` (for < bounds)."""
-    if not value:
-        raise TypeMismatchError("cannot form exclusive bound below ''")
-    if value[-1] == 0:
-        return value[:-1]
-    return value[:-1] + bytes([value[-1] - 1]) + b"\xff"
-
-
-def _succ_bytes(value: bytes, width: int) -> bytes:
-    """The smallest byte string strictly above ``value``."""
-    return value + b"\x00" if len(value) < width else value + b"\x00"
 
 
 def _block_window(colfile: ColumnFile, restrict: Optional[Tuple[int, int]]
@@ -139,16 +70,9 @@ def _charge_runs(stats: QueryStats, config: ExecutionConfig, nruns: int,
         stats.runs_processed += nruns * comparisons
 
 
-def _mask_for(data: np.ndarray, bounds, needles) -> np.ndarray:
-    if needles is not None:
-        return np.isin(data, needles)
-    lo, hi = bounds
-    return (data >= lo) & (data <= hi)
-
-
 def _surviving_runs(colfile: ColumnFile, stats: QueryStats,
                     config: ExecutionConfig, first: int, last: int,
-                    bounds, needles) -> List[Tuple[int, int]]:
+                    domain: Domain) -> List[Tuple[int, int]]:
     """Inclusive block runs the scan must read, after zone-map pruning.
 
     With zone maps off (or the synopsis missing/corrupt/inapplicable)
@@ -163,8 +87,7 @@ def _surviving_runs(colfile: ColumnFile, stats: QueryStats,
     synopsis = load_column_synopsis(colfile)
     if synopsis is None:
         return [(first, last)]
-    mask = prune_blocks(synopsis, first, last, bounds=bounds,
-                        needles=needles)
+    mask = prune_blocks(synopsis, first, last, domain)
     if mask is None:
         return [(first, last)]
     stats.synopsis_probes += last - first + 1
@@ -178,23 +101,22 @@ def _surviving_runs(colfile: ColumnFile, stats: QueryStats,
 def predicate_positions(
     colfile: ColumnFile,
     pool: BufferPool,
-    pred_domain: Union[Tuple[Bound, Bound], List[Bound]],
+    pred_domain: Domain,
     config: ExecutionConfig,
     restrict: Optional[Tuple[int, int]] = None,
 ) -> Positions:
-    """Positions whose stored value satisfies the translated predicate."""
+    """Positions whose stored value lies in ``pred_domain`` (see
+    :func:`~repro.plan.predicates.stored_domain`): two comparisons per
+    value for bounds, one per needle."""
     stats = pool.stats
-    if isinstance(pred_domain, list):
-        if not pred_domain:
-            return EMPTY
-        bounds = None
-        needles = np.asarray(sorted(pred_domain))
-        comparisons = max(1, len(pred_domain))
-    else:
-        bounds = pred_domain
-        needles = None
+    if isinstance(pred_domain, tuple):
         comparisons = 2
-        if bounds[0] > bounds[1]:
+        if pred_domain[0] > pred_domain[1]:
+            return EMPTY
+    else:
+        pred_domain = np.asarray(pred_domain)
+        comparisons = len(pred_domain)
+        if not comparisons:
             return EMPTY
     first, last, lo_pos, hi_pos = _block_window(colfile, restrict)
     if last < first:
@@ -205,20 +127,20 @@ def predicate_positions(
     # stay False in the bitmap, which is exactly what scanning them
     # would have produced
     runs = _surviving_runs(colfile, stats, config, first, last,
-                           bounds, needles)
+                           pred_domain)
     for run_first, run_last in runs:
         for block in colfile.iter_blocks(pool, direct=config.compression,
                                          first_block=run_first,
                                          last_block=run_last):
             if isinstance(block, RleBlock):
-                run_mask = _mask_for(block.run_values, bounds, needles)
+                run_mask = domain_mask(block.run_values, pred_domain)
                 _charge_runs(stats, config, block.num_runs, comparisons)
                 if not run_mask.any():
                     continue
                 value_mask = np.repeat(run_mask, block.run_lengths)
             else:
                 width_words = max(1, block.data.dtype.itemsize // 4)
-                value_mask = _mask_for(block.data, bounds, needles)
+                value_mask = domain_mask(block.data, pred_domain)
                 _charge_array(stats, config, block.count, width_words,
                               comparisons)
             b_lo = max(block.start, lo_pos)
@@ -251,8 +173,7 @@ def probe_positions(
     index = KeyIndex(keys)
     span = hi_pos - lo_pos
     bits = np.zeros(span, dtype=bool)
-    runs = _surviving_runs(colfile, stats, config, first, last,
-                           None, keys)
+    runs = _surviving_runs(colfile, stats, config, first, last, keys)
     for run_first, run_last in runs:
         for block in colfile.iter_blocks(pool, direct=config.compression,
                                          first_block=run_first,
@@ -279,14 +200,14 @@ def probe_positions(
     return from_bitmap_maybe_range(lo_pos, bits)
 
 
-__all__ = ["predicate_positions", "probe_positions", "stored_bounds",
+__all__ = ["predicate_positions", "probe_positions",
            "sorted_predicate_positions"]
 
 
 def sorted_predicate_positions(
     colfile: ColumnFile,
     pool: BufferPool,
-    bounds: Tuple[Bound, Bound],
+    bounds: Tuple[object, object],
     config: ExecutionConfig,
 ) -> Positions:
     """Binary-search a monotonically sorted column for [lo, hi].

@@ -30,6 +30,7 @@ from ..plan.aggregates import (
     reduce_scalar,
 )
 from ..plan.logical import StarQuery, expr_columns
+from ..plan.predicates import stored_domain
 from ..plan.tail import GroupColumn, encode_group, finish
 from ..result import ResultSet
 from ..simio.buffer_pool import BufferPool
@@ -55,7 +56,6 @@ from .operators.materialize import (
     _apply_row_predicate,
     row_pipeline,
 )
-from .operators.scan import stored_bounds
 from .positions import ArrayPositions
 
 
@@ -354,8 +354,9 @@ class ColumnPlanner:
         self.stats.tuple_attrs_copied += n * len(needed)
         mask = np.ones(n, dtype=bool)
         for pred in preds:
-            domain = stored_bounds(pred, self.ctx.catalog_column(
-                dim, pred.column), self.level)
+            domain = stored_domain(pred, arrays[pred.column].dtype,
+                                   self.ctx.catalog_column(
+                                       dim, pred.column).dictionary)
             alive = np.flatnonzero(mask)
             verdict = _apply_row_predicate(arrays[pred.column][alive], domain,
                                            self.stats)
@@ -389,22 +390,23 @@ class ColumnPlanner:
             self.stats.position_ops += fact_proj.num_rows
             fact_arrays = {c: arr[live] for c, arr in fact_arrays.items()}
             live_rows = int(np.count_nonzero(live))
-        return self.aggregate_rows(query, fact_arrays, live_rows, self.level)
+        return self.aggregate_rows(query, fact_arrays, live_rows)
 
     def aggregate_rows(self, query: StarQuery,
-                       fact_arrays: Dict[str, np.ndarray], num_rows: int,
-                       fact_level: CompressionLevel) -> ResultSet:
+                       fact_arrays: Dict[str, np.ndarray], num_rows: int
+                       ) -> ResultSet:
         """The early-materialization tail: construct tuples from whole
         fact columns, then filter, join and aggregate row-style.
 
         ``fact_arrays`` hold the needed fact columns (``num_rows`` rows)
-        in the stored domain of ``fact_level`` — the planner's own level
-        for a projection scan, ``NONE`` for the raw tuples of a row-MV
-        blob scan (``CStore.execute_row_mv``)."""
+        in their stored domain, which their dtype names: the planner's
+        own level for a projection scan, raw bytes for the tuples of a
+        row-MV blob scan (``CStore.execute_row_mv``)."""
         pred_domains = [
-            (p.column, stored_bounds(
-                p, self.ctx.catalog_column(query.fact_table, p.column),
-                fact_level))
+            (p.column, stored_domain(
+                p, fact_arrays[p.column].dtype,
+                self.ctx.catalog_column(query.fact_table,
+                                        p.column).dictionary))
             for p in query.fact_predicates()
         ]
         with self._span("phase1:dimension-filter"):
@@ -427,17 +429,11 @@ class ColumnPlanner:
             else:
                 group_arrays, vocabularies = self._group_codes(group_raw)
                 # consolidation (already paid per tuple in the pipeline)
-                matrix = np.stack(group_arrays)
-                if matrix.shape[1] == 0:
-                    uniq = matrix
-                    reduced = [(np.zeros(0, dtype=np.int64), None)
-                               for _ in agg_arrays]
-                else:
-                    uniq, inverse = factorize_groups(matrix)
-                    reduced = [
-                        reduce_groups(func, values, inverse, uniq.shape[1])
-                        for func, values in zip(agg_funcs, agg_arrays)
-                    ]
+                uniq, inverse = factorize_groups(np.stack(group_arrays))
+                reduced = [
+                    reduce_groups(func, values, inverse, uniq.shape[1])
+                    for func, values in zip(agg_funcs, agg_arrays)
+                ]
                 reduction = (uniq, reduced)
         return self._result(query, cells, reduction, vocabularies)
 

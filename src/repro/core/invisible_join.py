@@ -43,6 +43,7 @@ import numpy as np
 
 from ..plan.keys import KeyIndex
 from ..plan.logical import Predicate, StarQuery
+from ..plan.predicates import stored_domain
 from ..simio.buffer_pool import BufferPool
 from ..simio.stats import QueryStats
 from ..storage.colfile import CompressionLevel
@@ -54,7 +55,6 @@ from ..colstore.operators.scan import (
     predicate_positions,
     probe_positions,
     sorted_predicate_positions,
-    stored_bounds,
 )
 from ..colstore.positions import (
     ArrayPositions,
@@ -147,10 +147,12 @@ class _JoinBase:
         num_rows = dim.projection.num_rows
         positions: Positions = RangePositions(0, num_rows)
         for pred in predicates:
-            domain = stored_bounds(pred, dim.catalog[pred.column], self.level)
-            plist = predicate_positions(
-                dim.projection.column_file(pred.column), self.pool, domain,
-                self.config, restrict=positions.bounds())
+            colfile = dim.projection.column_file(pred.column)
+            domain = stored_domain(pred, colfile.dtype,
+                                   dim.catalog[pred.column].dictionary)
+            plist = predicate_positions(colfile, self.pool, domain,
+                                        self.config,
+                                        restrict=positions.bounds())
             positions = intersect(positions, plist, self.stats)
             if positions.count == 0:
                 break
@@ -205,8 +207,9 @@ class _JoinBase:
         produce ranges that enable block skipping for everything else."""
         tasks: List[Tuple[float, str, object]] = []
         for pred in self.query.fact_predicates():
-            catalog_col = self._fact_catalog_column(pred.column)
-            domain = stored_bounds(pred, catalog_col, self.level)
+            domain = stored_domain(
+                pred, self.fact.column_file(pred.column).dtype,
+                self._fact_catalog_column(pred.column).dictionary)
             sort_pos = self.fact.sorted_on(pred.column)
             priority = float(sort_pos) if sort_pos is not None else 10.0
             tasks.append((priority, pred.column, domain))

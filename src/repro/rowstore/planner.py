@@ -25,24 +25,15 @@ spill accounting of :class:`~repro.rowstore.operators.SpillAccountant`.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import PlanError
 from ..obs import Tracer, span_context
-from ..plan.logical import (
-    ColumnRef,
-    Comparison,
-    InSet,
-    Predicate,
-    RangePredicate,
-    StarQuery,
-)
-from ..plan.predicates import (
-    code_bounds_for_range,
-    comparison_as_code_bounds,
-)
+from ..plan.logical import ColumnRef, Predicate, StarQuery
+from ..plan.predicates import Domain, stored_domain
 from ..result import ResultSet
 from ..simio.buffer_pool import BufferPool
 from ..simio.stats import QueryStats
@@ -320,18 +311,10 @@ class RowPlanner:
         index = self.artifacts.bitmaps.get(pred.column)
         if index is None:
             return None
-        column = self.catalog.lineorder.column(pred.column)
-        if isinstance(pred, Comparison):
-            lo, hi = comparison_as_code_bounds(column, pred)
-            return index.read_range(self.pool, lo, hi)
-        if isinstance(pred, RangePredicate):
-            lo, hi = code_bounds_for_range(column, pred.low, pred.high)
-            return index.read_range(self.pool, lo, hi)
-        if isinstance(pred, InSet):
-            codes = [column.encode_literal(v) for v in pred.values]
-            return index.read_union(
-                self.pool, sorted(c for c in codes if c is not None))
-        return None
+        domain = self._domain(self.catalog.lineorder, pred)
+        if isinstance(domain, np.ndarray):
+            return index.read_union(self.pool, domain)
+        return index.read_range(self.pool, *domain)
 
     def _run_bitmap(self, query: StarQuery) -> ResultSet:
         dim_tables = self._dim_hash_tables(query)
@@ -413,12 +396,7 @@ class RowPlanner:
 
     @staticmethod
     def _rebase_pred(pred: Predicate, table: str) -> Predicate:
-        ref = ColumnRef(table, pred.column)
-        if isinstance(pred, Comparison):
-            return Comparison(ref, pred.op, pred.value)
-        if isinstance(pred, RangePredicate):
-            return RangePredicate(ref, pred.low, pred.high)
-        return InSet(ref, pred.values)
+        return dataclasses.replace(pred, ref=ColumnRef(table, pred.column))
 
     def _svp_scan(self, column: str, table_alias: str, pos_key: str,
                   predicates: Sequence[Predicate] = ()
@@ -571,13 +549,18 @@ class RowPlanner:
         else:
             yield from index_full_scan(tree, self.pool, name, "_rid")
 
-    def _pred_bounds(self, table: Table, pred: Predicate) -> Tuple[int, int]:
+    @staticmethod
+    def _domain(table: Table, pred: Predicate) -> Domain:
+        """``pred`` over the catalog column's codes, the domain the
+        bitmap and B-tree indexes are keyed on."""
         column = table.column(pred.column)
-        if isinstance(pred, Comparison):
-            return comparison_as_code_bounds(column, pred)
-        if isinstance(pred, RangePredicate):
-            return code_bounds_for_range(column, pred.low, pred.high)
-        raise PlanError(f"IN predicates need per-value scans: {pred}")
+        return stored_domain(pred, column.data.dtype, column.dictionary)
+
+    def _pred_bounds(self, table: Table, pred: Predicate) -> Tuple[int, int]:
+        domain = self._domain(table, pred)
+        if isinstance(domain, np.ndarray):
+            raise PlanError(f"IN predicates need per-value scans: {pred}")
+        return domain
 
     def _run_index_only(self, query: StarQuery) -> ResultSet:
         fact = query.fact_table
@@ -703,15 +686,10 @@ class RowPlanner:
 
     def _pred_ranges(self, table: Table, pred: Predicate
                      ) -> List[Tuple[int, int]]:
-        column = table.column(pred.column)
-        if isinstance(pred, InSet):
-            out: List[Tuple[int, int]] = []
-            for v in pred.values:
-                code = column.encode_literal(v)
-                if code is not None:
-                    out.append((code, code))
-            return out
-        return [self._pred_bounds(table, pred)]
+        domain = self._domain(table, pred)
+        if isinstance(domain, np.ndarray):
+            return [(code, code) for code in domain.tolist()]
+        return [domain]
 
 
 __all__ = ["RowPlanner"]

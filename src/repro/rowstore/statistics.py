@@ -23,17 +23,8 @@ from typing import Dict, Sequence
 import numpy as np
 
 from ..errors import SchemaError
-from ..plan.logical import (
-    CompareOp,
-    Comparison,
-    InSet,
-    Predicate,
-    RangePredicate,
-)
-from ..plan.predicates import (
-    code_bounds_for_range,
-    comparison_as_code_bounds,
-)
+from ..plan.logical import CompareOp, Predicate
+from ..plan.predicates import stored_domain
 from ..storage.column import Column
 from ..storage.table import Table
 
@@ -176,20 +167,12 @@ class TableStatistics:
         """Estimated selectivity of one predicate in [0, 1]."""
         column = self._columns[pred.column]
         hist = self.histogram(pred.column)
-        if isinstance(pred, Comparison):
-            lo, hi = comparison_as_code_bounds(column, pred)
-            if pred.op is CompareOp.EQ:
-                return hist.estimate_eq(lo)
-            return hist.estimate_range(lo, hi)
-        if isinstance(pred, RangePredicate):
-            lo, hi = code_bounds_for_range(column, pred.low, pred.high)
-            return hist.estimate_range(lo, hi)
-        if isinstance(pred, InSet):
-            # a value listed twice still matches its rows once
-            codes = dict.fromkeys(map(column.encode_literal, pred.values))
-            codes.pop(None, None)
-            return min(sum(map(hist.estimate_eq, codes), 0.0), 1.0)
-        raise SchemaError(f"unknown predicate type {type(pred).__name__}")
+        domain = stored_domain(pred, column.data.dtype, column.dictionary)
+        if isinstance(domain, np.ndarray):
+            return min(sum(map(hist.estimate_eq, domain.tolist()), 0.0), 1.0)
+        if getattr(pred, "op", None) is CompareOp.EQ:
+            return hist.estimate_eq(domain[0])
+        return hist.estimate_range(*domain)
 
     def estimate_conjunction(self, predicates: Sequence[Predicate]
                              ) -> float:

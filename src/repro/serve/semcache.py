@@ -7,8 +7,9 @@ exact structural repeat is served verbatim; anything else is a miss and
 runs on the engine.
 
 Normalization folds each table's conjunctive predicates into one
-constraint per column: an :class:`Interval` (possibly half-bounded) or a
-:class:`ValueSet`.  Texts that differ only in how they spell the same
+constraint per column, with the constraint algebra of
+:mod:`repro.plan.predicates`: an ``Interval`` (possibly half-bounded) or
+a ``ValueSet``.  Texts that differ only in how they spell the same
 constraints (``lo.quantity < 25 AND lo.quantity < 30`` and
 ``lo.quantity < 25``, or predicates in another order) share an entry.
 
@@ -23,103 +24,11 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Tuple
 
-from ..plan.logical import (
-    BinOp,
-    ColumnRef,
-    CompareOp,
-    Comparison,
-    Expr,
-    InSet,
-    Literal,
-    Predicate,
-    RangePredicate,
-    StarQuery,
-)
+from ..plan.logical import BinOp, ColumnRef, Expr, Literal, StarQuery
+from ..plan.predicates import Constraint, constraint_of, intersect
 from ..result import ResultSet
-
-
-# ---------------------------------------------------------------------- #
-# constraints
-# ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class Interval:
-    """A contiguous constraint ``low .. high`` on one column.
-
-    ``None`` bounds are unbounded; ``*_open`` excludes the endpoint.
-    """
-
-    low: Optional[object] = None
-    high: Optional[object] = None
-    low_open: bool = False
-    high_open: bool = False
-
-    def contains(self, value: object) -> bool:
-        if self.low is not None:
-            if value < self.low or (value == self.low and self.low_open):
-                return False
-        if self.high is not None:
-            if value > self.high or (value == self.high and self.high_open):
-                return False
-        return True
-
-    def is_empty(self) -> bool:
-        if self.low is None or self.high is None:
-            return False
-        if self.low > self.high:
-            return True
-        return self.low == self.high and (self.low_open or self.high_open)
-
-
-@dataclass(frozen=True)
-class ValueSet:
-    """An explicit, sorted set of admissible values for one column."""
-
-    values: Tuple[object, ...]
-
-
-Constraint = Union[Interval, ValueSet]
-
-def constraint_of(pred: Predicate) -> Constraint:
-    """The single-column constraint a predicate expresses."""
-    if isinstance(pred, Comparison):
-        if pred.op is CompareOp.EQ:
-            return ValueSet((pred.value,))
-        if pred.op is CompareOp.LT:
-            return Interval(high=pred.value, high_open=True)
-        if pred.op is CompareOp.LE:
-            return Interval(high=pred.value)
-        if pred.op is CompareOp.GT:
-            return Interval(low=pred.value, low_open=True)
-        return Interval(low=pred.value)  # GE
-    if isinstance(pred, RangePredicate):
-        return Interval(low=pred.low, high=pred.high)
-    if isinstance(pred, InSet):
-        return ValueSet(tuple(sorted(set(pred.values))))
-    raise TypeError(f"unknown predicate type {type(pred).__name__}")
-
-
-def intersect(a: Constraint, b: Constraint) -> Constraint:
-    """The conjunction of two constraints on the same column."""
-    if isinstance(a, ValueSet) and isinstance(b, ValueSet):
-        return ValueSet(tuple(sorted(set(a.values) & set(b.values))))
-    if isinstance(a, ValueSet):
-        return ValueSet(tuple(v for v in a.values if b.contains(v)))
-    if isinstance(b, ValueSet):
-        return ValueSet(tuple(v for v in b.values if a.contains(v)))
-    low, low_open = a.low, a.low_open
-    if b.low is not None and (low is None or b.low > low or
-                              (b.low == low and b.low_open)):
-        low, low_open = b.low, b.low_open
-    high, high_open = a.high, a.high_open
-    if b.high is not None and (high is None or b.high < high or
-                               (b.high == high and b.high_open)):
-        high, high_open = b.high, b.high_open
-    merged = Interval(low, high, low_open, high_open)
-    if merged.is_empty():
-        return ValueSet(())
-    return merged
 
 
 # ---------------------------------------------------------------------- #
@@ -371,11 +280,6 @@ def _result_nbytes(result: ResultSet) -> int:
 
 
 __all__ = [
-    "Interval",
-    "ValueSet",
-    "Constraint",
-    "constraint_of",
-    "intersect",
     "PredicateSignature",
     "normalize_query",
     "query_key",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..errors import SqlBindError
+from ..errors import SqlBindError, TypeMismatchError
 from ..plan.logical import (
     AggExpr,
     BinOp,
@@ -27,6 +27,7 @@ from ..plan.logical import (
     StarQuery,
     RangePredicate,
 )
+from ..plan.predicates import check_literal
 from ..ssb.schema import SCHEMAS
 from ..types import Schema
 from . import ast
@@ -82,16 +83,26 @@ class _Scope:
             )
         return ColumnRef(owners[0], ident.name)
 
-
-def _literal_value(expr: ast.SqlExpr) -> Union[int, str]:
-    if isinstance(expr, ast.NumberLit):
-        return expr.value
-    if isinstance(expr, ast.StringLit):
-        return expr.value
-    raise SqlBindError(f"expected a literal, got {expr!r}")
+    def is_string(self, ref: ColumnRef) -> bool:
+        return self.schemas[ref.table].field(ref.column).ctype.is_string
 
 
-def _bind_expr(expr: ast.SqlExpr, scope: _Scope, fact: str) -> Expr:
+def _literal_value(expr: ast.SqlExpr, ref: ColumnRef,
+                   scope: _Scope) -> Union[int, str]:
+    """The literal compared with ``ref``, type-checked against it."""
+    if not isinstance(expr, (ast.NumberLit, ast.StringLit)):
+        raise SqlBindError(f"expected a literal, got {expr!r}")
+    try:
+        check_literal(expr.value, scope.is_string(ref), str(ref))
+    except TypeMismatchError as exc:
+        raise SqlBindError(str(exc)) from None
+    return expr.value
+
+
+def _bind_expr(expr: ast.SqlExpr, scope: _Scope, fact: str,
+               numeric: bool) -> Expr:
+    """Bind an aggregate input; ``numeric`` inputs (every aggregate but
+    COUNT, and both sides of any arithmetic) refuse string columns."""
     if isinstance(expr, ast.Ident):
         ref = scope.resolve(expr)
         if ref.table != fact:
@@ -99,14 +110,16 @@ def _bind_expr(expr: ast.SqlExpr, scope: _Scope, fact: str) -> Expr:
                 f"aggregate expressions may only use fact columns; "
                 f"{ref} is from {ref.table!r}"
             )
+        if numeric and scope.is_string(ref):
+            raise SqlBindError(f"string column {ref} is not numeric")
         return ref
     if isinstance(expr, ast.NumberLit):
         return Literal(expr.value)
     if isinstance(expr, ast.StringLit):
         raise SqlBindError("string literals are not allowed in arithmetic")
     if isinstance(expr, ast.Arith):
-        return BinOp(expr.op, _bind_expr(expr.left, scope, fact),
-                     _bind_expr(expr.right, scope, fact))
+        return BinOp(expr.op, _bind_expr(expr.left, scope, fact, True),
+                     _bind_expr(expr.right, scope, fact, True))
     raise SqlBindError(f"unsupported expression {expr!r}")
 
 
@@ -144,7 +157,8 @@ def bind(statement: ast.SelectStatement,
     aggregates: List[AggExpr] = []
     for i, item in enumerate(statement.items):
         if item.aggregate is not None:
-            expr = _bind_expr(item.expr, scope, fact)
+            expr = _bind_expr(item.expr, scope, fact,
+                              numeric=item.aggregate != "count")
             alias = item.alias or f"{item.aggregate}_{i}"
             aggregates.append(AggExpr(item.aggregate, expr, alias))
         else:
@@ -195,11 +209,12 @@ def _bind_condition(
     or predicate (returned)."""
     if isinstance(cond, ast.BetweenCond):
         ref = scope.resolve(cond.column)
-        return RangePredicate(ref, _literal_value(cond.low),
-                              _literal_value(cond.high))
+        return RangePredicate(ref, _literal_value(cond.low, ref, scope),
+                              _literal_value(cond.high, ref, scope))
     if isinstance(cond, ast.InCond):
         ref = scope.resolve(cond.column)
-        return InSet(ref, tuple(_literal_value(v) for v in cond.values))
+        return InSet(ref, tuple(_literal_value(v, ref, scope)
+                                for v in cond.values))
     if not isinstance(cond, ast.ComparisonCond):  # pragma: no cover
         raise SqlBindError(f"unsupported condition {cond!r}")
 
@@ -238,11 +253,12 @@ def _bind_condition(
         return None
     if left_is_col:
         ref = scope.resolve(cond.left)
-        return Comparison(ref, _OP_MAP[cond.op], _literal_value(cond.right))
+        return Comparison(ref, _OP_MAP[cond.op],
+                          _literal_value(cond.right, ref, scope))
     if right_is_col:
         ref = scope.resolve(cond.right)
         return Comparison(ref, _OP_MAP[cond.op].flip(),
-                          _literal_value(cond.left))
+                          _literal_value(cond.left, ref, scope))
     raise SqlBindError("conditions between two literals are not supported")
 
 

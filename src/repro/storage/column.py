@@ -202,23 +202,5 @@ class Column:
         """Size of this column stored plain at its declared width."""
         return len(self.data) * self.ctype.width
 
-    def encode_literal(self, value: Union[int, str]) -> Optional[int]:
-        """Translate a query literal into this column's raw domain.
-
-        Returns None when a string literal does not occur in the column
-        (the predicate can then be constant-folded to empty/full).
-        """
-        if self.dictionary is not None:
-            if not isinstance(value, str):
-                raise TypeMismatchError(
-                    f"column {self.name!r} is a string column; got {value!r}"
-                )
-            return self.dictionary.code_or_none(value)
-        if isinstance(value, str):
-            raise TypeMismatchError(
-                f"column {self.name!r} is an integer column; got {value!r}"
-            )
-        return int(value)
-
 
 __all__ = ["Column", "StringDictionary"]

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .plan.logical import CompareOp, Comparison, InSet, RangePredicate
+from .plan.predicates import Domain, domain_mask, stored_domain
 from .simio.disk import PAGE_SIZE
 
 #: Sidecar file suffix: ``lineorder.max.0.quantity`` → ``....quantity.zm``.
@@ -396,113 +396,53 @@ def _compatible(synopsis_kind: int, sample) -> bool:
     return isinstance(sample, (bytes, np.bytes_))
 
 
-def prune_blocks(synopsis: ColumnSynopsis, first: int, last: int,
-                 bounds: Optional[Tuple] = None,
-                 needles: Optional[np.ndarray] = None
-                 ) -> Optional[np.ndarray]:
-    """Survivor mask over blocks ``first..last`` (inclusive), or ``None``
-    when the synopsis cannot be applied (value-domain mismatch).
+def survivors(mins: np.ndarray, maxs: np.ndarray, domain: Domain
+              ) -> np.ndarray:
+    """The zone-map survivor test shared by column blocks and heap
+    pages: ``True`` where a unit whose values lie in ``[mins, maxs]``
+    may hold a value of ``domain`` (an inclusive ``(lo, hi)`` or sorted
+    needles, see :func:`~repro.plan.predicates.stored_domain`)."""
+    if isinstance(domain, tuple):
+        lo, hi = domain
+        return ~((maxs < lo) | (mins > hi))
+    if len(domain) == 0:
+        return np.zeros(len(mins), bool)
+    # smallest needle >= the unit's min; the unit overlaps the needle
+    # set iff that needle also sits at or below its max
+    idx = np.searchsorted(domain, mins)
+    clipped = np.minimum(idx, len(domain) - 1)
+    return (idx < len(domain)) & (domain[clipped] <= maxs)
 
-    ``bounds`` is an inclusive ``(lo, hi)`` range; ``needles`` a sorted
-    array of sought values.  Exactly one must be given.  A ``True`` entry
-    means the block *may* contain qualifying values and must be read.
-    """
-    mins = synopsis.mins[first:last + 1]
-    maxs = synopsis.maxs[first:last + 1]
-    if bounds is not None:
-        lo, hi = bounds
-        if not (_compatible(synopsis.value_kind, lo)
-                and _compatible(synopsis.value_kind, hi)):
-            return None
-        mask = ~((maxs < lo) | (mins > hi))
-    else:
-        if len(needles) == 0:
-            return np.zeros(last - first + 1, bool)
-        if not _compatible(synopsis.value_kind, needles[0]):
-            return None
-        # smallest needle >= block min; the block overlaps the needle set
-        # iff that needle also sits at or below the block max
-        idx = np.searchsorted(needles, mins)
-        clipped = np.minimum(idx, len(needles) - 1)
-        mask = (idx < len(needles)) & (needles[clipped] <= maxs)
+
+def prune_blocks(synopsis: ColumnSynopsis, first: int, last: int,
+                 domain: Domain) -> Optional[np.ndarray]:
+    """Survivor mask over blocks ``first..last`` (inclusive), or ``None``
+    when the synopsis cannot be applied (value-domain mismatch).  A
+    ``True`` entry means the block *may* contain qualifying values and
+    must be read."""
+    samples = domain if isinstance(domain, tuple) else domain[:1]
+    if not all(_compatible(synopsis.value_kind, v) for v in samples):
+        return None
+    mask = survivors(synopsis.mins[first:last + 1],
+                     synopsis.maxs[first:last + 1], domain)
     # exact refinement where a block recorded its full distinct set
     for i in np.flatnonzero(mask):
         distinct = synopsis.distincts[first + i]
-        if distinct is None:
-            continue
-        if bounds is not None:
-            hit = bool(((distinct >= bounds[0])
-                        & (distinct <= bounds[1])).any())
-        else:
-            left = np.searchsorted(needles, distinct)
-            inside = np.minimum(left, len(needles) - 1)
-            hit = bool(((left < len(needles))
-                        & (needles[inside] == distinct)).any())
-        if not hit:
+        if distinct is not None and not domain_mask(distinct, domain).any():
             mask[i] = False
     return mask
-
-
-def _encode_literal(kind: int, value):
-    """Coerce a predicate literal into the synopsis value domain, or
-    ``None`` when it cannot represent it."""
-    if kind == _VK_INT:
-        if isinstance(value, (int, np.integer)):
-            return int(value)
-        return None
-    if isinstance(value, bytes):
-        return value
-    if isinstance(value, str):
-        return value.encode("ascii")
-    return None
-
-
-def _pred_page_mask(column: _HeapColumn, pred) -> Optional[np.ndarray]:
-    mins, maxs = column.mins, column.maxs
-    if isinstance(pred, Comparison):
-        value = _encode_literal(column.value_kind, pred.value)
-        if value is None:
-            return None
-        if pred.op is CompareOp.EQ:
-            return (mins <= value) & (maxs >= value)
-        if pred.op is CompareOp.LT:
-            return mins < value
-        if pred.op is CompareOp.LE:
-            return mins <= value
-        if pred.op is CompareOp.GT:
-            return maxs > value
-        if pred.op is CompareOp.GE:
-            return maxs >= value
-        return None
-    if isinstance(pred, RangePredicate):
-        lo = _encode_literal(column.value_kind, pred.low)
-        hi = _encode_literal(column.value_kind, pred.high)
-        if lo is None or hi is None:
-            return None
-        return ~((maxs < lo) | (mins > hi))
-    if isinstance(pred, InSet):
-        values = [_encode_literal(column.value_kind, v) for v in pred.values]
-        if not values or any(v is None for v in values):
-            return None
-        needles = np.sort(np.asarray(values))
-        idx = np.searchsorted(needles, mins)
-        clipped = np.minimum(idx, len(needles) - 1)
-        return (idx < len(needles)) & (needles[clipped] <= maxs)
-    return None
 
 
 def heap_page_mask(synopsis: HeapSynopsis,
                    predicates: Sequence) -> np.ndarray:
     """AND of per-predicate page masks; pages where every predicate may
-    match.  Predicates the synopsis cannot evaluate prune nothing."""
+    match."""
     mask = np.ones(synopsis.num_pages, bool)
     for pred in predicates:
         column = synopsis.columns.get(pred.column)
-        if column is None:
-            continue
-        pred_mask = _pred_page_mask(column, pred)
-        if pred_mask is not None:
-            mask &= pred_mask
+        if column is not None:
+            mask &= survivors(column.mins, column.maxs,
+                              stored_domain(pred, column.mins.dtype))
     return mask
 
 
@@ -523,7 +463,7 @@ __all__ = [
     "SIDECAR_SUFFIX", "MAX_DISTINCT", "SynopsisWarning", "sidecar_name",
     "is_sidecar", "ColumnSynopsisBuilder", "heap_synopsis_blob",
     "write_sidecar", "ColumnSynopsis", "HeapSynopsis",
-    "load_column_synopsis", "load_heap_synopsis", "prune_blocks",
-    "heap_page_mask", "mask_runs",
+    "load_column_synopsis", "load_heap_synopsis", "survivors",
+    "prune_blocks", "heap_page_mask", "mask_runs",
     "stamp_blob", "split_stamp", "stamp_sidecars", "sidecar_epoch",
 ]

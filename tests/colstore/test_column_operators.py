@@ -17,7 +17,6 @@ from repro.colstore.operators.join import (
 from repro.colstore.operators.scan import (
     predicate_positions,
     probe_positions,
-    stored_bounds,
 )
 from repro.colstore.positions import ArrayPositions, RangePositions
 from repro.core.config import ExecutionConfig
@@ -128,44 +127,6 @@ def test_probe_on_rle_probes_runs():
     out = probe_positions(f, pool, np.array([3]), BLOCK)
     assert out.count == 5000
     assert pool.stats.hash_probes < 200  # per run, not per value
-
-
-# --------------------------------------------------------------------- #
-# stored_bounds
-# --------------------------------------------------------------------- #
-def test_stored_bounds_int():
-    col = Column.from_ints("q", [1, 2, 3], int32())
-    ref = ColumnRef("t", "q")
-    assert stored_bounds(Comparison(ref, CompareOp.EQ, 2), col,
-                         CompressionLevel.MAX) == (2, 2)
-    lo, hi = stored_bounds(Comparison(ref, CompareOp.LT, 2), col,
-                           CompressionLevel.MAX)
-    assert hi == 1
-    assert stored_bounds(RangePredicate(ref, 1, 2), col,
-                         CompressionLevel.NONE) == (1, 2)
-
-
-def test_stored_bounds_string_codes():
-    col = Column.from_strings("s", ["aa", "bb", "cc"])
-    ref = ColumnRef("t", "s")
-    assert stored_bounds(Comparison(ref, CompareOp.EQ, "bb"), col,
-                         CompressionLevel.MAX) == (1, 1)
-    assert stored_bounds(InSet(ref, ("aa", "zz")), col,
-                         CompressionLevel.MAX) == [0]
-
-
-def test_stored_bounds_string_raw():
-    col = Column.from_strings("s", ["aa", "bb", "cc"])
-    ref = ColumnRef("t", "s")
-    lo, hi = stored_bounds(Comparison(ref, CompareOp.EQ, "bb"), col,
-                           CompressionLevel.NONE)
-    assert (lo, hi) == (b"bb", b"bb")
-    needles = stored_bounds(InSet(ref, ("aa", "zz")), col,
-                            CompressionLevel.NONE)
-    assert needles == [b"aa", b"zz"]
-    lo, hi = stored_bounds(RangePredicate(ref, "aa", "bb"), col,
-                           CompressionLevel.NONE)
-    assert (lo, hi) == (b"aa", b"bb")
 
 
 # --------------------------------------------------------------------- #

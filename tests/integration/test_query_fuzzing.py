@@ -106,37 +106,34 @@ def _fk_of(name, dims):
 
 @st.composite
 def _predicate_for(draw, table, attr, column):
+    """A predicate on one column, with literals from its domain and from
+    just outside it: a prefix or an extension of a stored string (so
+    between two entries), ``''``, an absent string, an over-width string,
+    and integers one past the column's min and max."""
     ref = ColumnRef(table, attr)
     if column.dictionary is not None:
-        domain = column.dictionary.strings
+        stored = st.sampled_from(column.dictionary.strings)
+        width = column.ctype.width
+        literals = st.one_of(
+            stored,
+            stored.flatmap(lambda v: st.sampled_from(
+                [v[:-1], v + "A", v.ljust(width + 1, "Z")])),
+            st.sampled_from(["", "~"]))
+        ops = [CompareOp.LT, CompareOp.LE, CompareOp.GT, CompareOp.GE]
     else:
-        lo_v = int(column.data.min())
-        hi_v = int(column.data.max())
-        domain = None
+        literals = st.integers(min_value=int(column.data.min()) - 1,
+                               max_value=int(column.data.max()) + 1)
+        ops = [CompareOp.LE, CompareOp.GE, CompareOp.GT]
     kind = draw(st.sampled_from(["eq", "range", "in", "cmp"]))
-    if domain is not None:
-        value = draw(st.sampled_from(domain))
-        if kind == "range":
-            other = draw(st.sampled_from(domain))
-            lo, hi = min(value, other), max(value, other)
-            return RangePredicate(ref, lo, hi)
-        if kind == "in":
-            values = draw(st.lists(st.sampled_from(domain), min_size=1,
-                                   max_size=3, unique=True))
-            return InSet(ref, tuple(values))
-        op = CompareOp.EQ if kind == "eq" else draw(
-            st.sampled_from([CompareOp.LE, CompareOp.GE, CompareOp.LT]))
-        return Comparison(ref, op, value)
-    value = draw(st.integers(min_value=lo_v, max_value=hi_v))
+    value = draw(literals)
     if kind == "range":
-        other = draw(st.integers(min_value=lo_v, max_value=hi_v))
+        other = draw(literals)
         return RangePredicate(ref, min(value, other), max(value, other))
     if kind == "in":
-        values = draw(st.lists(st.integers(min_value=lo_v, max_value=hi_v),
-                               min_size=1, max_size=3, unique=True))
+        values = draw(st.lists(literals, min_size=1, max_size=3,
+                               unique=True))
         return InSet(ref, tuple(values))
-    op = CompareOp.EQ if kind == "eq" else draw(
-        st.sampled_from([CompareOp.LE, CompareOp.GE, CompareOp.GT]))
+    op = CompareOp.EQ if kind == "eq" else draw(st.sampled_from(ops))
     return Comparison(ref, op, value)
 
 
@@ -164,7 +161,8 @@ def test_fuzz_traditional_and_column_store(fuzz_env, data):
     _check(fuzz_env, query,
            designs=[DesignKind.TRADITIONAL],
            configs=[ExecutionConfig.baseline(),
-                    ExecutionConfig.row_store_like()])
+                    ExecutionConfig.row_store_like(),
+                    ExecutionConfig.from_label("tIcL")])
 
 
 @settings(max_examples=12, deadline=None,

@@ -26,7 +26,7 @@ from repro.rowstore.operators import (
     qualified,
     seq_scan,
 )
-from repro.rowstore.predicates import compile_predicate, encode_literal
+from repro.rowstore.predicates import compile_predicate
 from repro.simio.buffer_pool import BufferPool
 from repro.simio.disk import SimulatedDisk
 from repro.simio.stats import QueryStats
@@ -142,17 +142,6 @@ def test_bitmap_rids_roundtrip_random():
 # predicate compilation
 # --------------------------------------------------------------------- #
 REF = ColumnRef("t", "c")
-
-
-def test_encode_literal():
-    assert encode_literal(5, np.dtype("<i4")) == 5
-    assert encode_literal("ab", np.dtype("S4")) == b"ab"
-    with pytest.raises(TypeMismatchError):
-        encode_literal("ab", np.dtype("<i4"))
-    with pytest.raises(TypeMismatchError):
-        encode_literal(1, np.dtype("S4"))
-    with pytest.raises(TypeMismatchError):
-        encode_literal("toolong", np.dtype("S2"))
 
 
 @pytest.mark.parametrize("op,expected", [

@@ -16,7 +16,8 @@ import pytest
 
 from repro.core.config import ExecutionConfig
 from repro.result import ResultSet
-from repro.serve.semcache import SemanticCache, ValueSet, normalize_query
+from repro.plan.predicates import ValueSet
+from repro.serve.semcache import SemanticCache, normalize_query
 from repro.serve.service import QueryService
 from repro.sql import parse_query
 from repro.ssb.queries import ALL_QUERIES

@@ -18,15 +18,8 @@ from repro.plan.logical import (
     InSet,
     RangePredicate,
 )
-from repro.serve.semcache import (
-    Interval,
-    SemanticCache,
-    ValueSet,
-    constraint_of,
-    intersect,
-    normalize_query,
-    query_key,
-)
+from repro.plan.predicates import Interval, ValueSet, constraint_of, intersect
+from repro.serve.semcache import SemanticCache, normalize_query, query_key
 from repro.ssb.queries import ALL_QUERIES, Q1_1, Q1_2, Q2_1, query_by_name
 
 DOMAIN = list(range(-2, 13))

@@ -95,18 +95,6 @@ def test_column_data_is_readonly():
         c.data[0] = 5
 
 
-def test_encode_literal():
-    c = Column.from_strings("s", ["a", "b"])
-    assert c.encode_literal("a") == 0
-    assert c.encode_literal("missing") is None
-    with pytest.raises(TypeMismatchError):
-        c.encode_literal(7)
-    n = Column.from_ints("n", [1], int64())
-    assert n.encode_literal(9) == 9
-    with pytest.raises(TypeMismatchError):
-        n.encode_literal("x")
-
-
 # --------------------------------------------------------------------- #
 # Table
 # --------------------------------------------------------------------- #

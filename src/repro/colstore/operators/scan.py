@@ -21,7 +21,7 @@ from ...plan.keys import KeyIndex
 from ...plan.predicates import Domain, domain_mask
 from ...simio.buffer_pool import BufferPool
 from ...simio.stats import QueryStats
-from ...storage.blocks import RleBlock
+from ...storage.blocks import Block, RleBlock
 from ...storage.colfile import ColumnFile
 from ..positions import (
     EMPTY,
@@ -98,6 +98,31 @@ def _surviving_runs(colfile: ColumnFile, stats: QueryStats,
     return mask_runs(mask, first)
 
 
+def _mark(bits: np.ndarray, lo_pos: int, hi_pos: int, block: Block,
+          mask: np.ndarray) -> None:
+    """Copy ``block``'s value mask (its run mask, for an RLE block) into
+    the scan's bitmap over ``[lo_pos, hi_pos)``.  Matching runs that form
+    one stretch set one slice instead of being expanded per value."""
+    if isinstance(block, RleBlock):
+        hits = np.flatnonzero(mask)
+        if len(hits) == 0:
+            return
+        if hits[-1] - hits[0] + 1 == len(hits):
+            starts = block.run_starts()
+            lo = max(int(starts[hits[0]]), lo_pos)
+            hi = min(int(starts[hits[-1]] + block.run_lengths[hits[-1]]),
+                     hi_pos)
+            if hi > lo:
+                bits[lo - lo_pos:hi - lo_pos] = True
+            return
+        mask = np.repeat(mask, block.run_lengths)
+    b_lo = max(block.start, lo_pos)
+    b_hi = min(block.end, hi_pos)
+    if b_hi > b_lo:
+        bits[b_lo - lo_pos:b_hi - lo_pos] = \
+            mask[b_lo - block.start:b_hi - block.start]
+
+
 def predicate_positions(
     colfile: ColumnFile,
     pool: BufferPool,
@@ -133,22 +158,13 @@ def predicate_positions(
                                          first_block=run_first,
                                          last_block=run_last):
             if isinstance(block, RleBlock):
-                run_mask = domain_mask(block.run_values, pred_domain)
+                mask = domain_mask(block.run_values, pred_domain)
                 _charge_runs(stats, config, block.num_runs, comparisons)
-                if not run_mask.any():
-                    continue
-                value_mask = np.repeat(run_mask, block.run_lengths)
             else:
-                width_words = max(1, block.data.dtype.itemsize // 4)
-                value_mask = domain_mask(block.data, pred_domain)
-                _charge_array(stats, config, block.count, width_words,
+                mask = domain_mask(block.data, pred_domain)
+                _charge_array(stats, config, block.count, block.width_words,
                               comparisons)
-            b_lo = max(block.start, lo_pos)
-            b_hi = min(block.end, hi_pos)
-            if b_hi <= b_lo:
-                continue
-            bits[b_lo - lo_pos:b_hi - lo_pos] = \
-                value_mask[b_lo - block.start:b_hi - block.start]
+            _mark(bits, lo_pos, hi_pos, block, mask)
     return from_bitmap_maybe_range(lo_pos, bits)
 
 
@@ -182,21 +198,15 @@ def probe_positions(
                 stats.hash_probes += block.num_runs
                 if not config.block_iteration:
                     stats.values_scanned_scalar += block.num_runs
-                run_mask, _rows = index.lookup(block.run_values)
-                value_mask = np.repeat(run_mask, block.run_lengths)
+                mask, _rows = index.lookup(block.run_values)
             else:
                 stats.hash_probes += block.count
                 if not config.block_iteration:
                     stats.values_scanned_scalar += block.count
                 else:
                     stats.block_calls += 1
-                value_mask, _rows = index.lookup(block.data)
-            b_lo = max(block.start, lo_pos)
-            b_hi = min(block.end, hi_pos)
-            if b_hi <= b_lo:
-                continue
-            bits[b_lo - lo_pos:b_hi - lo_pos] = \
-                value_mask[b_lo - block.start:b_hi - block.start]
+                mask, _rows = index.lookup(block.data)
+            _mark(bits, lo_pos, hi_pos, block, mask)
     return from_bitmap_maybe_range(lo_pos, bits)
 
 

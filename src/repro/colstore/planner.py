@@ -30,7 +30,7 @@ from ..plan.aggregates import (
     reduce_scalar,
 )
 from ..plan.logical import StarQuery, expr_columns
-from ..plan.predicates import stored_domain
+from ..plan.predicates import check_aggregates, stored_domain
 from ..plan.tail import GroupColumn, encode_group, finish
 from ..result import ResultSet
 from ..simio.buffer_pool import BufferPool
@@ -180,6 +180,7 @@ class ColumnPlanner:
 
     # ------------------------------------------------------------------ #
     def run(self, query: StarQuery) -> ResultSet:
+        check_aggregates(query, self.ctx.tables)
         if self.config.late_materialization:
             return self._run_late(query)
         return self._run_early(query)

@@ -16,7 +16,8 @@ performed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from functools import cached_property
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -50,30 +51,37 @@ class RangePositions:
 
 @dataclass(frozen=True)
 class BitmapPositions:
-    """A bit per position over [offset, offset + len(bits))."""
+    """A bit per position over [offset, offset + len(bits)).  Count,
+    bounds and the survivor array are computed once per list; the array
+    is shared by every fetch from it, so it is read-only."""
 
     offset: int
     bits: np.ndarray  # bool
 
-    @property
+    @cached_property
     def count(self) -> int:
-        # count is consulted repeatedly (intersection ordering, empty
-        # checks, survivor reporting); popcount once and cache.
-        cached = self.__dict__.get("_count")
-        if cached is None:
-            cached = int(self.bits.sum())
-            object.__setattr__(self, "_count", cached)
-        return cached
+        return int(np.count_nonzero(self.bits))
 
-    def bounds(self) -> Optional[Tuple[int, int]]:
-        if len(self.bits) == 0 or self.count == 0:
+    @cached_property
+    def _bounds(self) -> Optional[Tuple[int, int]]:
+        if self.count == 0:
             return None
         first = int(np.argmax(self.bits))
         last = len(self.bits) - 1 - int(np.argmax(self.bits[::-1]))
         return (self.offset + first, self.offset + last + 1)
 
+    def bounds(self) -> Optional[Tuple[int, int]]:
+        return self._bounds
+
+    @cached_property
+    def _array(self) -> np.ndarray:
+        array = np.flatnonzero(self.bits).astype(np.int64, copy=False)
+        array += self.offset
+        array.setflags(write=False)
+        return array
+
     def to_array(self) -> np.ndarray:
-        return np.flatnonzero(self.bits).astype(np.int64) + self.offset
+        return self._array
 
 
 @dataclass(frozen=True)
@@ -103,18 +111,18 @@ EMPTY = ArrayPositions(np.zeros(0, dtype=np.int64))
 def from_bitmap_maybe_range(offset: int, bits: np.ndarray) -> Positions:
     """Collapse a bitmap whose set bits are contiguous into a range.
 
-    Contiguity is decided from the popcount and the first/last set bit —
-    no index array is materialized just to count or bound the bitmap.
+    Contiguity is decided from the popcount and the first set bit — no
+    index array is materialized just to count or bound the bitmap.
     """
-    count = int(bits.sum())
+    count = int(np.count_nonzero(bits))
     if count == 0:
         return EMPTY
     first = int(np.argmax(bits))
-    last = len(bits) - 1 - int(np.argmax(bits[::-1]))
-    if last - first + 1 == count:
-        return RangePositions(offset + first, offset + last + 1)
+    if bits[first:first + count].all():
+        return RangePositions(offset + first, offset + first + count)
     out = BitmapPositions(offset, bits)
-    object.__setattr__(out, "_count", count)
+    # seed the cached popcount (cached_property reads the instance dict)
+    out.__dict__["count"] = count
     return out
 
 
@@ -172,19 +180,6 @@ def intersect(a: Positions, b: Positions, stats: QueryStats) -> Positions:
     return ArrayPositions(common)
 
 
-def intersect_all(lists, stats: QueryStats) -> Positions:
-    """Fold :func:`intersect` over a sequence, cheapest-first."""
-    items = sorted(lists, key=lambda p: p.count)
-    if not items:
-        raise ExecutionError("intersect of zero position lists")
-    acc = items[0]
-    for other in items[1:]:
-        acc = intersect(acc, other, stats)
-        if acc.count == 0:
-            return EMPTY
-    return acc
-
-
 __all__ = [
     "RangePositions",
     "BitmapPositions",
@@ -192,6 +187,5 @@ __all__ = [
     "Positions",
     "EMPTY",
     "intersect",
-    "intersect_all",
     "from_bitmap_maybe_range",
 ]

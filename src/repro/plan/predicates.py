@@ -7,7 +7,8 @@ column stores is made here, once:
   :class:`Interval` or a :class:`ValueSet`; the serving layer's cache
   key is built from these;
 * :func:`check_literal` is the one literal type check (the SQL binder
-  calls it too, against the schema's column type);
+  calls it too, against the schema's column type), and
+  :func:`check_aggregate` the one aggregate-input type check;
 * :func:`stored_domain` maps the constraint into one of three stored
   domains: an integer dtype, an order-preserving dictionary's codes, or
   fixed-width NUL-padded bytes.
@@ -23,18 +24,22 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from ..errors import TypeMismatchError
 from .logical import (
+    AggExpr,
+    ColumnRef,
     CompareOp,
     Comparison,
     InSet,
     Predicate,
     RangePredicate,
+    StarQuery,
     Value,
+    expr_columns,
 )
 
 if TYPE_CHECKING:
@@ -143,6 +148,34 @@ def check_literal(value: Value, is_string: bool, column: str) -> None:
             f"{literal} literal {value!r} on {target} column {column!r}")
 
 
+def check_constraint(constraint: Constraint, is_string: bool,
+                     column: str) -> None:
+    """:func:`check_literal` on every literal of ``constraint``."""
+    literals = (constraint.values if isinstance(constraint, ValueSet)
+                else (constraint.low, constraint.high))
+    for value in literals:
+        if value is not None:
+            check_literal(value, is_string, column)
+
+
+def check_aggregate(agg: AggExpr,
+                    is_string: Callable[[ColumnRef], bool]) -> None:
+    """The one aggregate-input type check: every aggregate but COUNT of
+    a bare column, and both sides of any arithmetic, take numbers."""
+    if agg.func == "count" and isinstance(agg.expr, ColumnRef):
+        return
+    for ref in expr_columns(agg.expr):
+        if is_string(ref):
+            raise TypeMismatchError(f"string column {ref} is not numeric")
+
+
+def check_aggregates(query: StarQuery, tables: Dict[str, Any]) -> None:
+    """:func:`check_aggregate` against the storage ``tables`` read."""
+    for agg in query.aggregates:
+        check_aggregate(agg, lambda ref: ref.table in tables and tables[
+            ref.table].column(ref.column).is_string)
+
+
 def stored_domain(pred: Predicate, dtype,
                   dictionary: Optional["StringDictionary"] = None
                   ) -> Domain:
@@ -158,11 +191,7 @@ def stored_domain(pred: Predicate, dtype,
     dtype = np.dtype(dtype)
     raw = dtype.kind == "S"
     constraint = constraint_of(pred)
-    literals = (constraint.values if isinstance(constraint, ValueSet)
-                else (constraint.low, constraint.high))
-    for value in literals:
-        if value is not None:
-            check_literal(value, raw or dictionary is not None, pred.column)
+    check_constraint(constraint, raw or dictionary is not None, pred.column)
     if isinstance(pred, InSet):
         values = constraint.values
         if raw:
@@ -176,7 +205,7 @@ def stored_domain(pred: Predicate, dtype,
             held = [v for v in values if info.min <= v <= info.max]
         return np.array(held, dtype=dtype)
     if isinstance(constraint, ValueSet):  # equality: a point interval
-        constraint = Interval(literals[0], literals[0])
+        constraint = Interval(constraint.values[0], constraint.values[0])
     if raw:
         return _byte_bounds(constraint, dtype.itemsize)
     if dictionary is not None:
@@ -249,6 +278,6 @@ def eval_predicate(column: "Column", pred: Predicate) -> np.ndarray:
 
 __all__ = [
     "Interval", "ValueSet", "Constraint", "constraint_of", "intersect",
-    "Domain", "check_literal", "stored_domain", "domain_mask",
-    "eval_predicate",
+    "Domain", "check_literal", "check_constraint", "check_aggregate",
+    "check_aggregates", "stored_domain", "domain_mask", "eval_predicate",
 ]

@@ -37,7 +37,7 @@ from ..plan.logical import (
 )
 from ..result import Cell, ResultSet, Row
 from ..storage.table import Table
-from ..plan.predicates import eval_predicate
+from ..plan.predicates import check_aggregates, eval_predicate
 
 
 def _dimension_row_index(dim: Table, key_column: str, fk: np.ndarray
@@ -149,6 +149,7 @@ def _ordered(columns: List[str], rows: List[Row],
 
 def execute(tables: Dict[str, Table], query: StarQuery) -> ResultSet:
     """Evaluate ``query`` and return its ordered :class:`ResultSet`."""
+    check_aggregates(query, tables)
     fact = tables[query.fact_table]
     positions = selected_positions(tables, query)
     inputs = [

@@ -212,20 +212,21 @@ def seq_scan(
                 verdict = pred(survivors, stats)
                 mask = mask.copy()
                 mask[np.flatnonzero(mask)[~verdict]] = False
-        # project, then select: survivors are copied one column wide
-        if mask is None:
-            kept = n
+        # project, then select, one column wide: a contiguous copy keeps
+        # every tuple; on the strided view a boolean mask gathers most
+        # tuples several times faster than an index array, and a few slower
+        kept = n if mask is None else int(np.count_nonzero(mask))
+        if kept == n:
             out = {qualified(table, c): np.ascontiguousarray(records[c])
                    for c in out_columns}
         else:
-            sel_idx = np.flatnonzero(mask)
-            kept = len(sel_idx)
-            out = {qualified(table, c): records[c][sel_idx]
+            sel = mask if 2 * kept > n else np.flatnonzero(mask)
+            out = {qualified(table, c): records[c][sel]
                    for c in out_columns}
         if rid_column is not None:
             base = rid_base + local
             rids = np.arange(base, base + n, dtype=np.int64)
-            out[rid_column] = rids if mask is None else rids[sel_idx]
+            out[rid_column] = rids if kept == n else rids[sel]
         yield RowBatch(out, kept)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from ..errors import PlanError
 from ..obs import Tracer, span_context
 from ..plan.logical import ColumnRef, Predicate, StarQuery
-from ..plan.predicates import Domain, stored_domain
+from ..plan.predicates import Domain, check_aggregates, stored_domain
 from ..result import ResultSet
 from ..simio.buffer_pool import BufferPool
 from ..simio.stats import QueryStats
@@ -112,6 +112,7 @@ class RowPlanner:
             prune_partitions: bool = True,
             vp_join: str = "hash",
             vp_super_tuples: bool = False) -> ResultSet:
+        check_aggregates(query, self.catalog.tables)
         if design is DesignKind.TRADITIONAL:
             return self._run_traditional(query, prune_partitions)
         if design is DesignKind.MATERIALIZED_VIEWS:

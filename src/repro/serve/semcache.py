@@ -27,8 +27,10 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..plan.logical import BinOp, ColumnRef, Expr, Literal, StarQuery
-from ..plan.predicates import Constraint, constraint_of, intersect
+from ..plan.predicates import (Constraint, check_constraint, constraint_of,
+                               intersect)
 from ..result import ResultSet
+from ..ssb.schema import SCHEMAS
 
 
 # ---------------------------------------------------------------------- #
@@ -43,14 +45,22 @@ class PredicateSignature:
     constraints: Tuple[Tuple[str, str, Constraint], ...]
 
 
+#: whether each SSB column holds strings, keyed (table, column)
+_IS_STRING = {(table, field.name): field.ctype.is_string
+              for table, schema in SCHEMAS.items() for field in schema}
+
+
 def normalize_query(query: StarQuery) -> PredicateSignature:
     """Fold the query's conjunctive predicates into one constraint per
-    (table, column)."""
+    (table, column), type-checking the literals of each fold first."""
     folded: Dict[Tuple[str, str], Constraint] = {}
     for pred in query.predicates:
         key = (pred.table, pred.column)
         constraint = constraint_of(pred)
         if key in folded:
+            if key in _IS_STRING:  # typed before a fold compares them
+                for side in (folded[key], constraint):
+                    check_constraint(side, _IS_STRING[key], pred.column)
             constraint = intersect(folded[key], constraint)
         folded[key] = constraint
     return PredicateSignature(

@@ -27,7 +27,7 @@ from ..plan.logical import (
     StarQuery,
     RangePredicate,
 )
-from ..plan.predicates import check_literal
+from ..plan.predicates import check_aggregate, check_literal
 from ..ssb.schema import SCHEMAS
 from ..types import Schema
 from . import ast
@@ -99,10 +99,9 @@ def _literal_value(expr: ast.SqlExpr, ref: ColumnRef,
     return expr.value
 
 
-def _bind_expr(expr: ast.SqlExpr, scope: _Scope, fact: str,
-               numeric: bool) -> Expr:
-    """Bind an aggregate input; ``numeric`` inputs (every aggregate but
-    COUNT, and both sides of any arithmetic) refuse string columns."""
+def _bind_expr(expr: ast.SqlExpr, scope: _Scope, fact: str) -> Expr:
+    """Bind an aggregate input (its types are checked once it is whole,
+    by :func:`check_aggregate`)."""
     if isinstance(expr, ast.Ident):
         ref = scope.resolve(expr)
         if ref.table != fact:
@@ -110,16 +109,14 @@ def _bind_expr(expr: ast.SqlExpr, scope: _Scope, fact: str,
                 f"aggregate expressions may only use fact columns; "
                 f"{ref} is from {ref.table!r}"
             )
-        if numeric and scope.is_string(ref):
-            raise SqlBindError(f"string column {ref} is not numeric")
         return ref
     if isinstance(expr, ast.NumberLit):
         return Literal(expr.value)
     if isinstance(expr, ast.StringLit):
         raise SqlBindError("string literals are not allowed in arithmetic")
     if isinstance(expr, ast.Arith):
-        return BinOp(expr.op, _bind_expr(expr.left, scope, fact, True),
-                     _bind_expr(expr.right, scope, fact, True))
+        return BinOp(expr.op, _bind_expr(expr.left, scope, fact),
+                     _bind_expr(expr.right, scope, fact))
     raise SqlBindError(f"unsupported expression {expr!r}")
 
 
@@ -157,10 +154,14 @@ def bind(statement: ast.SelectStatement,
     aggregates: List[AggExpr] = []
     for i, item in enumerate(statement.items):
         if item.aggregate is not None:
-            expr = _bind_expr(item.expr, scope, fact,
-                              numeric=item.aggregate != "count")
             alias = item.alias or f"{item.aggregate}_{i}"
-            aggregates.append(AggExpr(item.aggregate, expr, alias))
+            agg = AggExpr(item.aggregate,
+                          _bind_expr(item.expr, scope, fact), alias)
+            try:
+                check_aggregate(agg, scope.is_string)
+            except TypeMismatchError as exc:
+                raise SqlBindError(str(exc)) from None
+            aggregates.append(agg)
         else:
             if not isinstance(item.expr, ast.Ident):
                 raise SqlBindError(

@@ -16,6 +16,7 @@ late materialization lines blocks up with position lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -51,7 +52,7 @@ class RleBlock:
     run_values: np.ndarray
     run_lengths: np.ndarray
 
-    @property
+    @cached_property
     def count(self) -> int:
         return int(self.run_lengths.sum())
 

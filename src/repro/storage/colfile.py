@@ -202,10 +202,6 @@ class ColumnFile:
             )
         return int(np.searchsorted(self.block_starts, position, side="right") - 1)
 
-    def blocks_for_positions(self, positions: np.ndarray) -> np.ndarray:
-        """Block number for each position (positions need not be sorted)."""
-        return np.searchsorted(self.block_starts, positions, side="right") - 1
-
     # ------------------------------------------------------------------ #
     # reads
     # ------------------------------------------------------------------ #
@@ -279,11 +275,13 @@ class ColumnFile:
         out = np.empty(len(positions), dtype=self.dtype)
         if len(positions) == 0:
             return out
-        block_nos, firsts = np.unique(self.blocks_for_positions(positions),
-                                      return_index=True)
-        bounds = firsts.tolist() + [len(positions)]
-        for i, block_no in enumerate(block_nos.tolist()):
-            low, high = bounds[i], bounds[i + 1]
+        # sorted positions: one split at the block starts slices them
+        edges = [0] + np.searchsorted(positions, self.block_starts[1:]
+                                      ).tolist() + [len(positions)]
+        for block_no in range(self.num_blocks):
+            low, high = edges[block_no], edges[block_no + 1]
+            if low == high:
+                continue  # blocks holding no position are never read
             local = positions[low:high] - self.block_starts[block_no]
             out[low:high] = self._fetch_block(pool, block_no, local)
         return out

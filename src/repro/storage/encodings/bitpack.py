@@ -111,11 +111,10 @@ def pack_bits(values: np.ndarray, bits: int) -> bytes:
     return stream.tobytes()[:packed_bytes(count, bits)]
 
 
-def _packed_stream(payload: bytes, count: int, bits: int, offset: int,
-                   size: int) -> np.ndarray:
-    """The packed stream at ``payload[offset:]``, checked to be whole,
-    zero-padded to ``size`` bytes plus the 8 that a window starting in
-    the last byte reads past it."""
+def _stream_bytes(payload: bytes, count: int, bits: int,
+                  offset: int) -> int:
+    """Length of the packed stream at ``payload[offset:]``; refuses a
+    payload too short to hold it."""
     _check_width(bits)
     nbytes = packed_bytes(count, bits)
     if len(payload) - offset < nbytes:
@@ -123,6 +122,15 @@ def _packed_stream(payload: bytes, count: int, bits: int, offset: int,
             f"packed payload truncated: want {nbytes} bytes,"
             f" have {max(len(payload) - offset, 0)}"
         )
+    return nbytes
+
+
+def _packed_stream(payload: bytes, count: int, bits: int, offset: int,
+                   size: int) -> np.ndarray:
+    """The packed stream at ``payload[offset:]``, checked to be whole,
+    zero-padded to ``size`` bytes plus the 8 that a window starting in
+    the last byte reads past it."""
+    nbytes = _stream_bytes(payload, count, bits, offset)
     return np.frombuffer(payload[offset:offset + nbytes]
                          + bytes(size + 8 - nbytes), dtype=np.uint8)
 
@@ -179,11 +187,16 @@ def extract_bits(payload: bytes, count: int, bits: int,
                  offset: int = 0) -> np.ndarray:
     """``unpack_bits(...)[positions]`` without unpacking the rest; worth
     it for sparse ``positions`` only."""
-    stream = _packed_stream(payload, count, bits, offset,
-                            packed_bytes(count, bits))
+    nbytes = _stream_bytes(payload, count, bits, offset)
     check_positions(positions, count)
     # the whole stream is one row in which value p starts at bit ``p*bits``
     starts = positions.astype(np.int64) * bits
+    if len(starts) and offset + (int(starts.max()) >> 3) + 8 < len(payload):
+        # every word read, and the byte after it, lies in the payload
+        stream = np.frombuffer(payload, dtype=np.uint8)
+        starts += 8 * offset
+    else:
+        stream = _packed_stream(payload, count, bits, offset, nbytes)
     return _fields(stream, bits, 1, 0,
                    *_byte_and_lead(starts, bits))[0].astype(dtype)
 

@@ -12,7 +12,6 @@ from repro.colstore.positions import (
     RangePositions,
     from_bitmap_maybe_range,
     intersect,
-    intersect_all,
 )
 from repro.errors import ExecutionError
 from repro.simio.stats import QueryStats
@@ -94,15 +93,6 @@ def test_intersect_disjoint_bitmaps_empty():
     assert intersect(_bm(0, [1, 1]), _bm(10, [1, 1]), s) is EMPTY
 
 
-def test_intersect_all_orders_cheapest_first():
-    s = QueryStats()
-    out = intersect_all(
-        [RangePositions(0, 100), _arr(5, 50), _bm(0, [1] * 60)], s)
-    assert out.to_array().tolist() == [5, 50]
-    with pytest.raises(ExecutionError):
-        intersect_all([], s)
-
-
 @st.composite
 def positions_strategy(draw):
     kind = draw(st.sampled_from(["range", "bitmap", "array"]))
@@ -140,3 +130,58 @@ def test_property_bounds_enclose_positions(p):
         lo, hi = bounds
         assert lo == arr[0]
         assert hi == arr[-1] + 1
+
+
+@st.composite
+def bitmaps(draw):
+    """Bitmaps of any length, most not a multiple of 8: random bits, and
+    the shapes with edges — empty, all set, one bit at 0 or at len-1,
+    one contiguous stretch, one stretch with a hole."""
+    n = draw(st.one_of(st.integers(0, 70), st.integers(4000, 9000)))
+    kind = draw(st.sampled_from(
+        ("random", "empty", "full", "first", "last", "stretch", "sparse")))
+    bits = np.zeros(n, dtype=bool)
+    if kind == "random":
+        seed = draw(st.integers(0, 2**32 - 1))
+        density = draw(st.sampled_from((0.001, 0.1, 0.5, 0.95)))
+        bits = np.random.default_rng(seed).random(n) < density
+    elif kind == "full":
+        bits[:] = True
+    elif kind == "first" and n:
+        bits[0] = True
+    elif kind == "last" and n:
+        bits[-1] = True
+    elif kind in ("stretch", "sparse") and n:
+        lo = draw(st.integers(0, n - 1))
+        hi = draw(st.integers(lo + 1, n))
+        bits[lo:hi] = True
+        if kind == "sparse" and hi - lo > 2:
+            bits[draw(st.integers(lo + 1, hi - 2))] = False
+    return bits
+
+
+@given(st.integers(0, 10**6), bitmaps())
+def test_property_bitmap_facts_equal_their_naive_definitions(offset, bits):
+    """Representation, count, bounds and the survivor array of a bitmap
+    list, against ``flatnonzero``; the array is cached and read-only."""
+    naive = np.flatnonzero(bits) + offset
+    out = from_bitmap_maybe_range(offset, bits)
+    if len(naive) == 0:
+        assert out is EMPTY
+    elif naive[-1] - naive[0] + 1 == len(naive):
+        assert out == RangePositions(int(naive[0]), int(naive[-1]) + 1)
+    else:
+        assert isinstance(out, BitmapPositions)
+    # the same facts with nothing seeded by from_bitmap_maybe_range
+    for positions in (out, BitmapPositions(offset, bits)):
+        assert positions.count == len(naive)
+        assert positions.bounds() == (
+            (int(naive[0]), int(naive[-1]) + 1) if len(naive) else None)
+        array = positions.to_array()
+        assert array.dtype == np.int64
+        assert array.tolist() == naive.tolist()
+        if isinstance(positions, BitmapPositions):
+            assert positions.to_array() is array
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[:1] = 0

@@ -21,6 +21,7 @@ import pytest
 from repro.colstore.engine import CStore
 from repro.core.config import ExecutionConfig
 from repro.errors import PlanError, ReproError, SqlBindError, TypeMismatchError
+from repro.plan.logical import AggExpr, BinOp, ColumnRef
 from repro.reference import execute
 from repro.rowstore.designs import DesignKind
 from repro.rowstore.engine import SystemX
@@ -129,3 +130,33 @@ def test_an_int_literal_on_a_string_column_in_ir_is_a_type_error(env):
         base.predicates[0], value=5),))
     for path, outcome in _paths(env, None, query):
         assert outcome is TypeMismatchError, (path, outcome)
+
+
+@pytest.mark.parametrize("func, expr", [
+    ("sum", ColumnRef("lineorder", "shipmode")),
+    ("min", ColumnRef("lineorder", "shipmode")),
+    ("max", ColumnRef("lineorder", "shippriority")),
+    ("avg", ColumnRef("lineorder", "shipmode")),
+    ("count", BinOp("+", ColumnRef("lineorder", "shipmode"),
+                    ColumnRef("lineorder", "tax"))),
+])
+def test_an_ir_aggregate_over_a_string_column_is_a_type_error(env, func,
+                                                              expr):
+    """An IR aggregate skips the binder; the binder's rule, applied by
+    every engine and the oracle, refuses it typed on every path instead
+    of summing dictionary codes or failing in numpy."""
+    base = parse_query("SELECT SUM(lo.revenue) AS s FROM lineorder AS lo;")
+    query = dataclasses.replace(base, aggregates=(AggExpr(func, expr, "s"),))
+    outcomes = dict(_paths(env, None, query))
+    assert {"oracle", ZONE_MAPS} | {d.value for d in DesignKind} <= set(
+        outcomes)
+    for path, outcome in outcomes.items():
+        assert outcome is TypeMismatchError, (path, outcome)
+
+
+def test_an_ir_count_of_a_string_column_stays_legal(env):
+    base = parse_query("SELECT SUM(lo.revenue) AS s FROM lineorder AS lo;")
+    query = dataclasses.replace(base, aggregates=(
+        AggExpr("count", ColumnRef("lineorder", "shipmode"), "s"),))
+    for path, outcome in _paths(env, None, query):
+        assert outcome == [(24000,)], (path, outcome)

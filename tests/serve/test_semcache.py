@@ -7,10 +7,13 @@ them the other's rows, so the randomized test brute-forces the
 conjunction over a small integer domain.
 """
 
+import dataclasses
 import random
 
 import pytest
 
+from repro.colstore.engine import CStore
+from repro.errors import TypeMismatchError
 from repro.plan.logical import (
     ColumnRef,
     CompareOp,
@@ -20,6 +23,8 @@ from repro.plan.logical import (
 )
 from repro.plan.predicates import Interval, ValueSet, constraint_of, intersect
 from repro.serve.semcache import SemanticCache, normalize_query, query_key
+from repro.serve.service import QueryService
+from repro.ssb.generator import generate
 from repro.ssb.queries import ALL_QUERIES, Q1_1, Q1_2, Q2_1, query_by_name
 
 DOMAIN = list(range(-2, 13))
@@ -80,6 +85,21 @@ def test_normalize_folds_same_column_predicates():
     assert by_col[("lineorder", "discount")] == Interval(low=1, high=3)
     assert by_col[("date", "year")] == ValueSet((1993,))
     assert sig.fact_table == "lineorder"
+
+
+def test_a_wrong_typed_literal_is_refused_typed_before_folding():
+    """``lo.quantity < 5 AND lo.quantity < 'A'`` built as IR: the fold
+    would compare 'A' with 5; the literal check runs first, so the
+    service refuses it as every engine refuses ``quantity < 'A'``."""
+    qty = ColumnRef("lineorder", "quantity")
+    query = dataclasses.replace(Q1_1, predicates=Q1_1.predicates + (
+        Comparison(qty, CompareOp.LT, 5), Comparison(qty, CompareOp.LT, "A")))
+    with pytest.raises(TypeMismatchError):
+        normalize_query(query)
+    cstore = CStore(generate(0.004, seed=1))
+    with QueryService(cstore=cstore) as service:
+        with pytest.raises(TypeMismatchError):
+            service.session(engine="cs").execute(query)
 
 
 def test_query_key_is_structural_not_nominal():

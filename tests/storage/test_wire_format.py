@@ -134,6 +134,27 @@ def test_extract_bits_equals_unpack_then_index(bits):
             extract_bits(packed, count, bits, np.asarray(outside), offset=5)
 
 
+@pytest.mark.parametrize("bits", range(1, 65))
+def test_extract_bits_where_the_stream_ends_the_payload(bits):
+    """No byte follows the packed stream.  A word that lies inside the
+    payload is read in place; one that would run past its end is read
+    from the padded copy.  Every position whose word touches the last
+    17 bytes takes one path or the other, alone and beside position 0,
+    and each equals the unpacked value."""
+    count = 203
+    values = _values_of_width(bits, count)
+    payload = b"\xff" * 3 + pack_bits(values, bits)
+    # the 8-byte word read for value p starts at stream byte p*bits // 8
+    near = [p for p in range(count)
+            if 3 + (p * bits >> 3) + 8 > len(payload) - 17]
+    assert near and near[-1] == count - 1
+    for p in near:
+        for positions in ([p], [0, p]):
+            positions = np.asarray(positions, dtype=np.int64)
+            got = extract_bits(payload, count, bits, positions, offset=3)
+            assert np.array_equal(got, values[positions]), (p, positions)
+
+
 def golden_arrays():
     """Hand-built, RNG-free inputs: the digests below must not depend on
     a generator's stream."""
@@ -361,7 +382,10 @@ def _codec_columns():
 
 
 def _fresh_pool(disk):
+    """An empty pool on a zeroed ledger, the head parked, so that runs
+    over one disk start alike."""
     disk.stats.reset()
+    disk.reset_head()
     return BufferPool(disk, capacity_bytes=64 * PAGE_SIZE)
 
 
@@ -391,6 +415,10 @@ def test_fetch_equals_read_all_with_the_whole_block_ledger(codec_id):
         "sparse and dense": np.concatenate([
             [3], np.arange(starts[1], starts[2], 2), [n - 2]]),
         "all": np.arange(n),
+        "skips a block": [5, starts[2] + 5],
+        "first and last block only": [0, 9, n - 9, n - 1],
+        "first block only": np.arange(0, starts[1], 300),
+        "last block only": np.arange(starts[-1], n, 300),
     }
     for label, positions in requests.items():
         positions = np.asarray(positions, dtype=np.int64)
@@ -401,7 +429,8 @@ def test_fetch_equals_read_all_with_the_whole_block_ledger(codec_id):
         ledger = pool.stats.snapshot()
         # the ledger of decoding every touched block whole
         pool = _fresh_pool(disk)
-        for block_no in np.unique(colfile.blocks_for_positions(positions)):
+        for block_no in np.unique(np.searchsorted(
+                colfile.block_starts, positions, side="right") - 1):
             colfile.read_block(pool, int(block_no))
         assert ledger == pool.stats.snapshot(), label
         if codec_id is not CodecId.PLAIN:

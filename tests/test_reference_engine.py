@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ExecutionError
+from repro.errors import TypeMismatchError
 from repro.plan.logical import (
     AggExpr,
     BinOp,
@@ -83,11 +83,12 @@ def test_expression_aggregate():
 
 
 def test_string_in_arithmetic_rejected():
+    """The engines' aggregate-input type check: the same typed refusal
+    every engine gives."""
     tables = _tables()
-    agg = AggExpr("sum", ColumnRef("f", "v"), "x")
     q = StarQuery("t", "d", {}, (), (), (AggExpr(
         "sum", ColumnRef("d", "name"), "x"),))
-    with pytest.raises(ExecutionError):
+    with pytest.raises(TypeMismatchError):
         execute(tables, q)
 
 

@@ -9,6 +9,10 @@ charge is ``n x something`` or counted per page, so a batch can be as
 large as memory allows: scans and rid fetches hand on a run of up to
 :data:`SCAN_RUN_PAGES` pages at a time.
 
+Batches carry selection vectors, not copies: scans and rid fetches hand
+on views of the records they parsed, joins and filters narrow an index
+array, and a column is gathered once, when an operator first reads it.
+
 Column naming: scans qualify output columns as ``table.column``; joins
 merge the probe batch with the build side's payload columns, so
 downstream operators address any column unambiguously.
@@ -22,7 +26,6 @@ the paper's "giant hash joins" in index-only plans (Section 6.2.2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,56 +52,92 @@ from .btree import BPlusTree
 from .predicates import compile_predicate
 
 
-@dataclass
 class RowBatch:
     """A chunk of tuples, held column-wise for vectorized transport.
 
     ``num_rows`` is explicit because a plan may carry *no* columns at
     all — a bare ``count(*)`` extracts nothing — and the dict cannot
     speak for the tuple count then.
+
+    A batch is a selection over the arrays it was built from: :meth:`take`
+    records an index array per column (columns selected together share
+    one, so a chain of takes composes each once) and :meth:`column`
+    gathers a column the first time it is read.
     """
 
-    columns: Dict[str, np.ndarray]
-    num_rows: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        lengths = {len(v) for v in self.columns.values()}
+    def __init__(self, columns: Dict[str, np.ndarray],
+                 num_rows: Optional[int] = None) -> None:
+        lengths = {len(v) for v in columns.values()}
         if len(lengths) > 1:
             raise ExecutionError(f"ragged row batch: lengths {lengths}")
         if lengths:
             (derived,) = lengths
-            if self.num_rows is None:
-                self.num_rows = derived
-            elif self.num_rows != derived:
+            if num_rows is None:
+                num_rows = derived
+            elif num_rows != derived:
                 raise ExecutionError(
-                    f"row batch claims {self.num_rows} row(s) but its "
+                    f"row batch claims {num_rows} row(s) but its "
                     f"columns hold {derived}")
-        elif self.num_rows is None:
-            self.num_rows = 0
+        self._arrays = dict(columns)
+        #: index arrays of the columns not gathered yet
+        self._picks: Dict[str, np.ndarray] = {}
+        self.num_rows = 0 if num_rows is None else num_rows
 
     def __len__(self) -> int:
         return self.num_rows
 
+    @property
+    def names(self) -> List[str]:
+        """The batch's column names, without gathering any column."""
+        return list(self._arrays)
+
+    @property
+    def columns(self) -> Dict[str, np.ndarray]:
+        """Every column, gathered."""
+        return {name: self.column(name) for name in self._arrays}
+
     def column(self, name: str) -> np.ndarray:
         try:
-            return self.columns[name]
+            values = self._arrays[name]
         except KeyError:
             raise ExecutionError(
-                f"batch has no column {name!r}; has {sorted(self.columns)}"
+                f"batch has no column {name!r}; has {sorted(self._arrays)}"
             ) from None
+        pick = self._picks.pop(name, None)
+        if pick is not None:
+            values = self._arrays[name] = values[pick]
+        return values
 
     def take(self, selector: np.ndarray) -> "RowBatch":
-        taken = {k: v[selector] for k, v in self.columns.items()}
-        if taken:
-            return RowBatch(taken)
-        kept = (int(np.count_nonzero(selector))
-                if selector.dtype == np.bool_ else len(selector))
-        return RowBatch(taken, kept)
+        if selector.dtype == np.bool_:
+            if len(selector) != self.num_rows:
+                raise ExecutionError(f"mask of {len(selector)} for a "
+                                     f"batch of {self.num_rows} row(s)")
+            selector = np.flatnonzero(selector)
+        taken = RowBatch({}, len(selector))
+        taken._arrays = dict(self._arrays)
+        composed: Dict[Optional[int], np.ndarray] = {None: selector}
+        for name in self._arrays:
+            pick = self._picks.get(name)
+            key = None if pick is None else id(pick)
+            if key not in composed:
+                composed[key] = pick[selector]
+            taken._picks[name] = composed[key]
+        return taken
 
-    def with_columns(self, extra: Dict[str, np.ndarray]) -> "RowBatch":
-        merged = dict(self.columns)
-        merged.update(extra)
-        return RowBatch(merged, self.num_rows)
+    def with_columns(self, extra: Dict[str, np.ndarray],
+                     pick: Optional[np.ndarray] = None) -> "RowBatch":
+        """This batch plus ``extra`` (replacing same-named columns).  With
+        ``pick``, ``extra`` holds whole arrays of which the batch selects
+        ``pick``, one index array shared by all and gathered by none."""
+        selected = extra if pick is None else dict.fromkeys(extra, pick)
+        merged = RowBatch(selected, self.num_rows)  # the ragged-batch checks
+        merged._arrays = {**self._arrays, **extra}
+        merged._picks = {name: p for name, p in self._picks.items()
+                         if name not in extra}
+        if pick is not None:
+            merged._picks.update(selected)
+        return merged
 
 
 BatchStream = Iterable[RowBatch]
@@ -137,10 +176,11 @@ def _scan_record_pages(
     skipped (or the synopsis is missing/corrupt) the scan degenerates to
     the plain full sweep, byte-for-byte.
 
-    Pages still come through the pool one ``read_page`` at a time, in
-    page order; only their parse is batched.  A page is its records back
-    to back and only a file's last page is short, so the joined payloads
-    of consecutive pages are the records of the run.
+    A run comes through the pool in one :meth:`BufferPool.scan_pages`
+    loop, which still checks, charges and caches page by page in page
+    order, and is parsed at once.  A page is its records back to back
+    and only a file's last page is short, so the joined payloads of
+    consecutive pages are the records of the run.
     """
     stats = pool.stats
     spans = [(0, heap.num_pages - 1)]
@@ -212,22 +252,14 @@ def seq_scan(
                 verdict = pred(survivors, stats)
                 mask = mask.copy()
                 mask[np.flatnonzero(mask)[~verdict]] = False
-        # project, then select, one column wide: a contiguous copy keeps
-        # every tuple; on the strided view a boolean mask gathers most
-        # tuples several times faster than an index array, and a few slower
-        kept = n if mask is None else int(np.count_nonzero(mask))
-        if kept == n:
-            out = {qualified(table, c): np.ascontiguousarray(records[c])
-                   for c in out_columns}
-        else:
-            sel = mask if 2 * kept > n else np.flatnonzero(mask)
-            out = {qualified(table, c): records[c][sel]
-                   for c in out_columns}
+        # the columns leave as views of the run's records; the batch's
+        # selection gathers each one only when an operator reads it
+        out = {qualified(table, c): records[c] for c in out_columns}
         if rid_column is not None:
             base = rid_base + local
-            rids = np.arange(base, base + n, dtype=np.int64)
-            out[rid_column] = rids if kept == n else rids[sel]
-        yield RowBatch(out, kept)
+            out[rid_column] = np.arange(base, base + n, dtype=np.int64)
+        batch = RowBatch(out, n)
+        yield batch if mask is None else batch.take(mask)
 
 
 def super_tuple_scan(
@@ -350,21 +382,24 @@ def heap_fetch(
     stats = pool.stats
     rows_per_page = heap.fmt.rows_per_page
     rids = np.sort(np.asarray(rids, dtype=np.int64))
-    pages, first, rank = np.unique(rids // rows_per_page, return_index=True,
-                                   return_inverse=True)
+    page_of = rids // rows_per_page
+    # sorted rids: a page's first rid is where the page number changes
+    new_page = np.diff(page_of, prepend=-1) != 0
+    first = np.flatnonzero(new_page)
+    pages, rank = page_of[first], np.cumsum(new_page) - 1
     where = rank * rows_per_page + rids % rows_per_page
     bounds = np.append(first, len(rids))
     for lo in range(0, len(pages), SCAN_RUN_PAGES):
         run = pages[lo:lo + SCAN_RUN_PAGES]
         chunk = slice(bounds[lo], bounds[lo + len(run)])
         records = heap.fmt.parse_page(b"".join(
-            pool.read_page(heap.name, int(page_no)) for page_no in run))
+            pool.read_pages(heap.name, run.tolist())))
         picked = where[chunk] - lo * rows_per_page
         stats.iterator_calls += len(picked)
         stats.tuple_bytes_scanned += len(picked) * heap.fmt.record_width
-        out = {qualified(table, c): records[c][picked] for c in out_columns}
-        out["_rid"] = rids[chunk]
-        yield RowBatch(out)
+        batch = RowBatch({qualified(table, c): records[c]
+                          for c in out_columns}, len(records))
+        yield batch.take(picked).with_columns({"_rid": rids[chunk]})
 
 
 # --------------------------------------------------------------------- #
@@ -377,14 +412,19 @@ class HashTable:
     sorted materialization (e.g. the output of a merge join), not a hash
     build.  The lookup structure over the keys is built on the first
     probe, so a table that is only streamed back out never pays for it.
+    Keys that arrive sorted are kept as given (a stable argsort of them
+    is the identity).
     """
 
     def __init__(self, keys: np.ndarray, payload: Dict[str, np.ndarray],
                  stats: QueryStats, charge_inserts: bool = True) -> None:
-        order = np.argsort(keys, kind="stable")
-        self._keys = keys[order]
+        self._keys = keys
+        self._payload = dict(payload)
+        if (keys[1:] < keys[:-1]).any():
+            order = np.argsort(keys, kind="stable")
+            self._keys = keys[order]
+            self._payload = {k: v[order] for k, v in payload.items()}
         self._index: Optional[KeyIndex] = None
-        self._payload = {k: v[order] for k, v in payload.items()}
         if charge_inserts:
             stats.hash_inserts += len(keys)
         self.entry_bytes = sum(v.dtype.itemsize for v in payload.values()) \
@@ -420,8 +460,11 @@ class HashTable:
             self._index = KeyIndex(self._keys)
         return self._index.lookup(keys)
 
-    def payload_at(self, name: str, rows: np.ndarray) -> np.ndarray:
-        return self._payload[name][rows]
+    def payload_at(self, name: str, rows: Optional[np.ndarray] = None
+                   ) -> np.ndarray:
+        """Payload ``name`` at build ``rows`` (all of it without)."""
+        values = self._payload[name]
+        return values if rows is None else values[rows]
 
     def payload_names(self) -> List[str]:
         return list(self._payload)
@@ -499,12 +542,12 @@ def hash_join(
         stats.iterator_calls += n
         found, rows = table.probe(batch.column(probe_key), stats)
         if not found.all():
-            batch, rows = batch.take(found), rows[found]
-        extra = {}
-        for source, out_name in output_prefixing.items():
-            extra[out_name] = table.payload_at(source, rows)
+            kept = np.flatnonzero(found)
+            batch, rows = batch.take(kept), rows[kept]
+        extra = {out_name: table.payload_at(source)
+                 for source, out_name in output_prefixing.items()}
         stats.tuple_attrs_copied += len(rows) * len(output_prefixing)
-        yield batch.with_columns(extra)
+        yield batch.with_columns(extra, rows)
 
 
 # --------------------------------------------------------------------- #

@@ -491,9 +491,10 @@ class RowPlanner:
 
     def _materialize_keyed(self, stream: Iterable[RowBatch], key: str,
                            charge: bool = True) -> HashTable:
-        batches = list(stream)
+        # gathered on arrival: a selected batch pins its whole scan run
+        batches = [RowBatch(b.columns, len(b)) for b in stream]
         columns = sorted(
-            {c for b in batches for c in b.columns if c != key})
+            {c for b in batches for c in b.names if c != key})
         keys = (np.concatenate([b.column(key) for b in batches])
                 if batches else np.zeros(0, np.int64))
         payload = {

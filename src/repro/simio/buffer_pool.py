@@ -13,7 +13,7 @@ least-recently-used eviction.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from ..errors import ChecksumError, StorageError, TransientIOError
 from .disk import PAGE_SIZE, SimulatedDisk, stripe_of
@@ -126,35 +126,58 @@ class BufferPool:
         the ledger, the counters and the LRU order are those of
         ``times`` calls.
         """
-        # cooperative cancellation lands here too: buffer hits never
-        # reach the disk, but a cancelled query must still stop at the
-        # next page boundary (a hit prices nothing, so one check covers
-        # the repeats)
-        if self.disk.cancellation is not None:
-            self.disk.cancellation.check(self.stats)
-        key = (name, page_no)
-        cached = self._pages.get(key)
-        if cached is not None:
-            self._pages.move_to_end(key)
-            self.stats.buffer_hits += times
-            self.hits += times
-            return cached
-        payload = fill_page(self.disk, name, page_no, self.stats)
-        self._insert(key, payload)
-        self.misses += 1
-        self.stats.buffer_hits += times - 1
-        self.hits += times - 1
+        (payload,) = self.read_pages(name, (page_no,), times)
         return payload
+
+    def read_pages(self, name: str, page_nos: Iterable[int],
+                   times: int = 1) -> Iterator[bytes]:
+        """Yield pages ``page_nos`` of ``name`` through the pool, in
+        order, with the file, ledger and cache looked up once per run.
+
+        A miss on a fault-free disk of a page in range, not quarantined
+        and still the very image its last write stored (so it verifies
+        without a hash) is charged in place; every other miss takes
+        :func:`fill_page`, the one retry loop.
+        """
+        disk, cache = self.disk, self._pages
+        stats, f = disk.stats, None
+        for page_no in page_nos:
+            # a cancelled query stops at the next page boundary, hit or
+            # miss (a hit prices nothing, so one check covers repeats)
+            if disk.cancellation is not None:
+                disk.cancellation.check(stats)
+            key = (name, page_no)
+            payload = cache.get(key)
+            if payload is not None:
+                cache.move_to_end(key)
+                stats.buffer_hits += times
+                self.hits += times
+                yield payload
+                continue
+            if f is None:  # looked up on the first miss: hits need none
+                f = disk.file(name)
+            if (disk.fault_injector is None
+                    and 0 <= page_no < f.num_pages
+                    and not disk.is_quarantined(name, page_no)):
+                payload = f.written_image(page_no)
+            if payload is None:
+                payload = fill_page(disk, name, page_no, stats)
+            else:
+                disk._charge(name, page_no)
+            self._insert(key, payload)
+            self.misses += 1
+            stats.buffer_hits += times - 1
+            self.hits += times - 1
+            yield payload
 
     def scan_pages(
         self, name: str, start: int = 0, stop: Optional[int] = None
     ) -> Iterator[bytes]:
         """Yield a page range through the pool, preserving sequential
         charging for the misses."""
-        f = self.disk.file(name)
-        end = f.num_pages if stop is None else min(stop, f.num_pages)
-        for page_no in range(start, end):
-            yield self.read_page(name, page_no)
+        num_pages = self.disk.file(name).num_pages
+        end = num_pages if stop is None else min(stop, num_pages)
+        yield from self.read_pages(name, range(start, end))
 
     def warm(self, name: str) -> None:
         """Pre-load a file into the pool without charging the ledger.

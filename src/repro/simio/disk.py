@@ -75,6 +75,12 @@ class DiskFile:
             return self.checksums[page_no]
         return page_checksum(image)
 
+    def written_image(self, page_no: int) -> Optional[bytes]:
+        """Page ``page_no``'s image if it is the very object the last
+        write stored (it matches its CRC unhashed), else None."""
+        image = self.pages[page_no]
+        return image if self._written[page_no] is image else None
+
     def _store(self, page_no: int, payload: bytes) -> None:
         """Store ``payload`` as page ``page_no`` (one past the end
         appends) with its write-time CRC."""

@@ -18,7 +18,7 @@ and a handful of numpy calls however few the values.
 from __future__ import annotations
 
 import struct
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -135,11 +135,13 @@ def _packed_stream(payload: bytes, count: int, bits: int, offset: int,
                          + bytes(size + 8 - nbytes), dtype=np.uint8)
 
 
-def _fields(stream: np.ndarray, bits: int, rows: int, stride: int,
-            byte: np.ndarray, lead: np.ndarray) -> np.ndarray:
+def _fields(stream: np.ndarray, bits: int, byte: np.ndarray,
+            lead: np.ndarray, rows: Optional[int] = None,
+            stride: int = 0) -> np.ndarray:
     """The ``bits``-bit values that begin ``lead`` bits into byte
-    ``byte`` of each of ``rows`` rows of ``stream``, the rows ``stride``
-    bytes apart, as native unsigned words of shape ``(rows, len(byte))``.
+    ``byte`` of ``stream``, as native unsigned words of ``byte``'s shape;
+    with ``rows``, of each of ``rows`` rows of ``stream`` ``stride``
+    bytes apart, of shape ``(rows, len(byte))``.
 
     One (unaligned, overlapping) big-endian word is read at each value's
     first byte; shifting left drops the bits before the value, shifting
@@ -148,15 +150,18 @@ def _fields(stream: np.ndarray, bits: int, rows: int, stride: int,
     values can end in the byte after their word.
     """
     big, native = _WORDS[bits > 25]
-    # the bytes of a row at which a word, and the byte after it, still
+    # the bytes (of a row) at which a word, and the byte after it, still
     # lie inside the stream's 8 bytes of padding
-    span = len(stream) - 8 - (rows - 1) * stride
-    words = np.ndarray((rows, span), big, stream, 0, (stride, 1))
-    values = words[:, byte].astype(native)
+    if rows is None:
+        shape, strides, at = (len(stream) - 8,), (1,), byte
+    else:
+        shape = (rows, len(stream) - 8 - (rows - 1) * stride)
+        strides, at = (stride, 1), (slice(None), byte)
+    values = np.ndarray(shape, big, stream, 0, strides)[at].astype(native)
     values <<= lead
     if bits > 57:
-        tails = np.ndarray((rows, span), np.uint8, stream, 8, (stride, 1))
-        values |= tails[:, byte].astype(native) >> (native.type(8) - lead)
+        tails = np.ndarray(shape, np.uint8, stream, 8, strides)[at]
+        values |= tails.astype(native) >> (native.type(8) - lead)
     values >>= native.type(8 * native.itemsize - bits)
     return values
 
@@ -175,7 +180,7 @@ def unpack_bits(payload: bytes, count: int, bits: int,
         return stream[:count * (bits >> 3)].view(f">u{bits >> 3}").astype(dtype)
     # a group is a row of ``bits`` bytes with a lane every ``bits`` bits:
     # all groups at once, no pass per lane
-    lanes = _fields(stream, bits, groups, bits, *_LANE_STARTS[bits])
+    lanes = _fields(stream, bits, *_LANE_STARTS[bits], groups, bits)
     same_width = lanes.dtype.itemsize == dtype.itemsize
     lanes = lanes.view(dtype) if same_width else lanes.astype(dtype)
     return lanes.reshape(-1)[:count]
@@ -188,17 +193,17 @@ def extract_bits(payload: bytes, count: int, bits: int,
     """``unpack_bits(...)[positions]`` without unpacking the rest; worth
     it for sparse ``positions`` only."""
     nbytes = _stream_bytes(payload, count, bits, offset)
-    check_positions(positions, count)
-    # the whole stream is one row in which value p starts at bit ``p*bits``
+    last = check_positions(positions, count)
+    # value p starts at bit ``p*bits`` of the stream
     starts = positions.astype(np.int64) * bits
-    if len(starts) and offset + (int(starts.max()) >> 3) + 8 < len(payload):
+    if last >= 0 and offset + ((last * bits) >> 3) + 8 < len(payload):
         # every word read, and the byte after it, lies in the payload
         stream = np.frombuffer(payload, dtype=np.uint8)
         starts += 8 * offset
     else:
         stream = _packed_stream(payload, count, bits, offset, nbytes)
-    return _fields(stream, bits, 1, 0,
-                   *_byte_and_lead(starts, bits))[0].astype(dtype)
+    return _fields(stream, bits,
+                   *_byte_and_lead(starts, bits)).astype(dtype)
 
 
 class BitPackCodec(Codec):

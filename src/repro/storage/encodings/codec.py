@@ -51,12 +51,14 @@ def unpack_header(layout: struct.Struct, payload: bytes, offset: int) -> tuple:
         ) from None
 
 
-def check_positions(positions: np.ndarray, count: int) -> None:
-    """Refuse block-relative ``positions`` outside ``[0, count)``."""
-    if len(positions) and not (0 <= positions.min()
-                               and positions.max() < count):
+def check_positions(positions: np.ndarray, count: int) -> int:
+    """Refuse block-relative ``positions`` outside ``[0, count)``;
+    returns the highest of them (-1 for none)."""
+    highest = int(positions.max()) if len(positions) else -1
+    if len(positions) and (positions.min() < 0 or highest >= count):
         raise EncodingError(
             f"position outside the block's {count} values")
+    return highest
 
 
 _STRING_WIDTH = struct.Struct("<H")

@@ -183,8 +183,8 @@ def decode_frames(frames: Sequence[bytes]) -> np.ndarray:
     deltas = np.zeros(int(ends[-1]), dtype=np.uint64)
     for bits in set(widths[per_frame > 0].tolist()):
         same = width_of == bits
-        deltas[slot[same]] = _fields(stream, bits, 1, 0,
-                                     *_byte_and_lead(bit_at[same], bits))[0]
+        deltas[slot[same]] = _fields(stream, bits,
+                                     *_byte_and_lead(bit_at[same], bits))
     out = unzigzag(deltas)
     filled = counts > 0
     out[starts[filled]] = firsts[filled]

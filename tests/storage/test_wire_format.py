@@ -37,7 +37,7 @@ from repro.storage.encodings.bitpack import (
     unpack_bits,
 )
 from repro.storage.encodings.codec import decode_payload_at
-from repro.storage.encodings.delta import DELTA, decode_frames
+from repro.storage.encodings.delta import DELTA, DeltaCodec, decode_frames
 from repro.storage.encodings.dictionary import DICTIONARY
 from repro.storage.encodings.plain import PLAIN
 from repro.storage.encodings.rle import RLE
@@ -484,6 +484,37 @@ def test_property_decode_frames_equals_decode_payload_per_frame(lists):
     expected = [decode_payload(frame) for frame in frames]
     for values, decoded in zip(lists, expected):
         assert np.array_equal(decoded, values)
+    assert np.array_equal(
+        got, np.concatenate(expected) if expected else np.zeros(0, np.int64))
+
+
+@st.composite
+def frames_of_width(draw):
+    """One framed int64 delta list whose zig-zagged deltas need exactly
+    ``bits`` bits, 1-64; the running sum wraps like the codec's."""
+    bits = draw(st.integers(1, 64))
+    count = draw(st.integers(2, 40))
+    zigzagged = draw(st.lists(st.integers(0, (1 << bits) - 1),
+                              min_size=count - 1, max_size=count - 1))
+    zigzagged[draw(st.integers(0, count - 2))] |= 1 << (bits - 1)
+    z = np.array(zigzagged, dtype=np.uint64)
+    deltas = (z >> np.uint64(1)) ^ (np.uint64(0) - (z & np.uint64(1)))
+    first = np.uint64(draw(st.integers(0, (1 << 64) - 1)))
+    values = np.cumsum(np.concatenate(([first], deltas)),
+                       dtype=np.uint64).view(np.int64)
+    frame = DELTA.frame(values)
+    # codec id, dtype tag, then (count, first, width)
+    assert DeltaCodec._HEADER.unpack_from(frame, 2)[2] == bits
+    return frame
+
+
+@given(st.lists(frames_of_width(), max_size=10))
+@settings(max_examples=max(150, settings().max_examples), deadline=None)
+def test_property_decode_frames_of_every_width(frames):
+    """Frames of mixed widths 1-64 decode, all at once, to what
+    ``DELTA.decode`` gives frame by frame."""
+    expected = [DELTA.decode(frame, 1) for frame in frames]
+    got = decode_frames(frames)
     assert np.array_equal(
         got, np.concatenate(expected) if expected else np.zeros(0, np.int64))
 

@@ -8,7 +8,7 @@ its late-materialized fallback, the row store's hash joins, the
 early-materialized row pipeline and denormalization all call this one
 class.
 
-Two paths, chosen from the keys alone:
+Two paths, chosen from the keys alone, and three lookup modes:
 
 * **direct** — integer keys whose span ``max - min + 1`` is at most
   ``max(DIRECT_MIN_SPAN, DIRECT_DENSITY * len(keys))`` get an int32 slot
@@ -16,9 +16,17 @@ Two paths, chosen from the keys alone:
   position", and resolving a foreign key is "simply a fast array
   look-up").  A probe is one subtraction, one clamp and one gather.
 * **sorted** — sparser integer keys and non-integer keys (raw byte
-  strings) keep a stable argsort and binary-search it.
+  strings) keep a stable argsort.  A lookup binary-searches each probe
+  value in the sorted keys: ``n log k`` for ``n`` values and ``k`` keys.
+* **probe search** — a sorted-path lookup whose keys are integers and
+  whose probe ascends strictly and holds more than
+  ``PROBE_SEARCH_RATIO`` values per key (a vertical partition's position
+  join probing with ascending positions) binary-searches each key in
+  the probe instead: ``k log n``.  Both sides are compared in a dtype
+  that holds both, so no key is narrowed to the probe's width; byte
+  strings keep the search above, which would cut keys to the probe's.
 
-Both paths return the same answer for every input; which one runs is a
+Every mode returns the same answer for every input; which one runs is a
 wall-clock matter only.  Nothing here touches a ledger: callers charge
 their hash probes or vector lookups exactly as before.
 """
@@ -45,6 +53,10 @@ DIRECT_MIN_SPAN = 1 << 16
 #: the largest density with a clear lead in isolation, and it bounds a
 #: table to 128 bytes per key, against the sorted path's 16.
 DIRECT_DENSITY = 32
+
+#: The sorted path searches the keys in the probe instead when the probe
+#: ascends strictly and holds more than this many values per key.
+PROBE_SEARCH_RATIO = 1
 
 
 class KeyIndex:
@@ -114,10 +126,37 @@ class KeyIndex:
             np.minimum(unsigned, len(self._slots) - 1, out=unsigned)
             rows = self._slots[offsets]
             return rows >= 0, rows
+        if self._integer and len(values) > PROBE_SEARCH_RATIO * self.size:
+            common = np.result_type(self._sorted, values)
+            if common.kind in "iu":
+                probe = values.astype(common, copy=False)
+                if bool(np.all(probe[1:] > probe[:-1])):
+                    return self._search_probe(probe)
         idx = np.searchsorted(self._sorted, values)
         np.minimum(idx, self.size - 1, out=idx)
         found = self._sorted[idx] == values
         return found, (idx if self._order is None else self._order[idx])
 
+    def _search_probe(self, probe: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`lookup` of a strictly ascending ``probe``, by searching
+        each key in it: ``k log n`` rather than ``n log k``.  Each value
+        is then some key's place at most once, and a run of equal keys
+        resolves through its first member only.  ``probe`` has a dtype
+        that holds every key."""
+        keys = self._sorted.astype(probe.dtype, copy=False)
+        places = np.searchsorted(probe, keys)
+        np.minimum(places, len(probe) - 1, out=places)
+        hits = probe[places] == keys
+        hits[1:] &= keys[1:] != keys[:-1]
+        places = places[hits]
+        found = np.zeros(len(probe), dtype=bool)
+        found[places] = True
+        rows = np.zeros(len(probe), dtype=np.intp)
+        rows[places] = (np.flatnonzero(hits) if self._order is None
+                        else self._order[hits])
+        return found, rows
 
-__all__ = ["KeyIndex", "DIRECT_MIN_SPAN", "DIRECT_DENSITY"]
+
+__all__ = ["KeyIndex", "DIRECT_MIN_SPAN", "DIRECT_DENSITY",
+           "PROBE_SEARCH_RATIO"]

@@ -23,10 +23,10 @@ from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import StorageError
+from ..errors import EncodingError, StorageError
 from ..simio.buffer_pool import BufferPool
 from ..simio.disk import PAGE_SIZE, SimulatedDisk
-from ..storage.encodings.delta import decode_frames, encode_frames
+from ..storage.encodings.delta import decode_stream, encode_frames
 
 
 class BitmapIndex:
@@ -38,6 +38,12 @@ class BitmapIndex:
         self.name = name
         self.directory = directory
         self.num_rows = num_rows
+        # the directory as arrays, by value: value, blob offset and length
+        values = np.fromiter(directory, np.int64, len(directory))
+        order = np.argsort(values)
+        self._values = values[order]
+        self._blobs = np.array(list(directory.values()),
+                               dtype=np.int64).reshape(-1, 2)[order]
 
     @classmethod
     def build(cls, disk: SimulatedDisk, name: str, values: np.ndarray
@@ -75,43 +81,49 @@ class BitmapIndex:
     # ------------------------------------------------------------------ #
     # reads
     # ------------------------------------------------------------------ #
-    def _read_lists(self, pool: BufferPool, values: Iterable[int]
-                    ) -> np.ndarray:
-        """The rid lists of ``values`` back to back, each ascending.
+    def _entries(self, values: Iterable[int]) -> np.ndarray:
+        """Directory entries of the distinct ``values`` present, in the
+        order each first appears."""
+        values = np.fromiter(values, np.int64) if not isinstance(
+            values, np.ndarray) else values.astype(np.int64, copy=False)
+        distinct, first = np.unique(values, return_index=True)
+        entries = np.searchsorted(self._values, distinct)
+        present = entries < len(self._values)
+        present[present] = self._values[entries[present]] == distinct[present]
+        return entries[present][np.argsort(first[present])]
 
-        The pages are requested in the order a value-by-value read asks
+    def _read_lists(self, pool: BufferPool, entries: np.ndarray
+                    ) -> np.ndarray:
+        """The rid lists of directory ``entries`` back to back, each
+        ascending.
+
+        The pages are requested in the order an entry-by-entry read asks
         for them, but each run of repeats of one page is a single pool
-        visit; every list is sliced out of those pages and all are
-        decoded at once.
+        visit.  The distinct pages are joined once, in page order, so a
+        blob that straddles pages is contiguous there too, and every list
+        is decoded out of that one stream at once.
         """
-        entries = [e for e in map(self.directory.get, values)
-                   if e is not None]
-        offsets, lengths = np.array(entries, dtype=np.int64).reshape(-1, 2).T
+        offsets, lengths = self._blobs[entries].T
         firsts = offsets // PAGE_SIZE
         spans = (offsets + lengths - 1) // PAGE_SIZE - firsts + 1
-        # the page sequence of the per-value requests, then its runs
+        # the page sequence of the per-entry requests, then its runs
         seq = np.repeat(firsts - np.cumsum(spans) + spans, spans) \
             + np.arange(int(spans.sum()))
         runs = np.flatnonzero(np.diff(seq, prepend=-1))
         times = np.diff(runs, append=len(seq))
         pages = {p: pool.read_page(self.name, p, n)
                  for p, n in zip(seq[runs].tolist(), times.tolist())}
-        # a blob is ~100 bytes of a 32 KB page: slice it, do not copy the
-        # page (the few blobs that straddle pages pay the join)
-        frames = []
-        for (offset, length), first, span in zip(entries, firsts.tolist(),
-                                                 spans.tolist()):
-            whole = pages[first] if span == 1 else b"".join(
-                [pages[p] for p in range(first, first + span)])
-            start = offset - first * PAGE_SIZE
-            frames.append(whole[start:start + length])
-        rids = decode_frames(frames)
+        # only the file's last page is short, and it sorts last
+        held = np.array(sorted(pages), dtype=np.int64)
+        stream = b"".join([pages[p] for p in held.tolist()] + [bytes(8)])
+        at = np.searchsorted(held, firsts) * PAGE_SIZE + offsets % PAGE_SIZE
+        rids = decode_stream(stream, at, lengths)
         pool.stats.values_decompressed += len(rids)
         return rids
 
     def read_rids(self, pool: BufferPool, value: int) -> np.ndarray:
         """The ascending rid set for one value (empty if absent)."""
-        return self._read_lists(pool, [int(value)])
+        return self._read_lists(pool, self._entries([int(value)]))
 
     def read_union(self, pool: BufferPool, values: Iterable[int]
                    ) -> np.ndarray:
@@ -119,18 +131,29 @@ class BitmapIndex:
 
         Charges one position op per rid merged, the bitmap-merge overhead
         the paper calls out.  OR is a set union, so a value listed twice
-        is read once.
+        is read once.  Each rid holds one value, so the lists are
+        disjoint: they are set in one boolean map over the table's rows,
+        and a rid outside it, or one set twice, is a corrupt list.
         """
-        distinct = dict.fromkeys(map(int, values))
-        merged = np.sort(self._read_lists(pool, distinct))
+        rids = self._read_lists(pool, self._entries(values))
+        if (rids.view(np.uint64) >= self.num_rows).any():
+            raise EncodingError(
+                f"bitmap {self.name!r} holds a rid outside its "
+                f"{self.num_rows} rows")
+        members = np.zeros(self.num_rows, dtype=bool)
+        members[rids] = True
+        merged = np.flatnonzero(members)
+        if len(merged) != len(rids):
+            raise EncodingError(
+                f"bitmap {self.name!r} holds a rid under two values")
         pool.stats.position_ops += len(merged)
         return merged
 
     def read_range(self, pool: BufferPool, low: int, high: int
                    ) -> np.ndarray:
         """OR of every value in [low, high] that exists in the directory."""
-        hits = [v for v in self.directory if low <= v <= high]
-        return self.read_union(pool, sorted(hits))
+        inside = (self._values >= low) & (self._values <= high)
+        return self.read_union(pool, self._values[inside])
 
 
 def intersect_rid_sets(pool: BufferPool, rid_sets: Sequence[np.ndarray]
@@ -145,7 +168,8 @@ def intersect_rid_sets(pool: BufferPool, rid_sets: Sequence[np.ndarray]
     result = rid_sets[0]
     for other in rid_sets[1:]:
         pool.stats.position_ops += len(result) + len(other)
-        result = np.intersect1d(result, other, assume_unique=True)
+        # both ascending and duplicate-free: a membership test keeps that
+        result = result[np.isin(result, other, kind="table")]
     return result
 
 

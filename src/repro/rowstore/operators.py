@@ -30,7 +30,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ExecutionError
+from ..errors import ExecutionError, StorageError
 from ..plan.logical import (
     BinOp,
     ColumnRef,
@@ -371,7 +371,8 @@ def heap_fetch(
     table: str,
     out_columns: Sequence[str],
 ) -> Iterator[RowBatch]:
-    """Fetch tuples by rid (ascending), reading each needed page once.
+    """Fetch tuples by rid, in ascending rid order, reading each needed
+    page once; a rid outside the heap raises ``StorageError``.
 
     Random I/O is charged naturally: non-adjacent pages cost seeks.  One
     batch covers up to :data:`SCAN_RUN_PAGES` distinct pages, joined the
@@ -381,7 +382,13 @@ def heap_fetch(
     """
     stats = pool.stats
     rows_per_page = heap.fmt.rows_per_page
-    rids = np.sort(np.asarray(rids, dtype=np.int64))
+    rids = np.asarray(rids, dtype=np.int64)
+    if (rids[1:] < rids[:-1]).any():
+        rids = np.sort(rids)
+    if len(rids) and (rids[0] < 0 or rids[-1] >= heap.num_rows):
+        bad = int(rids[0] if rids[0] < 0 else rids[-1])
+        raise StorageError(f"rid {bad} out of range for {heap.name!r} "
+                           f"({heap.num_rows} rows)")
     page_of = rids // rows_per_page
     # sorted rids: a page's first rid is where the page number changes
     new_page = np.diff(page_of, prepend=-1) != 0

@@ -138,63 +138,88 @@ def encode_frames(values: np.ndarray, counts: np.ndarray) -> List[bytes]:
                 packed)]
 
 
-def decode_frames(frames: Sequence[bytes]) -> np.ndarray:
-    """``decode_payload`` of each of ``frames`` — framed int64 delta
-    payloads, as a bitmap index stores rid lists — back to back.
+#: how a framed int64 delta payload starts: the tag, then the header
+_FRAME_HEAD = np.dtype([("codec", "u1"), ("dtype", "u1"), ("count", "<u4"),
+                        ("first", "<i8"), ("bits", "u1")])
 
-    A union reads hundreds of lists of a few dozen rids, so decoding them
-    one by one is all per-call overhead.  Here only the headers are
-    unpacked frame by frame (and checked like any payload's: tags, bit
-    width, length); every delta of every frame is then cut out of the
-    joined frames at its own bit offset (one pass per bit width in use),
-    un-zigzagged once and prefix-summed once, each frame rebased to its
+
+def decode_stream(stream: bytes, at: np.ndarray, lengths: np.ndarray
+                  ) -> np.ndarray:
+    """``decode_payload`` of each framed int64 delta payload of
+    ``stream`` — the one of ``lengths[i]`` bytes at byte ``at[i]``, as a
+    bitmap index stores rid lists — back to back.  ``stream`` runs on for
+    at least 8 bytes past every frame (a field is read as one word).
+
+    A union reads thousands of lists of a few dozen rids, so nothing here
+    runs per frame.  Every header is read by one gather and checked like
+    any payload's (length, tags, bit width, packed length).  A stable
+    sort by bit width makes each width's deltas one slice, cut out of
+    ``stream`` at their bit offsets by one call; all deltas are then
+    un-zigzagged once and prefix-summed once, each frame rebased on its
     own first value.
     """
-    if not frames:
+    at = np.asarray(at, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if not len(at):
         return np.zeros(0, dtype=np.int64)
-    layout = DeltaCodec._HEADER
-    tag = len(_INT64_FRAME)
-    try:
-        headers = [layout.unpack_from(frame, tag) for frame in frames]
-    except struct.error:
-        raise EncodingError("delta frame header truncated") from None
-    counts, firsts, widths = np.array(headers, dtype=np.int64).T
-    lengths = np.fromiter(map(len, frames), np.int64, len(frames))
-    stream = np.frombuffer(b"".join(frames) + bytes(8), dtype=np.uint8)
-    frame_at = np.cumsum(lengths) - lengths
-    if ((stream[frame_at] != _INT64_FRAME[0])
-            | (stream[frame_at + 1] != _INT64_FRAME[1])).any():
+    body = _FRAME_HEAD.itemsize
+    if (lengths < body).any():
+        raise EncodingError("delta frame header truncated")
+    raw = np.frombuffer(stream, dtype=np.uint8)
+    heads = raw[at[:, None] + np.arange(body)].view(_FRAME_HEAD)[:, 0]
+    if ((heads["codec"] != _INT64_FRAME[0])
+            | (heads["dtype"] != _INT64_FRAME[1])).any():
         raise EncodingError("not an int64 delta frame")
+    counts = heads["count"].astype(np.int64)
+    widths = heads["bits"].astype(np.int64)
     per_frame = np.maximum(counts - 1, 0)
     if ((per_frame > 0) & ((widths < 1) | (widths > 64))).any():
         raise EncodingError("bit width out of range")
-    body = tag + layout.size
     if (lengths - body < packed_bytes(per_frame, widths)).any():
         raise EncodingError("packed payload truncated")
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    # one entry per delta: the frame it belongs to and its index there
-    frame_of = np.repeat(np.arange(len(frames)), per_frame)
-    nth = np.arange(len(frame_of)) - np.repeat(np.cumsum(per_frame)
-                                               - per_frame, per_frame)
-    width_of = widths[frame_of]
-    bit_at = (frame_at[frame_of] + body) * 8 + nth * width_of
-    slot = starts[frame_of] + 1 + nth
-    deltas = np.zeros(int(ends[-1]), dtype=np.uint64)
-    for bits in set(widths[per_frame > 0].tolist()):
-        same = width_of == bits
-        deltas[slot[same]] = _fields(stream, bits,
-                                     *_byte_and_lead(bit_at[same], bits))
-    out = unzigzag(deltas)
+    starts = np.cumsum(counts) - counts
+    # the deltas in width order: frame order[i]'s are deltas[edges[i]:]
+    order = np.argsort(widths, kind="stable")
+    width_of, many = widths[order], per_frame[order]
+    edges = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(many, out=edges[1:])
+    # delta k of sorted frame i starts at bit shift[i] + k * width
+    shift = np.repeat((at[order] + body) * 8 - edges[:-1] * width_of, many)
+    deltas = np.empty(int(edges[-1]), dtype=np.uint64)
+    cuts = np.flatnonzero(np.diff(width_of)) + 1
+    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(order)]):
+        bits, first, last = int(width_of[lo]), int(edges[lo]), int(edges[hi])
+        if first < last:
+            bit_at = np.arange(first * bits, last * bits, bits)
+            bit_at += shift[first:last]
+            deltas[first:last] = _fields(raw, bits,
+                                         *_byte_and_lead(bit_at, bits))
+    deltas = unzigzag(deltas)
+    sums = np.zeros(len(at), dtype=np.int64)
+    adds = many > 0
+    sums[order[adds]] = np.add.reduceat(deltas, edges[:-1][adds])
+    out = np.empty(int(starts[-1] + counts[-1]), dtype=np.int64)
+    slot = np.repeat(starts[order] + 1 - edges[:-1], many)
+    slot += np.arange(len(deltas))
+    out[slot] = deltas
+    # a frame's first slot takes off the last value before it, so one
+    # running sum rebases every frame on its own first value
     filled = counts > 0
-    out[starts[filled]] = firsts[filled]
+    firsts = heads["first"][filled]
+    lasts = firsts + sums[filled]
+    out[starts[filled]] = firsts - np.concatenate(([0], lasts[:-1]))
     out.cumsum(out=out)
-    # the running sum carries every earlier frame's total: take it off
-    carried = np.zeros(len(frames), dtype=np.int64)
-    carried[starts > 0] = out[starts[starts > 0] - 1]
-    out -= np.repeat(carried, counts)
     return out
 
 
+def decode_frames(frames: Sequence[bytes]) -> np.ndarray:
+    """``decode_payload`` of each of ``frames`` — framed int64 delta
+    payloads — back to back: :func:`decode_stream` of the joined frames.
+    """
+    lengths = np.fromiter(map(len, frames), np.int64, len(frames))
+    return decode_stream(b"".join(frames) + bytes(8),
+                         np.cumsum(lengths) - lengths, lengths)
+
+
 __all__ = ["DeltaCodec", "DELTA", "zigzag", "unzigzag", "encode_frames",
-           "decode_frames"]
+           "decode_frames", "decode_stream"]

@@ -125,3 +125,74 @@ def test_integer_keys_refuse_other_probes(values):
     for index in (KeyIndex(np.array([1, 2])), _forced([1, 2], False)):
         with pytest.raises(TypeError):
             index.lookup(values)
+
+
+# --------------------------------------------------------------------- #
+# probe search: the sorted path's keys searched in an ascending probe
+# --------------------------------------------------------------------- #
+@st.composite
+def ascending_probes(draw):
+    """(int64 keys, probe values, whether the probe ascends strictly):
+    keys on both sides of the int32 range, some of them int32 values
+    plus a multiple of 2**32 (what a narrowing cast would confuse with
+    the int32 value), duplicated and in any order; probes of the three
+    dtypes holding keys, their int32 aliases and values outside the
+    keys' range, mostly strictly ascending and longer than the keys."""
+    dtype = draw(st.sampled_from(VALUE_DTYPES))
+    info = np.iinfo(dtype)
+    small = st.integers(int(info.min), int(info.max))
+    keys = draw(st.lists(st.one_of(
+        small,
+        st.tuples(st.integers(-(1 << 31), (1 << 32) - 1),
+                  st.sampled_from((-1, 1, 256)))
+        .map(lambda alias: alias[0] + (alias[1] << 32)),
+        st.sampled_from((int(I64.min), int(I64.max), 1 << 40))),
+        min_size=1, max_size=24))
+    keys += draw(st.lists(st.sampled_from(keys), max_size=6))
+    if draw(st.booleans()):
+        keys.sort()
+    else:
+        keys = draw(st.permutations(keys))
+    aliases = [k & 0xFFFFFFFF for k in keys] + [
+        (k & 0xFFFFFFFF) - (1 << 32) for k in keys]
+    candidates = [v for v in keys + aliases + [int(info.min), int(info.max)]
+                  if info.min <= v <= info.max]
+    values = set(draw(st.lists(st.sampled_from(candidates),
+                               max_size=2 * len(keys))))
+    values |= set(draw(st.lists(small, max_size=8)))
+    if draw(st.integers(0, 3)):  # a probe longer than the keys
+        values |= set(range(int(info.min), int(info.min) + len(keys) + 1))
+    values = sorted(values)
+    if values and draw(st.integers(0, 4)) == 0:  # not strictly ascending
+        at = draw(st.integers(0, len(values) - 1))
+        values.insert(at, values[at])
+    strict = all(a < b for a, b in zip(values, values[1:]))
+    return (np.asarray(keys, dtype=np.int64), np.asarray(values, dtype=dtype),
+            strict)
+
+
+@given(ascending_probes(), st.sampled_from(("shipped", "off")))
+def test_property_probe_search_matches_the_search_it_replaced(case, mode):
+    keys, values, strict = case
+    index = _forced(keys, direct=False)
+    ratio = {"shipped": keys_module.PROBE_SEARCH_RATIO, "off": 1 << 62}[mode]
+    search = KeyIndex._search_probe
+    with mock.patch.object(keys_module, "PROBE_SEARCH_RATIO", ratio), \
+            mock.patch.object(KeyIndex, "_search_probe", autospec=True,
+                              side_effect=search) as probe_search:
+        _assert_matches_reference(index, keys, values)
+    assert probe_search.called == (mode == "shipped" and strict
+                                   and len(values) > len(keys))
+
+
+def test_probe_search_keeps_byte_string_keys_on_the_key_search():
+    """Searched in a narrower probe, ``MFGR#22`` would be cut to the
+    ``MFGR#2`` it is not."""
+    keys = np.array([b"MFGR#22", b"MFGR#1", b"MFGR#3"], dtype="S7")
+    values = np.array([b"MFGR#1", b"MFGR#2", b"MFGR#4", b"MFGR#5"],
+                      dtype="S6")
+    with mock.patch.object(KeyIndex, "_search_probe") as probe_search:
+        found, rows = KeyIndex(keys).lookup(values)
+    assert not probe_search.called
+    assert found.tolist() == [True, False, False, False]
+    assert rows[found].tolist() == [1]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, StorageError
 from repro.plan.keys import KeyIndex
 from repro.rowstore import operators
 from repro.rowstore.operators import HashTable, RowBatch, heap_fetch
@@ -247,3 +247,41 @@ def test_heap_fetch_groups_sorted_rids_by_page(monkeypatch, heap, shape,
         got.pop(counter)
         want.pop(counter)
     assert got == want
+
+
+def test_heap_fetch_takes_ascending_rids_as_given(heap):
+    """Rids that arrive ascending (a bitmap plan's always do) fetch the
+    same batches with the same ledger as the same rids shuffled."""
+    heap_file, disk = heap
+    rids = np.arange(3, heap_file.num_rows, 7)
+    seen = []
+    for given_rids in (np.random.default_rng(2).permutation(rids), rids):
+        disk.stats = QueryStats()
+        disk.reset_head()
+        batches = list(heap_fetch(heap_file, BufferPool(disk, 1 << 26),
+                                  given_rids, "t", ["k"]))
+        seen.append(([(b.column("_rid").tolist(), b.column("t.k").tolist())
+                      for b in batches], disk.stats.snapshot()))
+    assert seen[0] == seen[1]
+    assert seen[1][0][0][0][:2] == [3, 10]
+
+
+@pytest.mark.parametrize("rids, bad", (
+    ([-5, 7, 40], -5),
+    ([7, "rows"], "rows"),         # one past the short last page's last
+    (["rows+9", 2], "rows+9"),
+), ids=("negative", "past-last-record", "past-last-page"))
+def test_heap_fetch_refuses_rids_outside_the_heap(heap, rids, bad):
+    """A rid outside the heap raises ``read_row``'s error instead of being
+    dropped (a negative one) or escaping as an untyped ``IndexError``."""
+    heap_file, disk = heap
+    n = heap_file.num_rows
+    assert n % heap_file.fmt.rows_per_page  # the last page is short
+    value = {"rows": n, "rows+9": n + 9}
+    rids = np.array([value.get(r, r) for r in rids])
+    bad = value.get(bad, bad)
+    with pytest.raises(StorageError) as raised:
+        list(heap_fetch(heap_file, BufferPool(disk, 1 << 20), rids, "t",
+                        ["k"]))
+    assert str(raised.value) == (f"rid {bad} out of range for "
+                                 f"{heap_file.name!r} ({n} rows)")
